@@ -32,10 +32,12 @@ CTU = 64
 PIXELS_PER_CTU = 4 * CTU * CTU          # every level of a depth-3 search
 REFERENCE_SEED = 20251125
 
-# frame role -> (height, width); "collect" and "heldout" come from --seed,
-# the "ref_*" frames from REFERENCE_SEED
-FRAME_SIZES = {"collect": (128, 128), "heldout": (256, 256),
-               "ref_train": (128, 128), "ref_heldout": (128, 256)}
+# frame role -> (height, width, zone side). The frames a workload seeds
+# come from --seed, all others from REFERENCE_SEED. "collect" and
+# "heldout" have 32 px zones, so the one-CTU collect frame holds four
+# content styles and the held-out frame all five in a fixed mix.
+FRAME_SIZES = {"collect": (64, 64, 32), "heldout": (256, 256, 32),
+               "ref_train": (128, 128, 64), "ref_heldout": (64, 128, 64)}
 
 REG_EPOCHS, REG_BATCH = 30, 256
 REG_ARGS = ["--variant", "N32", "--batch", str(REG_BATCH), "--epochs", str(REG_EPOCHS),
@@ -48,7 +50,7 @@ SWEEP_THRESHOLDS = (1.6, 2.5, 4.0, 6.0, 1e30)
 
 def ctus(role: str) -> int:
     """Full 64x64 CTUs in the frame of ``role``."""
-    h, w = FRAME_SIZES[role]
+    h, w, _ = FRAME_SIZES[role]
     return (h // CTU) * (w // CTU)
 
 
@@ -59,8 +61,8 @@ class Pipeline:
     so traced spans can be attributed to the command they ran in.
     """
 
-    def __init__(self, work: Path, seed: int, jobs: int):
-        self.work, self.seed, self.jobs = work, seed, jobs
+    def __init__(self, work: Path, seed: int, jobs: int, seeded: tuple):
+        self.work, self.seed, self.jobs, self.seeded = work, seed, jobs, seeded
         self.attempted = 0
         self.failures: list[str] = []
         self.first_hashes: dict[str, dict] = {}
@@ -117,14 +119,15 @@ class Pipeline:
     # -- set-up ---------------------------------------------------------
 
     def setup(self) -> None:
-        """Write the seeded and reference frames and build the reference
-        record set the train stage fits."""
+        """Write the frames, from ``seed`` for the roles in ``seeded`` and
+        from REFERENCE_SEED for the others, and build the reference record
+        set the train stage fits."""
         fdir = self.work / "frames"
         fdir.mkdir(parents=True, exist_ok=True)
-        for role, (h, w) in FRAME_SIZES.items():
-            base = REFERENCE_SEED if role.startswith("ref_") else self.seed
+        for role, (h, w, zone) in FRAME_SIZES.items():
+            base = self.seed if role in self.seeded else REFERENCE_SEED
             rng_seed = [base, list(FRAME_SIZES).index(role)]
-            self.frames[role] = frames.write_pgm(frames.mosaic(rng_seed, h, w),
+            self.frames[role] = frames.write_pgm(frames.mosaic(rng_seed, h, w, zone),
                                                  fdir / f"{role}.pgm")
         target = self.work / "setup" / "ref.qtds"
         target.parent.mkdir(exist_ok=True)

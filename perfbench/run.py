@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """qtpart benchmark: one workload per process.
 
-    python3 perfbench/run.py --workload learn --seed 1 --seconds 35 --trace 0
+    python3 perfbench/run.py --workload learn --seed 1 --seconds 50 --trace 0
 
 Run from the root of a checkout. The program is imported from ``src/``
 of that checkout and driven through ``qtpart.cli.main`` in-process. The
@@ -16,6 +16,7 @@ perfbench/README.md.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -29,11 +30,14 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".perfbench_work"
 STAGES = ("collect", "train", "evaluate")
-# workload -> its own stages: they run OWN_WEIGHT times per round, and
-# they are the stages a traced run traces
-WORKLOADS = {"learn": ("collect", "train"), "evaluate": ("evaluate",)}
+# one measured round: the train commands are the shortest and, running
+# multi-threaded BLAS, the noisiest, so they run twice
+ROUND = ("collect", "train", "evaluate", "train")
+# workload -> (its own stages, which a traced run traces; the frame roles
+# its --seed makes, which feed those stages)
+WORKLOADS = {"learn": (("collect", "train"), ("collect",)),
+             "evaluate": (("evaluate",), ("heldout",))}
 SETUP_REPEATS = 3            # set-up runs per measured run; setup_s is their median
-OWN_WEIGHT = 2
 MIN_ROUNDS = 2               # however long they take
 TRACED_ITERATIONS = 2        # traced counts must agree between them
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -87,17 +91,20 @@ def environment(jobs: int) -> dict:
             "jobs": jobs}
 
 
-def run_rounds(pipe, own: tuple, seconds: float, record) -> None:
-    """Run rounds of the whole pipeline until ``seconds`` have passed and
-    MIN_ROUNDS are done. The workload's own stages run OWN_WEIGHT times
-    per round. The machine's speed drifts over seconds to minutes, so
-    every metric gets samples spread over the whole run."""
-    start, n = perf_counter(), 0
-    while n < MIN_ROUNDS or perf_counter() - start < seconds:
-        for stage in STAGES:
-            for _ in range(OWN_WEIGHT if stage in own else 1):
-                record(getattr(pipe, stage)())
-        n += 1
+def run_rounds(pipe, seconds: float, record) -> None:
+    """One warm-up round, whose timings are dropped, then rounds until
+    ``seconds`` have passed since the warm-up began and MIN_ROUNDS are
+    done; the last round may stop after any stage. Every command takes
+    about a second and every metric gets samples spread evenly over the
+    whole run: the machine's speed drifts over seconds, and a median over
+    many short samples evens that out."""
+    start = perf_counter()
+    for stage in STAGES:
+        getattr(pipe, stage)()
+    for n, stage in enumerate(itertools.cycle(ROUND), 1):
+        record(getattr(pipe, stage)())
+        if n >= MIN_ROUNDS * len(ROUND) and perf_counter() - start >= seconds:
+            return
 
 
 def main(argv=None) -> int:
@@ -122,7 +129,8 @@ def main(argv=None) -> int:
     work = WORK / f"{args.workload}-seed{args.seed}-trace{args.trace}"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
-    pipe = Pipeline(work, args.seed, jobs)
+    own, seeded = WORKLOADS[args.workload]
+    pipe = Pipeline(work, args.seed, jobs, seeded)
 
     setup_times = []
     for _ in range(1 if args.trace else SETUP_REPEATS):
@@ -136,7 +144,6 @@ def main(argv=None) -> int:
         for key, value in values.items():
             samples.setdefault(key, []).append(value)
 
-    own = WORKLOADS[args.workload]
     if args.trace:
         for stage in STAGES[:STAGES.index(own[0])]:     # the inputs of the traced stages
             record(getattr(pipe, stage)())
@@ -144,7 +151,7 @@ def main(argv=None) -> int:
         wanted = spec["per_layer"]
         counts = {k: 1 for k in values}
     else:
-        run_rounds(pipe, own, args.seconds, record)
+        run_rounds(pipe, args.seconds, record)
         wanted = spec["end_to_end"]
         samples["setup_s"] = [import_s + statistics.median(setup_times)]
         samples["peak_rss_mb"] = [resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024]
