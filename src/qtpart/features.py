@@ -71,19 +71,28 @@ def hog8(region: np.ndarray) -> np.ndarray:
     a = np.asarray(region, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 2 or a.shape[1] < 2:
         raise ValueError("region must be at least 2x2")
-    padx = np.pad(a, ((0, 0), (1, 1)), mode="edge")
-    pady = np.pad(a, ((1, 1), (0, 0)), mode="edge")
-    gx = padx[:, 2:] - padx[:, :-2]
-    gy = pady[2:, :] - pady[:-2, :]
+    # replicated borders turn the edge differences one-sided
+    gx = np.empty_like(a)
+    gx[:, 1:-1] = a[:, 2:] - a[:, :-2]
+    gx[:, 0] = a[:, 1] - a[:, 0]
+    gx[:, -1] = a[:, -1] - a[:, -2]
+    gy = np.empty_like(a)
+    gy[1:-1] = a[2:] - a[:-2]
+    gy[0] = a[1] - a[0]
+    gy[-1] = a[-1] - a[-2]
     mag = np.hypot(gx, gy)
     total = float(mag.sum())
-    hist = np.zeros(HOG_BINS, dtype=np.float64)
     if total < 1e-9:
-        return hist
+        return np.zeros(HOG_BINS, dtype=np.float64)
     ang = np.degrees(np.arctan2(gy, gx)) % 180.0
     bins = np.minimum((ang * (HOG_BINS / 180.0)).astype(np.int64), HOG_BINS - 1)
-    np.add.at(hist, bins.ravel(), mag.ravel())
+    hist = np.bincount(bins.ravel(), weights=mag.ravel(), minlength=HOG_BINS)
     return hist / hist.sum()
+
+
+_LEVELS = np.arange(GLCM_LEVELS, dtype=np.float64)
+_LEVEL_DIST = np.abs(_LEVELS[:, None] - _LEVELS[None, :])
+_HOMOG_DEN = 1.0 + _LEVEL_DIST
 
 
 def glcm5(region: np.ndarray) -> np.ndarray:
@@ -99,26 +108,25 @@ def glcm5(region: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] < 2 or a.shape[1] < 2:
         raise ValueError("region must be at least 2x2")
     lev = a.astype(np.int64) >> 5
-    m = np.zeros((GLCM_LEVELS, GLCM_LEVELS), dtype=np.float64)
-    l, r = lev[:, :-1].ravel(), lev[:, 1:].ravel()
-    np.add.at(m, (l, r), 1.0)
-    np.add.at(m, (r, l), 1.0)
-    p = m / m.sum()
+    pairs = (lev[:, :-1] * GLCM_LEVELS + lev[:, 1:]).ravel()
+    c = np.bincount(pairs, minlength=GLCM_LEVELS * GLCM_LEVELS).reshape(
+        GLCM_LEVELS, GLCM_LEVELS)
+    # counts are exact integers, so dividing by the known pair total
+    # equals dividing by the matrix sum
+    p = (c + c.T) / float(2 * pairs.size)
 
-    idx = np.arange(GLCM_LEVELS, dtype=np.float64)
-    ii, jj = idx[:, None], idx[None, :]
     nzp = p[p > 0.0]
     entropy = min(float(-(nzp * np.log2(nzp)).sum()), 6.0) / 6.0
     energy = float((p * p).sum())
-    homog = float((p / (1.0 + np.abs(ii - jj))).sum())
-    dissim = float((p * np.abs(ii - jj)).sum())
+    homog = float((p / _HOMOG_DEN).sum())
+    dissim = float((p * _LEVEL_DIST).sum())
     marg = p.sum(axis=1)                       # symmetric: marginals coincide
-    mu = float((idx * marg).sum())
-    var = float(((idx - mu) ** 2 * marg).sum())
+    mu = float((_LEVELS * marg).sum())
+    var = float(((_LEVELS - mu) ** 2 * marg).sum())
     if var <= 0.0:
         corr = 0.0
     else:
-        corr = float((p * (ii - mu) * (jj - mu)).sum()) / var
+        corr = float((p * (_LEVELS[:, None] - mu) * (_LEVELS[None, :] - mu)).sum()) / var
         corr = min(1.0, max(-1.0, corr))
     return np.array([entropy, energy, homog, corr, dissim])
 

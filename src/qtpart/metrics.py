@@ -36,6 +36,12 @@ ABLATION_CONFIGS = {
 }
 
 
+def _require_eval_qps(qps) -> None:
+    """Rate curves are fitted on exactly the evaluation qps."""
+    if sorted(qps) != sorted(EVAL_QPS):
+        raise ValueError(f"curve needs exactly the qps {EVAL_QPS}")
+
+
 @dataclass(frozen=True)
 class RdCurve:
     """Four (rate, PSNR) points, one per evaluation qp, sorted by rate."""
@@ -45,8 +51,7 @@ class RdCurve:
 
     @classmethod
     def from_qp_points(cls, points: Mapping[int, tuple]) -> "RdCurve":
-        if sorted(points) != sorted(EVAL_QPS):
-            raise ValueError(f"curve needs exactly the qps {EVAL_QPS}")
+        _require_eval_qps(points)
         by_qp = [points[qp] for qp in sorted(points)]
         rates = [float(r) for r, _ in by_qp]
         psnrs = [float(p) for _, p in by_qp]
@@ -148,6 +153,7 @@ def sweep(frames: Sequence[LumaFrame], cfg: CodecConfig, model: MlpModel,
     """
     if not thresholds:
         raise ValueError("empty threshold list")
+    _require_eval_qps(qps)
     anchor = _run_setting(frames, cfg, None, None, None, qps)
     anchor_curve = _curve_of(anchor)
     anchor_px = {qp: r["pixels"] for qp, r in anchor.items()}
@@ -190,6 +196,7 @@ def run_ablation(records: Sequence[CuRecord], frames: Sequence[LumaFrame],
                  qps: Sequence[int] = EVAL_QPS) -> list[dict]:
     """Retrain the size-32 regression under each configuration, sweep it,
     and report bd_rate interpolated at 10% and 20% complexity drops."""
+    _require_eval_qps(qps)
     rows = []
     for name in configs:
         if name not in ABLATION_CONFIGS:

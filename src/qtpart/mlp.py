@@ -194,6 +194,19 @@ def operator_norm_bound(model: MlpModel) -> float:
 
 
 def check_parameter_scale(model: MlpModel) -> None:
+    """Raise ModelError when a layer's spectral norm exceeds
+    NORM_BLOWUP_LIMIT or a layer holds non-finite values.
+
+    The Frobenius norm bounds the spectral norm from above, so the SVD
+    runs only when some layer's Frobenius norm is not clearly below the
+    limit; the margin keeps a rank-1 layer at the limit on the SVD path.
+    A non-finite layer has a NaN or infinite Frobenius norm, which fails
+    the comparison and so also reaches the SVD path.
+    """
+    bound = NORM_BLOWUP_LIMIT * (1.0 - 1e-12)
+    if all(np.linalg.norm(np.asarray(w, dtype=np.float64)) <= bound
+           for w in model.weights):
+        return
     norms = layer_operator_norms(model)
     if max(norms) > NORM_BLOWUP_LIMIT:
         raise ModelError(f"parameter blow-up: layer operator norms {norms}")

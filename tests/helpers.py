@@ -138,3 +138,50 @@ def enumerate_tree_costs(frame: LumaFrame, cfg) -> list[float]:
                 total += _encode_leaf(state, r16, 1, cfg)
         costs.append(total)
     return costs
+
+
+def reference_hog8(region) -> np.ndarray:
+    """Padded-gradient, scatter-add orientation histogram: the original
+    formulation of ``features.hog8``, kept as its byte-identity oracle."""
+    a = np.asarray(region, dtype=np.float64)
+    padx = np.pad(a, ((0, 0), (1, 1)), mode="edge")
+    pady = np.pad(a, ((1, 1), (0, 0)), mode="edge")
+    gx = padx[:, 2:] - padx[:, :-2]
+    gy = pady[2:, :] - pady[:-2, :]
+    mag = np.hypot(gx, gy)
+    total = float(mag.sum())
+    hist = np.zeros(8, dtype=np.float64)
+    if total < 1e-9:
+        return hist
+    ang = np.degrees(np.arctan2(gy, gx)) % 180.0
+    bins = np.minimum((ang * (8 / 180.0)).astype(np.int64), 7)
+    np.add.at(hist, bins.ravel(), mag.ravel())
+    return hist / hist.sum()
+
+
+def reference_glcm5(region) -> np.ndarray:
+    """Scatter-add co-occurrence statistics: the original formulation of
+    ``features.glcm5``, kept as its byte-identity oracle."""
+    lev = np.asarray(region).astype(np.int64) >> 5
+    m = np.zeros((8, 8), dtype=np.float64)
+    l, r = lev[:, :-1].ravel(), lev[:, 1:].ravel()
+    np.add.at(m, (l, r), 1.0)
+    np.add.at(m, (r, l), 1.0)
+    p = m / m.sum()
+
+    idx = np.arange(8, dtype=np.float64)
+    ii, jj = idx[:, None], idx[None, :]
+    nzp = p[p > 0.0]
+    entropy = min(float(-(nzp * np.log2(nzp)).sum()), 6.0) / 6.0
+    energy = float((p * p).sum())
+    homog = float((p / (1.0 + np.abs(ii - jj))).sum())
+    dissim = float((p * np.abs(ii - jj)).sum())
+    marg = p.sum(axis=1)
+    mu = float((idx * marg).sum())
+    var = float(((idx - mu) ** 2 * marg).sum())
+    if var <= 0.0:
+        corr = 0.0
+    else:
+        corr = float((p * (ii - mu) * (jj - mu)).sum()) / var
+        corr = min(1.0, max(-1.0, corr))
+    return np.array([entropy, energy, homog, corr, dissim])

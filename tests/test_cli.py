@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from qtpart import metrics
 from qtpart.cli import main
 from qtpart.dataset import load_records, load_trajectories
 from qtpart.features import LAYOUT_HASH
@@ -184,6 +185,24 @@ def test_sweep_artifacts(work, tmp_path, capsys):
     assert summary["points"][1]["delta_c_pct"] == 0.0
     assert abs(summary["points"][1]["bd_rate_pct"]) < 1e-9
     assert (out / "config.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--model", "reg", "--thresholds", "1.0"],
+    ["ablate", "--dataset", "dataset", "--thresholds", "1.0", "--configs", "none"],
+])
+def test_bad_qp_set_fails_before_any_work(work, tmp_path, capsys, monkeypatch,
+                                          command):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("expensive work ran before the qp check")
+
+    monkeypatch.setattr(metrics, "encode_frame", must_not_run)
+    monkeypatch.setattr(metrics, "train_regression", must_not_run)
+    argv = [work.get(a, a) for a in command]     # artifact names -> fixture paths
+    rc = main(argv + ["--frames", work["a64"], "--qps", "22,27",
+                      "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "needs exactly the qps" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- bdrate

@@ -10,7 +10,7 @@ from qtpart.features import (FEATURE_COUNT, FEATURE_NAMES, GLCM_STAT_NAMES,
                              glcm5, hog8, mask_indices)
 from qtpart.frame_io import CausalPatch, Rect
 
-from helpers import natural_frame
+from helpers import natural_frame, reference_glcm5, reference_hog8
 
 
 # -- layout ---------------------------------------------------------------
@@ -117,6 +117,36 @@ def test_glcm_quantizes_to_eight_levels():
 def test_glcm_rejects_tiny_regions():
     with pytest.raises(ValueError, match="at least 2x2"):
         glcm5(np.zeros((4, 1), np.uint8))
+
+
+def _oracle_regions():
+    """Seeded regions of every shape and content class the descriptor
+    meets: blocks, quadrants, reference strips and L-shapes; noise,
+    ramps, flat and saturated content."""
+    rng = np.random.default_rng(2024)
+    shapes = [(2, 2)] + [(n, n) for n in (4, 8, 16, 32)]
+    shapes += [(4, n) for n in (4, 8, 16, 32, 64)]              # top strips
+    shapes += [(4, 4 + w + h) for w, h in ((4, 4), (8, 8), (16, 16), (32, 32))]
+    shapes += [(2, 3), (3, 2), (2, 64), (64, 2), (5, 7)]
+    regions = []
+    for h, w in shapes:
+        yy, xx = np.mgrid[0:h, 0:w]
+        regions.append(rng.integers(0, 256, (h, w)).astype(np.uint8))
+        regions.append(np.clip(128 + rng.normal(0, 2, (h, w)), 0, 255).astype(np.uint8))
+        regions.append(np.full((h, w), rng.integers(0, 256), np.uint8))
+        regions.append(rng.choice(np.array([0, 255], np.uint8), (h, w)))
+        regions.append(np.full((h, w), 255, np.uint8))
+        gx, gy = rng.uniform(-12, 12, 2)
+        regions.append(np.clip(128 + gx * xx + gy * yy, 0, 255).astype(np.uint8))
+    return regions
+
+
+def test_kernels_byte_identical_to_reference():
+    regions = _oracle_regions()
+    assert any(hog8(r).sum() == 0.0 for r in regions)    # flat path covered
+    for region in regions:
+        assert hog8(region).tobytes() == reference_hog8(region).tobytes()
+        assert glcm5(region).tobytes() == reference_glcm5(region).tobytes()
 
 
 # -- masks --------------------------------------------------------------------

@@ -6,9 +6,9 @@ import pytest
 
 from qtpart.dataset import NormalizationSpec, normalize_targets
 from qtpart.features import LAYOUT_HASH, FeatureMask, mask_indices
-from qtpart.mlp import (DEFAULT_HIDDEN, REDUCED_HIDDEN, AdamState, MlpModel,
-                        ModelError, TrainHyper, adam_init, adam_step,
-                        check_parameter_scale, forward, init_model,
+from qtpart.mlp import (DEFAULT_HIDDEN, NORM_BLOWUP_LIMIT, REDUCED_HIDDEN,
+                        AdamState, MlpModel, ModelError, TrainHyper, adam_init,
+                        adam_step, check_parameter_scale, forward, init_model,
                         layer_operator_norms, load_model, loss_and_grads,
                         operator_norm_bound, save_model, train_regression)
 
@@ -175,6 +175,35 @@ def test_parameter_scale_check_trips_on_blowup_and_nan():
     with pytest.raises(ModelError, match="blow-up"):
         check_parameter_scale(m)
     m.weights[0][:] = np.nan
+    with pytest.raises(ModelError, match="blow-up"):
+        check_parameter_scale(m)
+
+
+def _set_first_layer(m, entries):
+    m.weights[0][:] = 0.0
+    for (i, j), v in entries.items():
+        m.weights[0][i, j] = v
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 0): 900.0, (1, 1): 900.0},         # Frobenius 1273 > limit > spectral 900
+    {(0, 0): NORM_BLOWUP_LIMIT},            # rank 1, exactly at the limit
+])
+def test_parameter_scale_check_uses_spectral_not_frobenius(entries):
+    m = init_model(hidden=(4,), out=1, seed=8, dtype="float64")
+    _set_first_layer(m, entries)
+    check_parameter_scale(m)
+
+
+@pytest.mark.parametrize("entries", [
+    {(0, 0): NORM_BLOWUP_LIMIT * (1 + 1e-13)},  # rank 1, just above the limit
+    {(0, 0): 800.0, (1, 0): 800.0},         # rank 1, spectral 1131
+    {(2, 3): np.nan},
+    {(2, 3): np.inf},
+])
+def test_parameter_scale_check_trips_above_spectral_limit(entries):
+    m = init_model(hidden=(4,), out=1, seed=8, dtype="float64")
+    _set_first_layer(m, entries)
     with pytest.raises(ModelError, match="blow-up"):
         check_parameter_scale(m)
 
