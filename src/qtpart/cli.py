@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import CodecConfig
+from .codec import CodecConfig, psnr_of_mse
 from .dataset import (DatasetError, balance, balance_trajectories,
                       collect_records, collect_trajectories, load_records,
                       load_trajectories, save_records, save_trajectories)
@@ -175,7 +175,6 @@ def cmd_encode(args) -> int:
                                  threshold=args.threshold,
                                  active_sizes=tuple(_ints(args.active_sizes)))
     res = encode_frame(frame, cfg, policy)
-    from .codec import psnr_of_mse
     report = {
         "qp": args.qp,
         "threshold": args.threshold if policy else None,

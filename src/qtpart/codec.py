@@ -23,7 +23,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from .frame_io import (BORDER_FILL, CTU_SIZES, CausalPatch, LumaFrame, Rect,
                        causal_patch)
@@ -49,14 +48,27 @@ def qstep_of_qp(qp: int) -> float:
     return 2.0 ** ((qp - 4) / 6.0)
 
 
+def _dct_matrix(n: int) -> np.ndarray:
+    """Orthonormal DCT-II basis: row k samples cos(pi*(2i+1)*k/(2n))."""
+    k = np.arange(n)[:, None]
+    i = np.arange(n)[None, :]
+    c = np.cos(np.pi * (2 * i + 1) * k / (2 * n)) * math.sqrt(2.0 / n)
+    c[0] /= math.sqrt(2.0)
+    return c
+
+
+_DCT = {n: _dct_matrix(n) for n in TRANSFORM_SIZES}
+
+
 def dct2d(block: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Orthonormal 2-D DCT (type II forward, type III inverse)."""
     a = np.asarray(block, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] not in TRANSFORM_SIZES:
         raise ValueError(f"block must be square with side in {TRANSFORM_SIZES}")
+    c = _DCT[a.shape[0]]
     if inverse:
-        return idctn(a, type=2, norm="ortho")
-    return dctn(a, type=2, norm="ortho")
+        return c.T @ a @ c
+    return c @ a @ c.T
 
 
 @dataclass(frozen=True)
@@ -201,14 +213,6 @@ class PartitionNode:
         for c in self.children:
             yield from c.preorder()
 
-    def chosen_leaves(self):
-        """Leaves of the partition actually chosen (NS blocks)."""
-        if self.chosen == NS:
-            yield self
-        else:
-            for c in self.children:
-                yield from c.chosen_leaves()
-
     def rate_bits(self, split_bits: float) -> float:
         """Total bits of the chosen partition, split signalling included."""
         if self.chosen == NS:
@@ -315,18 +319,6 @@ def qt_cost_table(ns_levels: list[np.ndarray], delta_qt: float) -> float:
         return acc + delta_qt
 
     return qt(0, 0, 0)
-
-
-def psnr(orig: np.ndarray | LumaFrame, recon: np.ndarray | LumaFrame) -> float:
-    """Peak signal-to-noise ratio in dB; math.inf marks a lossless match."""
-    a = orig.pixels if isinstance(orig, LumaFrame) else np.asarray(orig)
-    b = recon.pixels if isinstance(recon, LumaFrame) else np.asarray(recon)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    mse = float(np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2))
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(PEAK * PEAK / mse)
 
 
 def psnr_of_mse(mse: float) -> float:

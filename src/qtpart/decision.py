@@ -9,14 +9,13 @@ own coding is never skipped, only the descent below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import codec
 from .codec import CodecConfig, PartitionNode, Rect, SearchState, VisitInfo
-from .features import (LAYOUT_HASH, FeatureMask, build_vector,
+from .features import (FEATURE_COUNT, LAYOUT_HASH, FeatureMask, build_vector,
                        context_from_visit)
 from .frame_io import LumaFrame, tile_ctus
 from .mlp import MlpModel, ModelError, forward
@@ -37,6 +36,13 @@ class ThresholdPolicy:
         self.active_sizes = tuple(sorted(set(int(s) for s in self.active_sizes)))
         if not self.active_sizes:
             raise ValueError("no active block sizes")
+        if self.model.meta.get("layout_hash") != LAYOUT_HASH:
+            raise ModelError("model was trained against a different feature layout")
+        if self.model.in_dim != FEATURE_COUNT:
+            raise ModelError(f"model input width {self.model.in_dim} "
+                             f"is not the descriptor size {FEATURE_COUNT}")
+        if self.model.out_dim not in (1, 2):
+            raise ModelError(f"model must have 1 or 2 outputs, got {self.model.out_dim}")
         self.mask = FeatureMask.from_names(self.model.meta.get("mask", []))
 
 
@@ -63,9 +69,6 @@ def pruned_search(rect: Rect, cfg: CodecConfig, state: SearchState,
     forces no-split without exploring the subtree; inactive sizes always
     recurse normally.
     """
-    if policy.model.meta.get("layout_hash") != LAYOUT_HASH:
-        raise ModelError("model was trained against a different feature layout")
-
     def hook(visit: VisitInfo) -> bool:
         if visit.rect.w not in policy.active_sizes:
             return False
@@ -74,28 +77,6 @@ def pruned_search(rect: Rect, cfg: CodecConfig, state: SearchState,
         return decide(pred, policy) == PRUNE_QT
 
     return codec.search(rect, cfg, state, prune=hook)
-
-
-class ComplexityCounter:
-    """Per-qp accumulator of processed pixels."""
-
-    def __init__(self):
-        self._px: dict[int, int] = {}
-
-    def add(self, qp: int, pixels: int) -> None:
-        if pixels < 0:
-            raise ValueError("pixel counts cannot be negative")
-        self._px[qp] = self._px.get(qp, 0) + int(pixels)
-
-    def get(self, qp: int) -> int:
-        return self._px.get(qp, 0)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self._px)
-
-    def merge(self, other: "ComplexityCounter") -> None:
-        for qp, px in other._px.items():
-            self.add(qp, px)
 
 
 @dataclass

@@ -109,16 +109,12 @@ def bd_rate(anchor: RdCurve, test: RdCurve) -> float:
 
 
 def _run_setting(frames: Sequence[LumaFrame], cfg: CodecConfig,
-                 model: Optional[MlpModel], active_sizes, threshold,
-                 qps) -> dict[int, dict]:
-    """Encode all frames at every qp; returns per-qp pixels/rate/psnr."""
+                 policy: Optional[ThresholdPolicy], qps) -> dict[int, dict]:
+    """Encode all frames at every qp, exhaustively when ``policy`` is
+    None; returns per-qp pixels/rate/psnr."""
     out = {}
     for qp in qps:
         cfg_qp = cfg.at_qp(qp)
-        policy = None
-        if model is not None:
-            policy = ThresholdPolicy(model=model, threshold=threshold,
-                                     active_sizes=active_sizes)
         pixels, rate, sse, area = 0, 0.0, 0.0, 0
         for frame in frames:
             res = encode_frame(frame, cfg_qp, policy)
@@ -149,18 +145,22 @@ def sweep(frames: Sequence[LumaFrame], cfg: CodecConfig, model: MlpModel,
     """Measure the complexity/quality trade-off over a threshold grid.
 
     The anchor is the exhaustive search on the same frames and qps; each
-    threshold yields one (delta_c, bd_rate) point.
+    threshold yields one (delta_c, bd_rate) point. Every policy is built,
+    and so the model checked, before the first encode.
     """
     if not thresholds:
         raise ValueError("empty threshold list")
     _require_eval_qps(qps)
-    anchor = _run_setting(frames, cfg, None, None, None, qps)
+    policies = [ThresholdPolicy(model=model, threshold=t, active_sizes=active_sizes)
+                for t in sorted(thresholds)]
+    anchor = _run_setting(frames, cfg, None, qps)
     anchor_curve = _curve_of(anchor)
     anchor_px = {qp: r["pixels"] for qp, r in anchor.items()}
 
     points, rows = [], []
-    for t in sorted(thresholds):
-        runs = _run_setting(frames, cfg, model, active_sizes, t, qps)
+    for policy in policies:
+        t = policy.threshold
+        runs = _run_setting(frames, cfg, policy, qps)
         dc = delta_c(anchor_px, {qp: r["pixels"] for qp, r in runs.items()})
         bd = bd_rate(anchor_curve, _curve_of(runs))
         points.append(TradeoffPoint(threshold=t, delta_c=dc, bd_rate=bd))

@@ -188,11 +188,6 @@ def layer_operator_norms(model: MlpModel) -> list[float]:
     return norms
 
 
-def operator_norm_bound(model: MlpModel) -> float:
-    """Product of layer spectral norms, an upper Lipschitz bound."""
-    return float(np.prod(layer_operator_norms(model)))
-
-
 def check_parameter_scale(model: MlpModel) -> None:
     """Raise ModelError when a layer's spectral norm exceeds
     NORM_BLOWUP_LIMIT or a layer holds non-finite values.

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from qtpart.codec import SearchState, encode_ns, split_signal_cost
+from qtpart.codec import NS, SearchState, encode_ns, split_signal_cost
 from qtpart.frame_io import LumaFrame, Rect, causal_patch
 
 CHILD_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -91,6 +91,15 @@ def bottom_up_qt_cost(levels, delta: float) -> float:
                 agg[i, j] = min(ns[i, j], kids + delta)
         best = agg
     return float(best[0, 0] + best[0, 1] + best[1, 0] + best[1, 1] + delta)
+
+
+def chosen_leaves(node):
+    """Leaves of the partition actually chosen (NS blocks) under a node."""
+    if node.chosen == NS:
+        yield node
+    else:
+        for c in node.children:
+            yield from chosen_leaves(c)
 
 
 def dyadic_tables(rng: np.random.Generator, depth: int = 3):

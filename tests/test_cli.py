@@ -205,6 +205,22 @@ def test_bad_qp_set_fails_before_any_work(work, tmp_path, capsys, monkeypatch,
     assert "needs exactly the qps" in capsys.readouterr().err
 
 
+def test_sweep_foreign_layout_fails_before_any_work(work, tmp_path, capsys,
+                                                    monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an encode ran before the model check")
+
+    monkeypatch.setattr(metrics, "encode_frame", must_not_run)
+    alien = init_model(hidden=(), out=1, seed=0)
+    alien.meta["layout_hash"] = "0" * 16
+    mpath = tmp_path / "alien.qtnn"
+    save_model(alien, str(mpath))
+    rc = main(["sweep", "--frames", work["a64"], "--model", str(mpath),
+               "--thresholds", "1.0", "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert "feature layout" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- bdrate
 
 def test_bdrate_five_percent(tmp_path, capsys):
@@ -280,3 +296,13 @@ def test_installed_script_smoke():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 115
+
+
+def test_import_needs_numpy_only():
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, qtpart.cli; "
+                           "print(sorted(m for m in sys.modules "
+                           "if m.split('.')[0] == 'scipy'))"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,11 +5,12 @@ import pytest
 
 from qtpart.codec import (MODE_OVERHEAD_BITS, NS, QT, TRANSFORM_SIZES,
                           CodecConfig, RdCost, SearchState, dct2d, encode_ns,
-                          exhaustive_search, lambda_of_qp, psnr, psnr_of_mse,
+                          exhaustive_search, lambda_of_qp, psnr_of_mse,
                           qstep_of_qp, qt_cost_table, split_signal_cost)
 from qtpart.frame_io import LumaFrame, Rect, causal_patch
 
-from helpers import bottom_up_qt_cost, dyadic_tables, natural_frame
+from helpers import (bottom_up_qt_cost, chosen_leaves, dyadic_tables,
+                     natural_frame)
 
 
 # -- rate control laws --------------------------------------------------
@@ -48,6 +49,21 @@ def test_dct_constant_block_dc(n):
     assert np.abs(c.ravel()[1:]).max() < 1e-9
 
 
+def dct_by_definition(x):
+    """Orthonormal 2-D DCT-II written out as explicit cosine sums, taken
+    along rows and then along columns."""
+    n = len(x)
+
+    def basis(k, i):
+        scale = math.sqrt((1.0 if k == 0 else 2.0) / n)
+        return scale * math.cos(math.pi * (2 * i + 1) * k / (2 * n))
+
+    rows = [[sum(x[i][j] * basis(v, j) for j in range(n)) for v in range(n)]
+            for i in range(n)]
+    return np.array([[sum(rows[i][v] * basis(u, i) for i in range(n))
+                      for v in range(n)] for u in range(n)])
+
+
 @pytest.mark.parametrize("n", TRANSFORM_SIZES)
 def test_dct_roundtrip_and_parseval(n):
     rng = np.random.default_rng(n)
@@ -56,6 +72,7 @@ def test_dct_roundtrip_and_parseval(n):
     assert np.allclose(dct2d(c, inverse=True), x, atol=1e-9)
     # orthonormal transform preserves energy
     assert np.sum(c * c) == pytest.approx(np.sum(x * x), rel=1e-12)
+    assert np.abs(c - dct_by_definition(x.tolist())).max() < 1e-9
 
 
 def test_dct_rejects_bad_shapes():
@@ -205,7 +222,7 @@ def test_flat_frame_prefers_no_split():
     state = SearchState(f)
     tree = exhaustive_search(Rect(0, 0, 64, 64), CodecConfig(), state)
     assert tree.chosen == NS
-    assert [n.rect for n in tree.chosen_leaves()] == [Rect(0, 0, 64, 64)]
+    assert [n.rect for n in chosen_leaves(tree)] == [Rect(0, 0, 64, 64)]
 
 
 def test_blocky_frame_prefers_split():
@@ -220,7 +237,7 @@ def test_chosen_leaves_tile_the_root():
     f = natural_frame(13, h=64, w=64)
     tree = exhaustive_search(Rect(0, 0, 64, 64), CodecConfig(), SearchState(f))
     covered = np.zeros((64, 64), int)
-    for leaf in tree.chosen_leaves():
+    for leaf in chosen_leaves(tree):
         r = leaf.rect
         covered[r.y:r.y + r.h, r.x:r.x + r.w] += 1
     assert (covered == 1).all()
@@ -297,13 +314,9 @@ def test_qt_cost_table_validates_shapes():
 
 
 def test_psnr_values():
-    a = np.zeros((8, 8), np.uint8)
-    assert psnr(a, a) == math.inf
-    b = a.copy()
-    b[0, 0] = 255    # MSE = 255^2/64
-    assert psnr(a, b) == pytest.approx(10 * math.log10(64.0), rel=1e-12)
+    assert psnr_of_mse(0.0) == math.inf
+    assert psnr_of_mse(255.0 ** 2 / 64) == pytest.approx(10 * math.log10(64.0),
+                                                         rel=1e-12)
     assert psnr_of_mse(1.0) == pytest.approx(48.1308036086791, abs=1e-10)
-    with pytest.raises(ValueError, match="shape mismatch"):
-        psnr(np.zeros((4, 4)), np.zeros((8, 8)))
     with pytest.raises(ValueError, match="negative"):
         psnr_of_mse(-1.0)

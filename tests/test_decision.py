@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from qtpart.codec import CodecConfig, SearchState
-from qtpart.decision import (EXPLORE, PRUNE_QT, ComplexityCounter,
-                             ThresholdPolicy, decide, encode_frame,
-                             pruned_search)
-from qtpart.features import LAYOUT_HASH
-from qtpart.frame_io import tile_ctus
-from qtpart.mlp import ModelError, init_model
+from qtpart.codec import CodecConfig
+from qtpart.decision import (EXPLORE, PRUNE_QT, ThresholdPolicy, decide,
+                             encode_frame)
+from qtpart.features import FEATURE_COUNT, LAYOUT_HASH
+from qtpart.mlp import MlpModel, ModelError, init_model
 
 from helpers import natural_frame
 
@@ -84,13 +82,22 @@ def test_policy_reads_mask_from_meta():
 # -------------------------------------------------------------- pruned search
 
 def test_pruned_search_checks_feature_layout():
+    # a foreign model is refused when the policy is built, before any CTU
     m = ratio_model(1.0)
     m.meta["layout_hash"] = "0" * 16
-    pol = ThresholdPolicy(m, threshold=1.0)
-    frame = natural_frame(3, 64, 64)
-    cfg = CodecConfig()
     with pytest.raises(ModelError, match="different feature layout"):
-        pruned_search(tile_ctus(frame, 64)[0].rect, cfg, SearchState(frame), pol)
+        ThresholdPolicy(m, threshold=1.0)
+
+
+def test_policy_checks_model_widths():
+    narrow = init_model(hidden=(), out=1, in_dim=FEATURE_COUNT - 1, seed=0)
+    with pytest.raises(ModelError, match="input width"):
+        ThresholdPolicy(narrow, threshold=1.0)
+    wide = MlpModel(weights=[np.zeros((FEATURE_COUNT, 3), np.float32)],
+                    biases=[np.zeros(3, np.float32)],
+                    meta={"layout_hash": LAYOUT_HASH})
+    with pytest.raises(ModelError, match="1 or 2 outputs"):
+        ThresholdPolicy(wide, threshold=1.0)
 
 
 def test_huge_threshold_reproduces_exhaustive_search(tiny_model):
@@ -130,34 +137,6 @@ def test_inactive_sizes_recurse_normally():
     assert res.pixels == 4 * 3 * CTU_AREA
     sizes = {n.rect.w for t in res.trees for n in t.preorder()}
     assert sizes == {64, 32, 16}
-
-
-# -------------------------------------------------------------------- counter
-
-def test_counter_accumulates_per_qp():
-    c = ComplexityCounter()
-    c.add(22, 100)
-    c.add(22, 50)
-    c.add(37, 7)
-    assert c.get(22) == 150
-    assert c.get(37) == 7
-    assert c.get(27) == 0
-    assert c.as_dict() == {22: 150, 37: 7}
-
-
-def test_counter_merge():
-    a, b = ComplexityCounter(), ComplexityCounter()
-    a.add(22, 10)
-    b.add(22, 5)
-    b.add(32, 3)
-    a.merge(b)
-    assert a.as_dict() == {22: 15, 32: 3}
-    assert b.as_dict() == {22: 5, 32: 3}       # source untouched
-
-
-def test_counter_rejects_negative():
-    with pytest.raises(ValueError, match="cannot be negative"):
-        ComplexityCounter().add(22, -1)
 
 
 # -------------------------------------------------------------- frame results
