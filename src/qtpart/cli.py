@@ -14,8 +14,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .codec import CodecConfig, psnr_of_mse
 from .dataset import (DatasetError, balance, balance_trajectories,
                       collect_records, collect_trajectories, load_records,
@@ -24,12 +22,12 @@ from .decision import ThresholdPolicy, encode_frame
 from .dqn import DqnHyper, train_dqn
 from .features import LAYOUT_HASH, FeatureMask, describe_layout
 from .frame_io import FrameFormatError, load_frame
-from .metrics import (ABLATION_CONFIGS, EVAL_QPS, RdCurve, bd_rate,
-                      run_ablation, sweep)
+from .metrics import ABLATION_CONFIGS, RdCurve, bd_rate, run_ablation, sweep
 from .mlp import (DEFAULT_HIDDEN, ModelError, TrainHyper, load_model,
                   save_model, train_regression)
 
 DEFAULT_QPS = "22,27,32,37"
+JOBS_HELP = "accepted and ignored; collection runs serially"
 
 
 def _ints(text: str) -> list[int]:
@@ -103,7 +101,7 @@ def cmd_dataset_build(args) -> int:
     frames = _load_frames(args.frames, args.format, args.width, args.height)
     cfg = _codec_config(args)
     records = collect_records(frames, _ints(args.qps), cfg, _ints(args.sizes),
-                              seed=args.seed, jobs=args.jobs)
+                              seed=args.seed)
     if args.balance:
         records = balance(records, seed=args.seed)
     save_records(records, args.out)
@@ -115,8 +113,7 @@ def cmd_dataset_build(args) -> int:
 def cmd_dataset_trajectories(args) -> int:
     frames = _load_frames(args.frames, args.format, args.width, args.height)
     cfg = _codec_config(args)
-    trajs = collect_trajectories(frames, _ints(args.qps), cfg,
-                                 seed=args.seed, jobs=args.jobs)
+    trajs = collect_trajectories(frames, _ints(args.qps), cfg, seed=args.seed)
     if args.balance:
         trajs = balance_trajectories(trajs, seed=args.seed)
     save_trajectories(trajs, args.out)
@@ -272,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         if extra_sizes:
             p.add_argument("--sizes", default="32")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
         p.add_argument("--balance", action=argparse.BooleanOptionalAction, default=True)
         p.add_argument("--out", required=True)
         p.set_defaults(func=fn)
@@ -323,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--thresholds", required=True)
     p.add_argument("--active-sizes", default="32")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -16,16 +16,15 @@ descriptor build.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .codec import (NS, QT, CodecConfig, SearchState, exhaustive_search,
-                    split_signal_cost)
-from .features import LAYOUT_HASH, FeatureMask, build_vector, context_from_visit
+from .codec import (NS, QP_MAX, QP_MIN, QT, CodecConfig, SearchState,
+                    exhaustive_search, split_signal_cost)
+from .features import LAYOUT_HASH, build_vector, context_from_visit
 from .frame_io import LumaFrame, tile_ctus
 
 MAGIC = b"QTDS"
@@ -136,56 +135,67 @@ def _walk_frame(frame: LumaFrame, qp: int, cfg: CodecConfig):
     return pairs, cfg_qp
 
 
+def _collect(frames: Sequence[LumaFrame], qps: Sequence[int], cfg: CodecConfig,
+             seed: int, emit: Callable) -> list:
+    """Search every frame at every qp, in (frame, qp) order, concatenate
+    what ``emit(pairs, cfg_qp)`` returns for each search, then shuffle
+    once with the given seed. Inputs are checked before the first search."""
+    if not frames:
+        raise DatasetError("empty frame list")
+    qps = tuple(qps)
+    if not qps:
+        raise DatasetError("empty qp list")
+    for qp in qps:
+        if not QP_MIN <= qp <= QP_MAX:
+            raise DatasetError(f"qp {qp} outside [{QP_MIN}, {QP_MAX}]")
+    for frame in frames:
+        if frame.width < cfg.ctu or frame.height < cfg.ctu:
+            raise DatasetError(f"{frame.width}x{frame.height} frame holds no "
+                               f"full {cfg.ctu}x{cfg.ctu} CTU")
+    items = []
+    for frame in frames:
+        for qp in qps:
+            pairs, cfg_qp = _walk_frame(frame, qp, cfg)
+            items.extend(emit(pairs, cfg_qp))
+    order = np.random.default_rng(seed).permutation(len(items))
+    return [items[i] for i in order]
+
+
 def collect_records(frames: Sequence[LumaFrame], qps: Sequence[int],
                     cfg: CodecConfig, sizes: Sequence[int],
-                    seed: int = 0, jobs: int = 1) -> list[CuRecord]:
+                    seed: int = 0) -> list[CuRecord]:
     """Exhaustively search every frame at every qp and emit one record per
     encountered block of a requested size. Results are concatenated in
     (frame, qp) order, then shuffled with the given seed."""
-    if not frames:
-        raise DatasetError("empty frame list")
     sizes = _validate_sizes(cfg, sizes)
-    tasks = [(f, qp) for f in frames for qp in qps]
 
-    def one(task):
-        frame, qp = task
+    def emit(pairs, cfg_qp):
         out = []
-        pairs, _ = _walk_frame(frame, qp, cfg)
         for node, vec in pairs:
             if node.qt_j is None or node.rect.w not in sizes:
                 continue
             area = node.rect.area
             ns_pp, qt_pp = node.ns.j / area, node.qt_j / area
-            out.append(CuRecord(features=vec, cu_size=node.rect.w, qp=qp,
+            out.append(CuRecord(features=vec, cu_size=node.rect.w, qp=cfg_qp.qp,
                                 ns_j_pp=ns_pp, qt_j_pp=qt_pp,
                                 optimal=NS if ns_pp <= qt_pp else QT))
         return out
 
-    chunks = _run_tasks(one, tasks, jobs)
-    records = [r for chunk in chunks for r in chunk]
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(records))
-    return [records[i] for i in order]
+    return _collect(frames, qps, cfg, seed, emit)
 
 
 def collect_trajectories(frames: Sequence[LumaFrame], qps: Sequence[int],
-                         cfg: CodecConfig, seed: int = 0,
-                         jobs: int = 1) -> list[Trajectory]:
+                         cfg: CodecConfig, seed: int = 0) -> list[Trajectory]:
     """Emit one trajectory per encountered 32x32 block whose 16x16
     children all have split costs."""
-    if not frames:
-        raise DatasetError("empty frame list")
     depth32 = (cfg.ctu // 32).bit_length() - 1
     if cfg.ctu < 64 or cfg.max_depth < depth32 + 2:
         raise DatasetError(
             f"trajectories need 16x16 split costs: max_depth >= {depth32 + 2} "
             f"with ctu {cfg.ctu}")
-    tasks = [(f, qp) for f in frames for qp in qps]
 
-    def one(task):
-        frame, qp = task
+    def emit(pairs, cfg_qp):
         out = []
-        pairs, cfg_qp = _walk_frame(frame, qp, cfg)
         by_node = {id(n): v for n, v in pairs}
         delta_pp = split_signal_cost(cfg_qp) / 1024.0
         for node, vec in pairs:
@@ -203,18 +213,7 @@ def collect_trajectories(frames: Sequence[LumaFrame], qps: Sequence[int],
                 child_qt_j_pp=np.array([c.qt_j / 256.0 for c in node.children])))
         return out
 
-    chunks = _run_tasks(one, tasks, jobs)
-    trajs = [t for chunk in chunks for t in chunk]
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(trajs))
-    return [trajs[i] for i in order]
-
-
-def _run_tasks(fn, tasks, jobs):
-    if jobs <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
+    return _collect(frames, qps, cfg, seed, emit)
 
 
 def _downsample(items: list, labels: list[str], seed, stratum: str) -> list:

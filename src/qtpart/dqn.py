@@ -14,15 +14,15 @@ output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .dataset import DatasetError, NormalizationSpec, Trajectory
 from .features import LAYOUT_HASH
-from .mlp import (DEFAULT_HIDDEN, AdamState, MlpModel, ModelError, adam_init,
-                  adam_step, backward, forward, forward_cached, init_model)
+from .mlp import (DEFAULT_HIDDEN, MlpModel, ModelError, adam_init, adam_step,
+                  backward, forward, forward_cached, init_model)
 
 ACTION_NS, ACTION_QT = 0, 1
 AREA_32, AREA_16 = 32 * 32, 16 * 16
@@ -97,9 +97,6 @@ class DqnHyper:
     eps_end: float = 0.05
     eps_anneal: Optional[int] = None             # defaults to steps
     hidden: tuple = DEFAULT_HIDDEN
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.steps <= 0 or self.batch <= 0:
@@ -196,8 +193,7 @@ def train_dqn(trajs: Sequence[Trajectory], hyper: DqnHyper | None = None,
     memory = ReplayMemory(hyper.capacity, seed=mem_seq)
     order_rng = np.random.default_rng(order_seq)
     act_rng = np.random.default_rng(act_seq)
-    adam = adam_init(model, lr=hyper.lr, beta1=hyper.beta1, beta2=hyper.beta2,
-                     eps=hyper.adam_eps)
+    adam = adam_init(model, lr=hyper.lr)
 
     n = len(trajs)
     order = np.empty(0, dtype=np.int64)

@@ -18,13 +18,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import CuRecord, DatasetError, NormalizationSpec, normalize_targets
+from .dataset import CuRecord, NormalizationSpec, normalize_targets
 from .features import FEATURE_COUNT, LAYOUT_HASH, FeatureMask, mask_indices
 
 MODEL_MAGIC = b"QTNN"
 DEFAULT_HIDDEN = (256, 256, 128)
 REDUCED_HIDDEN = (128, 128, 64)
 NORM_BLOWUP_LIMIT = 1e3
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # block sizes each regression variant trains on; one size means the target
 # is the split/no-split ratio, several mean median-scaled cost pairs
@@ -140,25 +141,21 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray):
 @dataclass
 class AdamState:
     lr: float = 1e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
 
-def adam_init(model: MlpModel, lr: float = 1e-5, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+def adam_init(model: MlpModel, lr: float = 1e-5) -> AdamState:
     zeros = lambda: [(np.zeros_like(w), np.zeros_like(b))
                      for w, b in zip(model.weights, model.biases)]
-    return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, m=zeros(), v=zeros())
+    return AdamState(lr=lr, m=zeros(), v=zeros())
 
 
 def adam_step(model: MlpModel, grads: list, state: AdamState) -> None:
     """One in-place Adam update with bias correction."""
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     for l, (dw, db) in enumerate(grads):
@@ -168,7 +165,7 @@ def adam_step(model: MlpModel, grads: list, state: AdamState) -> None:
             m += (1.0 - b1) * grad
             v *= b2
             v += (1.0 - b2) * grad * grad
-            upd = (state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps))
+            upd = (state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS))
             getattr(model, park)[l] -= upd.astype(model.dtype)
 
 
@@ -212,9 +209,6 @@ class TrainHyper:
     lr: float = 1e-5
     batch: int = 512
     epochs: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.lr <= 0 or self.batch <= 0 or self.epochs <= 0:
@@ -250,8 +244,7 @@ def train_regression(records: Sequence[CuRecord], variant: str,
     init_seq, shuffle_seq = root.spawn(2)
     model = init_model(hidden=hidden, out=out, seed=init_seq)
     rng = np.random.default_rng(shuffle_seq)
-    adam = adam_init(model, lr=hyper.lr, beta1=hyper.beta1, beta2=hyper.beta2,
-                     eps=hyper.eps)
+    adam = adam_init(model, lr=hyper.lr)
 
     n = len(records)
     history = []

@@ -22,20 +22,17 @@ def held_frame():
 @pytest.fixture(scope="session")
 def records_mixed(frames3):
     """Size 32 and 16 records off three textured frames, unbalanced."""
-    return collect_records(frames3, QPS, CodecConfig(), sizes=(32, 16),
-                           seed=5, jobs=4)
+    return collect_records(frames3, QPS, CodecConfig(), sizes=(32, 16), seed=5)
 
 
 @pytest.fixture(scope="session")
 def records32(frames3):
-    return collect_records(frames3, QPS, CodecConfig(), sizes=(32,),
-                           seed=5, jobs=4)
+    return collect_records(frames3, QPS, CodecConfig(), sizes=(32,), seed=5)
 
 
 @pytest.fixture(scope="session")
 def trajectories_small(frames3):
-    return collect_trajectories(frames3[:2], (22, 32), CodecConfig(),
-                                seed=5, jobs=4)
+    return collect_trajectories(frames3[:2], (22, 32), CodecConfig(), seed=5)
 
 
 @pytest.fixture(scope="session")

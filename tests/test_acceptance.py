@@ -284,12 +284,12 @@ def test_criterion_10_desk_scale_tradeoff_and_rank_quality():
     held_frames = [mosaic_frame(100 + s) for s in range(3)]
 
     records = balance(collect_records(train_frames, QPS, cfg, sizes=(32,),
-                                      seed=7, jobs=4), seed=7)
+                                      seed=7), seed=7)
     model, _ = train_regression(records, "N32",
                                 TrainHyper(lr=3e-4, batch=256, epochs=120),
                                 seed=2)
 
-    held = collect_records(held_frames, QPS, cfg, sizes=(32,), seed=7, jobs=4)
+    held = collect_records(held_frames, QPS, cfg, sizes=(32,), seed=7)
     pred = np.asarray(forward(model, np.stack([r.features for r in held])),
                       dtype=np.float64).ravel()
     true = np.array([r.qt_j_pp / r.ns_j_pp for r in held])

@@ -1,6 +1,7 @@
 """End-to-end command-line coverage: artifacts, reports, exit codes."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from qtpart import metrics
+from qtpart import dataset, metrics
 from qtpart.cli import main
 from qtpart.dataset import load_records, load_trajectories
 from qtpart.features import LAYOUT_HASH
@@ -82,6 +83,54 @@ def test_dataset_trajectories_artifacts(work):
     trajs = load_trajectories(work["trajs"])
     assert len(trajs) > 0
     assert (work["root"] / "train.traj.qtds.config.json").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["build", "trajectories"])
+@pytest.mark.parametrize("frame,qps,msg", [
+    ("a64", "22,27,32,99", "qp 99 outside [0, 51]"),
+    ("a64", "", "empty qp list"),
+    ("small", "22", "48x32 frame holds no full 64x64 CTU"),
+], ids=["qp-out-of-range", "empty-qps", "no-full-ctu"])
+def test_bad_collection_input_fails_before_any_work(work, tmp_path, capsys,
+                                                    monkeypatch, subcommand,
+                                                    frame, qps, msg):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a search ran before the input check")
+
+    monkeypatch.setattr(dataset, "_walk_frame", must_not_run)
+    small = tmp_path / "small.pgm"
+    save_pgm(natural_frame(33, 32, 48), small)
+    frames = {**work, "small": str(small)}
+    rc = main(["dataset", subcommand, "--frames", frames[frame], "--qps", qps,
+               "--out", str(tmp_path / "out.qtds")])
+    assert rc == 3
+    assert msg in capsys.readouterr().err
+
+
+def test_jobs_is_accepted_and_ignored(work, tmp_path, capsys):
+    """--jobs stays accepted for compatibility and changes no artifact."""
+    frames = [work["a64"], work["b64"]]
+
+    def run(jobs):
+        out = tmp_path / f"jobs{jobs}"
+        out.mkdir()
+        assert main(["dataset", "build", "--frames", *frames, "--qps", "22,32",
+                     "--sizes", "32", "--seed", "3", "--jobs", jobs,
+                     "--out", str(out / "train.qtds")]) == 0
+        assert main(["dataset", "trajectories", "--frames", *frames,
+                     "--qps", "22", "--seed", "3", "--jobs", jobs,
+                     "--out", str(out / "train.traj.qtds")]) == 0
+        assert main(["sweep", "--frames", work["a64"], "--model", work["reg"],
+                     "--thresholds", "1.0,1e30", "--jobs", jobs,
+                     "--out", str(out / "sweepdir")]) == 0
+        return {str(f.relative_to(out)): hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in sorted(out.rglob("*"))
+                if f.is_file() and not f.name.endswith("config.json")}
+
+    serial, other = run("1"), run("3")
+    capsys.readouterr()
+    assert len(serial) == 4
+    assert serial == other
 
 
 # -------------------------------------------------------------------- train

@@ -95,16 +95,6 @@ def test_collect_is_seed_shuffled_but_content_stable():
     assert sorted(key(r) for r in a) == sorted(key(r) for r in c)
 
 
-def test_collect_parallel_matches_serial(frames3):
-    cfg = CodecConfig()
-    ser = collect_records(frames3, (22, 32), cfg, sizes=(32,), seed=3, jobs=1)
-    par = collect_records(frames3, (22, 32), cfg, sizes=(32,), seed=3, jobs=4)
-    assert len(ser) == len(par)
-    for x, y in zip(ser, par):
-        assert x.ns_j_pp == y.ns_j_pp and x.qt_j_pp == y.qt_j_pp
-        assert np.array_equal(x.features, y.features)
-
-
 def test_constant_frame_yields_all_no_split():
     frame = LumaFrame(np.full((64, 64), 128, np.uint8))
     recs = collect_records([frame], (32,), CodecConfig(), sizes=(32, 16), seed=0)

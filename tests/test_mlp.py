@@ -136,7 +136,7 @@ def test_adam_zero_gradient_keeps_parameters():
 def test_adam_first_step_is_bias_corrected_sign_step():
     m = init_model(hidden=(), out=1, seed=6, dtype="float64")
     w0 = m.weights[0].copy()
-    st = adam_init(m, lr=1e-2, eps=1e-8)
+    st = adam_init(m, lr=1e-2)
     g = np.zeros_like(w0)
     g[10, 0] = 4.0
     g[11, 0] = -0.25
