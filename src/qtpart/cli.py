@@ -145,7 +145,7 @@ def cmd_train_reg(args) -> int:
 def cmd_train_dqn(args) -> int:
     trajs = load_trajectories(args.trajectories)
     hyper = DqnHyper(steps=args.steps, batch=args.batch, capacity=args.capacity,
-                     lr=args.lr, gamma=args.gamma, eps_anneal=args.eps_anneal,
+                     lr=args.lr, eps_anneal=args.eps_anneal,
                      hidden=tuple(_ints(args.hidden)))
     model, diag = train_dqn(trajs, hyper, seed=args.seed)
     save_model(model, args.out)
@@ -295,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=512)
     p.add_argument("--lr", type=float, default=1e-5)
     p.add_argument("--capacity", type=int, default=100_000)
-    p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--eps-anneal", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hidden", default=",".join(str(h) for h in DEFAULT_HIDDEN))

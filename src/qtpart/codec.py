@@ -187,6 +187,7 @@ class VisitInfo:
 
     rect: Rect
     depth: int
+    qp: int
     patch: CausalPatch
     ns_cost: RdCost
     can_split: bool
@@ -261,8 +262,8 @@ def _search_node(rect, depth, cfg, state, visitor, prune, parent) -> PartitionNo
     state.pixels += rect.area
 
     can_split = depth < cfg.max_depth
-    visit = VisitInfo(rect=rect, depth=depth, patch=patch, ns_cost=ns_cost,
-                      can_split=can_split, parent=parent,
+    visit = VisitInfo(rect=rect, depth=depth, qp=cfg.qp, patch=patch,
+                      ns_cost=ns_cost, can_split=can_split, parent=parent,
                       top=state.neighbor_at(rect.x, rect.y - 1),
                       left=state.neighbor_at(rect.x - 1, rect.y))
     if visitor is not None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .codec import (NS, QP_MAX, QP_MIN, QT, CodecConfig, SearchState,
                     exhaustive_search, split_signal_cost)
-from .features import LAYOUT_HASH, build_vector, context_from_visit
+from .features import LAYOUT_HASH, build_vector
 from .frame_io import LumaFrame, tile_ctus
 
 MAGIC = b"QTDS"
@@ -44,14 +44,14 @@ class CuRecord:
     qp: int
     ns_j_pp: float                # per-pixel no-split cost
     qt_j_pp: float                # per-pixel split cost
-    optimal: str                  # NS or QT, ties to NS
 
     def __post_init__(self):
         if self.ns_j_pp <= 0 or self.qt_j_pp <= 0:
             raise DatasetError("record costs must be positive")
-        want = NS if self.ns_j_pp <= self.qt_j_pp else QT
-        if self.optimal != want:
-            raise DatasetError("optimal label does not match costs")
+
+    @property
+    def optimal(self) -> str:
+        return NS if self.ns_j_pp <= self.qt_j_pp else QT
 
 
 @dataclass
@@ -128,7 +128,7 @@ def _walk_frame(frame: LumaFrame, qp: int, cfg: CodecConfig):
         vecs = []
         tree = exhaustive_search(
             tile.rect, cfg_qp, state,
-            visitor=lambda v: vecs.append(build_vector(context_from_visit(v, qp))))
+            visitor=lambda v: vecs.append(build_vector(v)))
         nodes = list(tree.preorder())
         assert len(nodes) == len(vecs)
         pairs.extend(zip(nodes, vecs))
@@ -175,10 +175,9 @@ def collect_records(frames: Sequence[LumaFrame], qps: Sequence[int],
             if node.qt_j is None or node.rect.w not in sizes:
                 continue
             area = node.rect.area
-            ns_pp, qt_pp = node.ns.j / area, node.qt_j / area
             out.append(CuRecord(features=vec, cu_size=node.rect.w, qp=cfg_qp.qp,
-                                ns_j_pp=ns_pp, qt_j_pp=qt_pp,
-                                optimal=NS if ns_pp <= qt_pp else QT))
+                                ns_j_pp=node.ns.j / area,
+                                qt_j_pp=node.qt_j / area))
         return out
 
     return _collect(frames, qps, cfg, seed, emit)
@@ -333,9 +332,12 @@ def load_records(path: str | Path) -> list[CuRecord]:
     ns, pos = _take(data, pos, "<f8", (n,))
     qt, pos = _take(data, pos, "<f8", (n,))
     opt, pos = _take(data, pos, "u1", (n,))
-    return [CuRecord(features=feats[i].copy(), cu_size=int(cu[i]), qp=int(qp[i]),
-                     ns_j_pp=float(ns[i]), qt_j_pp=float(qt[i]),
-                     optimal=QT if opt[i] else NS) for i in range(n)]
+    records = [CuRecord(features=feats[i].copy(), cu_size=int(cu[i]), qp=int(qp[i]),
+                        ns_j_pp=float(ns[i]), qt_j_pp=float(qt[i])) for i in range(n)]
+    for r, label in zip(records, opt):
+        if label != (r.optimal == QT):
+            raise DatasetError("stored optimal label does not match costs")
+    return records
 
 
 def save_trajectories(trajs: Sequence[Trajectory], path: str | Path) -> None:

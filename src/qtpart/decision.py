@@ -16,7 +16,7 @@ import numpy as np
 from . import codec
 from .codec import CodecConfig, PartitionNode, Rect, SearchState, VisitInfo
 from .features import (FEATURE_COUNT, LAYOUT_HASH, FeatureMask, build_vector,
-                       context_from_visit)
+                       mask_indices)
 from .frame_io import LumaFrame, tile_ctus
 from .mlp import MlpModel, ModelError, forward
 
@@ -43,7 +43,10 @@ class ThresholdPolicy:
                              f"is not the descriptor size {FEATURE_COUNT}")
         if self.model.out_dim not in (1, 2):
             raise ModelError(f"model must have 1 or 2 outputs, got {self.model.out_dim}")
-        self.mask = FeatureMask.from_names(self.model.meta.get("mask", []))
+        # descriptor slots the model was trained with zeroed; the gate
+        # zeroes them the same way
+        masked = FeatureMask.from_names(self.model.meta.get("mask", []))
+        self.zeroed = mask_indices(masked)
 
 
 def decide(prediction: np.ndarray, policy: ThresholdPolicy) -> str:
@@ -72,8 +75,9 @@ def pruned_search(rect: Rect, cfg: CodecConfig, state: SearchState,
     def hook(visit: VisitInfo) -> bool:
         if visit.rect.w not in policy.active_sizes:
             return False
-        ctx = context_from_visit(visit, cfg.qp)
-        pred = forward(policy.model, build_vector(ctx, policy.mask))
+        vec = build_vector(visit)
+        vec[policy.zeroed] = 0.0
+        pred = forward(policy.model, vec)
         return decide(pred, policy) == PRUNE_QT
 
     return codec.search(rect, cfg, state, prune=hook)

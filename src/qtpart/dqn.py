@@ -92,7 +92,6 @@ class DqnHyper:
     batch: int = 512
     capacity: int = 100_000
     lr: float = 1e-5
-    gamma: float = 1.0            # kept settable; the two-depth target uses 1
     eps_start: float = 1.0
     eps_end: float = 0.05
     eps_anneal: Optional[int] = None             # defaults to steps
@@ -103,8 +102,6 @@ class DqnHyper:
             raise ValueError("steps and batch must be positive")
         if not (0.0 <= self.eps_end <= self.eps_start <= 1.0):
             raise ValueError("epsilon schedule must satisfy 0 <= end <= start <= 1")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
 
 
 def epsilon_at(step: int, hyper: DqnHyper) -> float:
@@ -125,7 +122,7 @@ def select_action(model: MlpModel, state: np.ndarray, eps: float,
     return ACTION_NS if q[ACTION_NS] <= q[ACTION_QT] else ACTION_QT
 
 
-def bellman_target(t: Transition, model: MlpModel, gamma: float = 1.0) -> float:
+def bellman_target(t: Transition, model: MlpModel) -> float:
     """Training target of one transition.
 
     No-split actions and terminal (child-level) transitions return their
@@ -137,11 +134,10 @@ def bellman_target(t: Transition, model: MlpModel, gamma: float = 1.0) -> float:
     q = np.asarray(forward(model, t.next_states), dtype=np.float64)
     # fsum keeps the 4-term sum exactly rounded and order-independent
     best = math.fsum(np.minimum(q[:, ACTION_NS], q[:, ACTION_QT]))
-    return float(t.delta_qt) + gamma * best
+    return float(t.delta_qt) + best
 
 
-def _batch_targets(batch: list[Transition], model: MlpModel,
-                   gamma: float) -> np.ndarray:
+def _batch_targets(batch: list[Transition], model: MlpModel) -> np.ndarray:
     """Vectorized bellman_target over a batch (same math, one forward)."""
     targets = np.array([t.reward for t in batch], dtype=np.float64)
     boot = [i for i, t in enumerate(batch)
@@ -151,7 +147,7 @@ def _batch_targets(batch: list[Transition], model: MlpModel,
         q = np.asarray(forward(model, kids), dtype=np.float64)
         best = np.minimum(q[:, ACTION_NS], q[:, ACTION_QT]).reshape(len(boot), 4)
         for row, i in enumerate(boot):
-            targets[i] = float(batch[i].delta_qt) + gamma * math.fsum(best[row])
+            targets[i] = float(batch[i].delta_qt) + math.fsum(best[row])
     return targets
 
 
@@ -220,7 +216,7 @@ def train_dqn(trajs: Sequence[Trajectory], hyper: DqnHyper | None = None,
                                        float(kqt[i, j]), terminal=True))
 
         batch = memory.sample(hyper.batch)
-        targets = _batch_targets(batch, model, hyper.gamma)
+        targets = _batch_targets(batch, model)
         X = np.stack([b.state for b in batch])
         actions = np.array([b.action for b in batch])
         out, cache = forward_cached(model, X)
@@ -235,6 +231,7 @@ def train_dqn(trajs: Sequence[Trajectory], hyper: DqnHyper | None = None,
     model.meta.update({"variant": "Q32_16",
                        "normalization": NormalizationSpec("median", c_median).as_dict(),
                        "layout_hash": LAYOUT_HASH, "seed": seed,
-                       "gamma": hyper.gamma, "out": 2,
+                       "gamma": 1.0,        # the bootstrap is undiscounted
+                       "out": 2,
                        "hidden": [int(h) for h in hyper.hidden]})
     return model, diagnostics

@@ -16,18 +16,23 @@ fixed range regardless of block size. Every texture entry lies in [0, 1]:
 histogram bins are L1-normalized, co-occurrence entropy is rescaled by
 its 8-level maximum, correlation is mapped through (r + 1) / 2 and
 dissimilarity divided by its maximum level distance.
+
+The descriptor is built from the snapshot the coding-tree search takes
+of each visited block (``codec.VisitInfo``). Ablation masks never change
+how it is built: every descriptor is built in full, then training zeroes
+the masked columns of its inputs and the gate the same slots of each
+descriptor it builds (``mask_indices``).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .codec import RdCost, VisitInfo
-from .frame_io import CausalPatch, Rect
+from .codec import VisitInfo
+from .frame_io import CausalPatch
 
 FEATURE_COUNT = 115
 HOG_BINS = 8
@@ -133,7 +138,8 @@ def glcm5(region: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureMask:
-    """Groups of descriptor entries to zero out for ablation runs."""
+    """Groups of descriptor entries zeroed for ablation runs, by
+    ``mask_indices`` after the full descriptor is built."""
 
     ni: bool = False
     pi: bool = False
@@ -142,10 +148,6 @@ class FeatureMask:
     glcm: bool = False
 
     _GROUPS = ("NI", "PI", "BI", "HOG", "GLCM")
-
-    @classmethod
-    def none(cls) -> "FeatureMask":
-        return cls()
 
     @classmethod
     def from_names(cls, names) -> "FeatureMask":
@@ -179,32 +181,6 @@ def mask_indices(mask: FeatureMask) -> np.ndarray:
     return out
 
 
-@dataclass
-class CuContext:
-    """Everything known about a block when its descriptor is built."""
-
-    rect: Rect
-    depth: int
-    qp: int
-    ns_cost: RdCost
-    patch: CausalPatch
-    top_neighbor: Optional[tuple[float, int]] = None    # (j per pixel, depth)
-    left_neighbor: Optional[tuple[float, int]] = None
-    parent: Optional[tuple[float, float, float]] = None  # per-pixel (j, rate, dist)
-
-
-def context_from_visit(visit: VisitInfo, qp: int) -> CuContext:
-    """Adapt a search callback snapshot into a descriptor context."""
-    parent = None
-    if visit.parent is not None:
-        cost, area = visit.parent
-        parent = (cost.j / area, cost.rate / area, cost.dist / area)
-    return CuContext(rect=visit.rect, depth=visit.depth, qp=qp,
-                     ns_cost=visit.ns_cost, patch=visit.patch,
-                     top_neighbor=visit.top, left_neighbor=visit.left,
-                     parent=parent)
-
-
 def _regions(patch: CausalPatch) -> list[np.ndarray]:
     cu = patch.cu
     h2, w2 = cu.shape[0] // 2, cu.shape[1] // 2
@@ -214,33 +190,28 @@ def _regions(patch: CausalPatch) -> list[np.ndarray]:
             patch.top, patch.left, lshape]
 
 
-def build_vector(ctx: CuContext, mask: FeatureMask | None = None) -> np.ndarray:
-    """Assemble the 115-entry descriptor; masked groups stay exactly 0."""
-    mask = mask or FeatureMask.none()
+def build_vector(visit: VisitInfo) -> np.ndarray:
+    """Assemble the 115-entry descriptor of a block the search visits."""
     v = np.zeros(FEATURE_COUNT, dtype=np.float64)
-    if not mask.ni:
-        if ctx.top_neighbor is not None:
-            v[0] = ctx.top_neighbor[0]
-            v[2] = ctx.top_neighbor[1] / MAX_TREE_DEPTH
-        if ctx.left_neighbor is not None:
-            v[1] = ctx.left_neighbor[0]
-            v[3] = ctx.left_neighbor[1] / MAX_TREE_DEPTH
-    if not mask.pi and ctx.parent is not None:
-        v[4], v[5], v[6] = ctx.parent
-    if not mask.bi:
-        v[7] = ctx.rect.h / DIM_NORM
-        v[8] = ctx.rect.w / DIM_NORM
-        v[9] = ctx.qp / QP_NORM
-        v[10] = ctx.ns_cost.j / ctx.rect.area
-    if not (mask.hog and mask.glcm):
-        for r, region in enumerate(_regions(ctx.patch)):
-            base = _SI_BASE + r * _REGION_WIDTH
-            if not mask.hog:
-                v[base:base + HOG_BINS] = hog8(region)
-            if not mask.glcm:
-                ent, ene, hom, corr, dis = glcm5(region)
-                v[base + HOG_BINS:base + _REGION_WIDTH] = (
-                    ent, ene, hom, (corr + 1.0) / 2.0, dis / (GLCM_LEVELS - 1.0))
+    if visit.top is not None:
+        v[0] = visit.top[0]
+        v[2] = visit.top[1] / MAX_TREE_DEPTH
+    if visit.left is not None:
+        v[1] = visit.left[0]
+        v[3] = visit.left[1] / MAX_TREE_DEPTH
+    if visit.parent is not None:
+        cost, area = visit.parent
+        v[4], v[5], v[6] = cost.j / area, cost.rate / area, cost.dist / area
+    v[7] = visit.rect.h / DIM_NORM
+    v[8] = visit.rect.w / DIM_NORM
+    v[9] = visit.qp / QP_NORM
+    v[10] = visit.ns_cost.j / visit.rect.area
+    for r, region in enumerate(_regions(visit.patch)):
+        base = _SI_BASE + r * _REGION_WIDTH
+        v[base:base + HOG_BINS] = hog8(region)
+        ent, ene, hom, corr, dis = glcm5(region)
+        v[base + HOG_BINS:base + _REGION_WIDTH] = (
+            ent, ene, hom, (corr + 1.0) / 2.0, dis / (GLCM_LEVELS - 1.0))
     return v.astype(np.float32)
 
 

@@ -78,8 +78,8 @@ class CausalPatch:
     directly above, ``left`` the REF_BORDER columns directly to the left
     and ``corner`` the square where the two strips meet. Reference pixels
     that fall outside the frame, or that have not been reconstructed yet,
-    are replaced by BORDER_FILL; a strip's availability flag is set only
-    when every one of its pixels is genuine.
+    are replaced by BORDER_FILL; the top and left strips' availability
+    flags are set only when every one of their pixels is genuine.
     """
 
     cu: np.ndarray
@@ -88,7 +88,6 @@ class CausalPatch:
     corner: np.ndarray
     top_available: bool
     left_available: bool
-    corner_available: bool
 
 
 def load_frame(path: str | Path, fmt: str = "pgm8",
@@ -180,7 +179,7 @@ def tile_ctus(frame: LumaFrame, ctu: int) -> list[CtuTile]:
     return tiles
 
 
-def _grab(pix: np.ndarray, mask: np.ndarray | None,
+def _grab(pix: np.ndarray, mask: np.ndarray,
           y0: int, y1: int, x0: int, x1: int) -> tuple[np.ndarray, bool]:
     """Copy [y0:y1, x0:x1] substituting BORDER_FILL where off-frame or
     not yet reconstructed. Returns (block, fully_available)."""
@@ -192,25 +191,20 @@ def _grab(pix: np.ndarray, mask: np.ndarray | None,
         return out, False
     inside = iy0 == y0 and iy1 == y1 and ix0 == x0 and ix1 == x1
     sub = pix[iy0:iy1, ix0:ix1]
-    if mask is None:
-        return out, False
     avail = mask[iy0:iy1, ix0:ix1]
     view = out[iy0 - y0:iy1 - y0, ix0 - x0:ix1 - x0]
     view[avail] = sub[avail]
     return out, inside and bool(avail.all())
 
 
-def causal_patch(frame: LumaFrame | np.ndarray, rect: Rect,
-                 encoded_mask: np.ndarray | None = None) -> CausalPatch:
+def causal_patch(pix: np.ndarray, rect: Rect, encoded_mask: np.ndarray) -> CausalPatch:
     """Extract a block and its causal reference strips.
 
-    ``frame`` is the working picture (source pixels progressively replaced
+    ``pix`` is the working picture (source pixels progressively replaced
     by reconstructions); ``encoded_mask`` marks pixels that have been
-    reconstructed and may serve as references. With no mask every
-    reference is treated as unavailable. Never reads pixels to the right
-    of or below the block's own rows and columns.
+    reconstructed and may serve as references. Never reads pixels to the
+    right of or below the block's own rows and columns.
     """
-    pix = frame.pixels if isinstance(frame, LumaFrame) else np.asarray(frame)
     if rect.x < 0 or rect.y < 0 or rect.x + rect.w > pix.shape[1] \
             or rect.y + rect.h > pix.shape[0]:
         raise ValueError(f"rect {rect} outside frame {pix.shape}")
@@ -218,7 +212,6 @@ def causal_patch(frame: LumaFrame | np.ndarray, rect: Rect,
     b = REF_BORDER
     top, top_ok = _grab(pix, encoded_mask, rect.y - b, rect.y, rect.x, rect.x + rect.w)
     left, left_ok = _grab(pix, encoded_mask, rect.y, rect.y + rect.h, rect.x - b, rect.x)
-    corner, corner_ok = _grab(pix, encoded_mask, rect.y - b, rect.y, rect.x - b, rect.x)
+    corner, _ = _grab(pix, encoded_mask, rect.y - b, rect.y, rect.x - b, rect.x)
     return CausalPatch(cu=cu, top=top, left=left, corner=corner,
-                       top_available=top_ok, left_available=left_ok,
-                       corner_available=corner_ok)
+                       top_available=top_ok, left_available=left_ok)

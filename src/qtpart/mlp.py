@@ -14,7 +14,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class MlpModel:
 
 def init_model(hidden: Sequence[int] = DEFAULT_HIDDEN, out: int = 1,
                in_dim: int = FEATURE_COUNT, seed=0,
-               dtype=np.float32, meta: Optional[dict] = None) -> MlpModel:
+               dtype=np.float32) -> MlpModel:
     """He-initialized network; identical seeds give identical models."""
     if out not in (1, 2):
         raise ModelError("output width must be 1 or 2")
@@ -79,12 +79,10 @@ def init_model(hidden: Sequence[int] = DEFAULT_HIDDEN, out: int = 1,
     for a, b in zip(chain[:-1], chain[1:]):
         weights.append(rng.normal(0.0, np.sqrt(2.0 / a), (a, b)).astype(dtype))
         biases.append(np.zeros(b, dtype=dtype))
-    base_meta = {"variant": None, "normalization": None,
-                 "layout_hash": LAYOUT_HASH, "seed": None,
-                 "mask": [], "hidden": [int(h) for h in hidden], "out": int(out)}
-    if meta:
-        base_meta.update(meta)
-    return MlpModel(weights=weights, biases=biases, meta=base_meta)
+    meta = {"variant": None, "normalization": None,
+            "layout_hash": LAYOUT_HASH, "seed": None,
+            "mask": [], "hidden": [int(h) for h in hidden], "out": int(out)}
+    return MlpModel(weights=weights, biases=biases, meta=meta)
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -111,7 +109,7 @@ def forward_cached(model: MlpModel, x: np.ndarray):
         else:
             a = z
     out = a[0] if single else a
-    return out, {"acts": acts, "pres": pres, "single": single}
+    return out, {"acts": acts, "pres": pres}
 
 
 def backward(model: MlpModel, cache: dict, dout: np.ndarray) -> list:

@@ -21,8 +21,7 @@ from qtpart.dataset import Trajectory, balance, collect_records
 from qtpart.decision import ThresholdPolicy, encode_frame
 from qtpart.dqn import ACTION_NS, ACTION_QT, DqnHyper, Transition, \
     bellman_target, train_dqn
-from qtpart.features import (FEATURE_COUNT, build_vector, context_from_visit,
-                             glcm5, hog8)
+from qtpart.features import FEATURE_COUNT, build_vector, glcm5, hog8
 from qtpart.frame_io import save_pgm, tile_ctus
 from qtpart.metrics import RdCurve, bd_rate, delta_c, sweep
 from qtpart.mlp import (TrainHyper, forward, init_model, loss_and_grads,
@@ -195,7 +194,7 @@ def test_criterion_06_bootstrap_target_arithmetic_is_exact():
     t = Transition(np.zeros(FEATURE_COUNT, dtype=np.float32), ACTION_QT, 0.0,
                    next_states=np.eye(FEATURE_COUNT, dtype=np.float32)[:4],
                    delta_qt=0.05)
-    assert bellman_target(t, model, gamma=1.0) == 1.05
+    assert bellman_target(t, model) == 1.05
 
 
 def test_criterion_07_depth_cap_complexity_drop_is_analytic():
@@ -265,8 +264,7 @@ def test_criterion_09_texture_descriptor_properties():
             for tile in tile_ctus(frame, cfg.ctu):
                 exhaustive_search(
                     tile.rect, cfg, state,
-                    visitor=lambda v: vectors.append(
-                        build_vector(context_from_visit(v, cfg.qp))))
+                    visitor=lambda v: vectors.append(build_vector(v)))
     assert len(vectors) >= 2000
     si = np.stack(vectors)[:, SI_START:]
     assert (si >= 0.0).all() and (si <= 1.0).all()

@@ -21,8 +21,7 @@ QPS4 = (22, 27, 32, 37)
 def _rec(seed=0, size=32, qp=32, ns=2.0, qt=1.5):
     rng = np.random.default_rng(seed)
     return CuRecord(features=rng.random(115).astype(np.float32),
-                    cu_size=size, qp=qp, ns_j_pp=ns, qt_j_pp=qt,
-                    optimal=NS if ns <= qt else QT)
+                    cu_size=size, qp=qp, ns_j_pp=ns, qt_j_pp=qt)
 
 
 # -- record and trajectory invariants ------------------------------------
@@ -31,13 +30,9 @@ def _rec(seed=0, size=32, qp=32, ns=2.0, qt=1.5):
 def test_record_validates_costs_and_label():
     with pytest.raises(DatasetError, match="positive"):
         _rec(ns=0.0)
-    with pytest.raises(DatasetError, match="label"):
-        CuRecord(features=np.zeros(115, np.float32), cu_size=32, qp=32,
-                 ns_j_pp=1.0, qt_j_pp=2.0, optimal=QT)
-    # a tie is a no-split
-    tie = CuRecord(features=np.zeros(115, np.float32), cu_size=32, qp=32,
-                   ns_j_pp=1.0, qt_j_pp=1.0, optimal=NS)
-    assert tie.optimal == NS
+    assert _rec(ns=2.0, qt=1.5).optimal == QT
+    assert _rec(ns=1.0, qt=2.0).optimal == NS
+    assert _rec(ns=1.0, qt=1.0).optimal == NS       # a tie is a no-split
 
 
 def _traj(seed=0, ns32=3.0, kns=(1.0, 2.0, 3.0, 4.0), kqt=(2.0, 1.0, 4.0, 3.0),
@@ -292,6 +287,16 @@ def test_load_rejects_corrupt_containers(tmp_path):
 
     p.write_bytes(good[:10])
     with pytest.raises(DatasetError, match="bad magic"):
+        load_records(p)
+
+
+def test_load_rejects_label_that_contradicts_costs(tmp_path):
+    p = tmp_path / "l.qtds"
+    save_records([_rec(ns=2.0, qt=1.5), _rec(seed=1, ns=1.0, qt=2.0)], p)
+    good = p.read_bytes()
+    assert good[-2:] == b"\x01\x00"            # one label byte per record: QT, NS
+    p.write_bytes(good[:-1] + b"\x01")        # the NS record now claims QT
+    with pytest.raises(DatasetError, match="label"):
         load_records(p)
 
 

@@ -6,7 +6,7 @@ import pytest
 from qtpart.codec import CodecConfig
 from qtpart.decision import (EXPLORE, PRUNE_QT, ThresholdPolicy, decide,
                              encode_frame)
-from qtpart.features import FEATURE_COUNT, LAYOUT_HASH
+from qtpart.features import FEATURE_COUNT, FEATURE_NAMES, LAYOUT_HASH
 from qtpart.mlp import MlpModel, ModelError, init_model
 
 from helpers import natural_frame
@@ -73,10 +73,10 @@ def test_policy_normalizes_sizes():
 def test_policy_reads_mask_from_meta():
     m = ratio_model(1.0)
     m.meta["mask"] = ["HOG", "GLCM"]
-    pol = ThresholdPolicy(m, threshold=1.0)
-    assert pol.mask.hog and pol.mask.glcm
-    assert not (pol.mask.ni or pol.mask.pi or pol.mask.bi)
-    assert ThresholdPolicy(ratio_model(1.0), 1.0).mask.names() == []
+    ThresholdPolicy(m, threshold=1.0)
+    m.meta["mask"] = ["HOG", "DC"]
+    with pytest.raises(ValueError, match="unknown feature groups"):
+        ThresholdPolicy(m, threshold=1.0)
 
 
 # -------------------------------------------------------------- pruned search
@@ -111,6 +111,24 @@ def test_huge_threshold_reproduces_exhaustive_search(tiny_model):
     assert np.array_equal(gated.state.work, base.state.work)
     assert np.array_equal(gated.state.mask, base.state.mask)
     assert gated.pixels == base.pixels
+
+
+def test_gate_zeroes_the_model_mask_before_predicting():
+    # the model sees only HOG slots, and HOG is masked: with those slots
+    # zeroed its prediction is 0 and the gate explores every block; an
+    # unzeroed histogram would predict far above the threshold
+    m = init_model(hidden=(), out=1, seed=0)
+    m.weights[0][:] = 0.0
+    m.weights[0][["_hog_" in n for n in FEATURE_NAMES], 0] = 1e6
+    m.biases[0][:] = 0.0
+    m.meta["mask"] = ["HOG"]
+    frame = natural_frame(8)
+    cfg = CodecConfig()
+    pol = ThresholdPolicy(m, threshold=1.0, active_sizes=(32, 16))
+    gated = encode_frame(frame, cfg, policy=pol)
+    base = encode_frame(frame, cfg)
+    assert gated.pixels == base.pixels
+    assert [t.to_dict() for t in gated.trees] == [t.to_dict() for t in base.trees]
 
 
 def test_always_prune_at_32_halves_processing():

@@ -140,11 +140,6 @@ def test_hyper_rejects_bad_epsilon_order():
         DqnHyper(eps_start=0.1, eps_end=0.5)
 
 
-def test_hyper_rejects_gamma_out_of_range():
-    with pytest.raises(ValueError, match="gamma must be in"):
-        DqnHyper(gamma=1.5)
-
-
 def test_epsilon_linear_anneal():
     h = DqnHyper(steps=100, eps_start=1.0, eps_end=0.05)
     assert epsilon_at(0, h) == 1.0
@@ -221,14 +216,6 @@ def test_target_split_child_minimum_per_child():
     assert bellman_target(t, m) == pytest.approx(1.0 + (0.5 + 1.5 + 2.5 + 3.5))
 
 
-def test_target_gamma_discounts_bootstrap():
-    children = np.eye(115, dtype=np.float32)[:4]
-    m = value_model([0.2, 0.3, 0.1, 0.4])
-    t = Transition(np.zeros(115, dtype=np.float32), ACTION_QT, 0.0,
-                   next_states=children, delta_qt=0.05)
-    assert bellman_target(t, m, gamma=0.5) == 0.05 + 0.5 * 1.0
-
-
 def test_batch_targets_match_scalar_path():
     rng = np.random.default_rng(6)
     children = np.eye(115, dtype=np.float32)[:4]
@@ -241,7 +228,7 @@ def test_batch_targets_match_scalar_path():
         Transition(np.zeros(115, dtype=np.float32), ACTION_QT, 0.0,
                    next_states=children[::-1].copy(), delta_qt=0.05),
     ]
-    got = _batch_targets(batch, m, gamma=1.0)
+    got = _batch_targets(batch, m)
     want = np.array([bellman_target(t, m) for t in batch])
     assert np.array_equal(got, want)
     assert got[0] == 2.5 and got[1] == 1.05 and got[2] == 7.0
@@ -252,7 +239,7 @@ def test_batch_targets_all_measured():
     rng = np.random.default_rng(7)
     batch = [Transition(mk_state(rng), ACTION_NS, float(r)) for r in range(5)]
     m = init_model(hidden=(8,), out=2, seed=1)
-    assert np.array_equal(_batch_targets(batch, m, 1.0),
+    assert np.array_equal(_batch_targets(batch, m),
                           np.arange(5, dtype=np.float64))
 
 

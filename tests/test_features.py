@@ -3,11 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from qtpart.codec import RdCost
+from qtpart.codec import RdCost, VisitInfo
 from qtpart.features import (FEATURE_COUNT, FEATURE_NAMES, GLCM_STAT_NAMES,
-                             HOG_BINS, LAYOUT_HASH, REGION_NAMES, CuContext,
-                             FeatureMask, build_vector, describe_layout,
-                             glcm5, hog8, mask_indices)
+                             HOG_BINS, LAYOUT_HASH, REGION_NAMES, FeatureMask,
+                             build_vector, describe_layout, glcm5, hog8,
+                             mask_indices)
 from qtpart.frame_io import CausalPatch, Rect
 
 from helpers import natural_frame, reference_glcm5, reference_hog8
@@ -156,13 +156,13 @@ def test_mask_from_names_and_back():
     m = FeatureMask.from_names(["NI", "HOG"])
     assert m.ni and m.hog and not (m.pi or m.bi or m.glcm)
     assert m.names() == ["NI", "HOG"]
-    assert FeatureMask.none().names() == []
+    assert FeatureMask().names() == []
     with pytest.raises(ValueError, match="unknown feature groups"):
         FeatureMask.from_names(["NI", "DC"])
 
 
 def test_mask_indices_cover_expected_slots():
-    assert mask_indices(FeatureMask.none()).sum() == 0
+    assert mask_indices(FeatureMask()).sum() == 0
     full = FeatureMask(ni=True, pi=True, bi=True, hog=True, glcm=True)
     assert mask_indices(full).sum() == FEATURE_COUNT
     hog_only = mask_indices(FeatureMask.from_names(["HOG"]))
@@ -174,25 +174,24 @@ def test_mask_indices_cover_expected_slots():
 # -- vector assembly -----------------------------------------------------------
 
 
-def _synthetic_context(seed=30, size=32, qp=22):
+def _synthetic_visit(seed=30, size=32, qp=22):
     rng = np.random.default_rng(seed)
     cu = rng.integers(0, 256, (size, size)).astype(np.uint8)
     top = rng.integers(0, 256, (4, size)).astype(np.uint8)
     left = rng.integers(0, 256, (size, 4)).astype(np.uint8)
     corner = rng.integers(0, 256, (4, 4)).astype(np.uint8)
     patch = CausalPatch(cu=cu, top=top, left=left, corner=corner,
-                        top_available=True, left_available=True,
-                        corner_available=True)
+                        top_available=True, left_available=True)
     cost = RdCost.compute(rate=200.0, dist=1500.0, lam=5.0)
-    return CuContext(rect=Rect(64, 32, size, size), depth=1, qp=qp,
-                     ns_cost=cost, patch=patch,
-                     top_neighbor=(2.5, 1), left_neighbor=(3.5, 2),
-                     parent=(4.0, 0.5, 2.0))
+    # parent per pixel over its 64x64 area: j 4.0, rate 0.5, dist 2.0
+    parent = RdCost.compute(rate=2048.0, dist=8192.0, lam=4.0)
+    return VisitInfo(rect=Rect(64, 32, size, size), depth=1, qp=qp,
+                     patch=patch, ns_cost=cost, can_split=True,
+                     parent=(parent, 4096), top=(2.5, 1), left=(3.5, 2))
 
 
 def test_vector_scalar_slots():
-    ctx = _synthetic_context()
-    v = build_vector(ctx)
+    v = build_vector(_synthetic_visit())
     assert v.dtype == np.float32 and v.shape == (FEATURE_COUNT,)
     assert v[0] == 2.5 and v[2] == pytest.approx(1 / 4)
     assert v[1] == 3.5 and v[3] == pytest.approx(2 / 4)
@@ -203,18 +202,18 @@ def test_vector_scalar_slots():
 
 
 def test_vector_missing_neighbors_and_parent_are_zero():
-    ctx = _synthetic_context()
-    ctx.top_neighbor = None
-    ctx.left_neighbor = None
-    ctx.parent = None
-    v = build_vector(ctx)
+    visit = _synthetic_visit()
+    visit.top = None
+    visit.left = None
+    visit.parent = None
+    v = build_vector(visit)
     assert np.all(v[:7] == 0.0)
 
 
 def test_vector_texture_slots_match_direct_calls():
-    ctx = _synthetic_context(seed=31)
-    v = build_vector(ctx).astype(np.float64)
-    patch = ctx.patch
+    visit = _synthetic_visit(seed=31)
+    v = build_vector(visit).astype(np.float64)
+    patch = visit.patch
     cu = patch.cu
     regions = {
         "cu": cu, "q0": cu[:16, :16], "q1": cu[:16, 16:],
@@ -234,22 +233,10 @@ def test_vector_texture_slots_match_direct_calls():
         assert np.allclose(v[base + 8:base + 13], want, atol=0)
 
 
-def test_vector_masked_groups_are_exact_zeros():
-    ctx = _synthetic_context(seed=32)
-    base = build_vector(ctx)
-    for groups in (["NI"], ["PI"], ["BI"], ["HOG"], ["GLCM"],
-                   ["NI", "PI", "BI"], ["HOG", "GLCM"]):
-        m = FeatureMask.from_names(groups)
-        v = build_vector(ctx, m)
-        zeroed = mask_indices(m)
-        assert np.all(v[zeroed] == 0.0)
-        assert np.array_equal(v[~zeroed], base[~zeroed])
-
-
 def test_vector_si_entries_stay_in_unit_interval():
     rng = np.random.default_rng(33)
     for seed in rng.integers(0, 10_000, 40):
-        v = build_vector(_synthetic_context(seed=int(seed)))
+        v = build_vector(_synthetic_visit(seed=int(seed)))
         si = v[11:]
         assert si.min() >= 0.0 and si.max() <= 1.0
 

@@ -116,9 +116,9 @@ def test_tile_ctus_rejects_bad_inputs():
 def test_patch_at_origin_is_all_fill():
     f = natural_frame(2, h=64, w=64)
     mask = np.zeros((64, 64), bool)
-    p = causal_patch(f, Rect(0, 0, 16, 16), mask)
+    p = causal_patch(f.pixels, Rect(0, 0, 16, 16), mask)
     assert np.array_equal(p.cu, f.pixels[:16, :16])
-    assert not (p.top_available or p.left_available or p.corner_available)
+    assert not (p.top_available or p.left_available)
     for strip in (p.top, p.left, p.corner):
         assert (strip == BORDER_FILL).all()
     assert p.top.shape == (4, 16) and p.left.shape == (16, 4)
@@ -129,13 +129,13 @@ def test_patch_reads_only_encoded_pixels():
     f = natural_frame(3, h=64, w=64)
     mask = np.zeros((64, 64), bool)
     mask[:16, :] = True          # top row of blocks done
-    p = causal_patch(f, Rect(16, 16, 16, 16), mask)
+    p = causal_patch(f.pixels, Rect(16, 16, 16, 16), mask)
     assert p.top_available and not p.left_available
     assert np.array_equal(p.top, f.pixels[12:16, 16:32])
     assert (p.left == BORDER_FILL).all()
     mask[:, :16] = True          # left column done as well
-    p = causal_patch(f, Rect(16, 16, 16, 16), mask)
-    assert p.left_available and p.corner_available
+    p = causal_patch(f.pixels, Rect(16, 16, 16, 16), mask)
+    assert p.left_available
     assert np.array_equal(p.left, f.pixels[16:32, 12:16])
     assert np.array_equal(p.corner, f.pixels[12:16, 12:16])
 
@@ -144,7 +144,7 @@ def test_patch_partial_strip_is_unavailable():
     f = natural_frame(4, h=64, w=64)
     mask = np.zeros((64, 64), bool)
     mask[:16, :24] = True        # only part of the row above is done
-    p = causal_patch(f, Rect(16, 16, 16, 16), mask)
+    p = causal_patch(f.pixels, Rect(16, 16, 16, 16), mask)
     assert not p.top_available
     assert np.array_equal(p.top[:, :8], f.pixels[12:16, 16:24])
     assert (p.top[:, 8:] == BORDER_FILL).all()
@@ -156,8 +156,8 @@ def test_patch_never_reads_right_or_below():
     probe[:, 32:] = 0            # poison everything right of the block
     probe[32:, :] = 0            # and below it
     mask = np.ones((64, 64), bool)
-    a = causal_patch(LumaFrame(base), Rect(16, 16, 16, 16), mask)
-    b = causal_patch(LumaFrame(probe), Rect(16, 16, 16, 16), mask)
+    a = causal_patch(base, Rect(16, 16, 16, 16), mask)
+    b = causal_patch(probe, Rect(16, 16, 16, 16), mask)
     assert np.array_equal(a.cu, b.cu)
     assert np.array_equal(a.top, b.top)
     assert np.array_equal(a.left, b.left)
@@ -165,13 +165,16 @@ def test_patch_never_reads_right_or_below():
 
 
 def test_patch_without_mask_has_no_references():
+    # an interior block with nothing reconstructed yet: every reference
+    # sample lies inside the frame but none may be used
     f = natural_frame(6, h=32, w=32)
-    p = causal_patch(f, Rect(8, 8, 8, 8), None)
-    assert not (p.top_available or p.left_available or p.corner_available)
-    assert (p.top == BORDER_FILL).all() and (p.left == BORDER_FILL).all()
+    p = causal_patch(f.pixels, Rect(8, 8, 8, 8), np.zeros((32, 32), bool))
+    assert not (p.top_available or p.left_available)
+    for strip in (p.top, p.left, p.corner):
+        assert (strip == BORDER_FILL).all()
 
 
 def test_patch_rejects_out_of_frame_rect():
     f = natural_frame(7, h=32, w=32)
     with pytest.raises(ValueError, match="outside frame"):
-        causal_patch(f, Rect(24, 24, 16, 16), None)
+        causal_patch(f.pixels, Rect(24, 24, 16, 16), np.zeros((32, 32), bool))
