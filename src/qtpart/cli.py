@@ -162,19 +162,21 @@ def cmd_train_dqn(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    if args.model and args.threshold is None:
+        raise DatasetError("--model requires --threshold")
+    if args.threshold is not None and not args.model:
+        raise DatasetError("--threshold requires --model")
     frame = load_frame(args.frame, args.format, args.width, args.height)
     cfg = _codec_config(args)
     policy = None
     if args.model:
-        if args.threshold is None:
-            raise DatasetError("--model requires --threshold")
         policy = ThresholdPolicy(model=load_model(args.model),
                                  threshold=args.threshold,
                                  active_sizes=tuple(_ints(args.active_sizes)))
     res = encode_frame(frame, cfg, policy)
     report = {
         "qp": args.qp,
-        "threshold": args.threshold if policy else None,
+        "threshold": args.threshold,
         "processed_pixels": res.pixels,
         "total_rate_bits": res.rate_bits(cfg.split_bits),
         "psnr_db": _psnr_value(psnr_of_mse(res.sse() / res.covered_area)),

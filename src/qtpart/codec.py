@@ -122,27 +122,40 @@ def encode_ns(patch: CausalPatch, cfg: CodecConfig) -> tuple[RdCost, np.ndarray]
     column (BORDER_FILL when neither strip is available). The rate proxy
     charges one significance bit per coefficient, 2*floor(log2|level|)+3
     bits per nonzero level, and a fixed mode overhead.
+
+    Outside the two transforms and the quantiser every step is exact, so
+    no summation order can move a result. The DC is an integer sum of
+    8-bit samples divided once: the correctly rounded mean. For an
+    integer level m != 0, frexp gives m = f * 2**e with 0.5 <= |f| < 1,
+    so e - 1 == floor(log2|m|) with no logarithm to round; frexp(0) has
+    e == 0, so zero levels drop out of the exponent sum. The rate and the
+    distortion are sums of small integers in float64, far below 2**53.
     """
     cu = patch.cu.astype(np.float64)
-    refs = []
+    ref_sum, ref_count = 0, 0
     if patch.top_available:
-        refs.append(patch.top[-1, :].astype(np.float64))
+        ref_sum += sum(patch.top[-1, :].tolist())
+        ref_count += patch.top.shape[1]
     if patch.left_available:
-        refs.append(patch.left[:, -1].astype(np.float64))
-    dc = float(np.concatenate(refs).mean()) if refs else float(BORDER_FILL)
+        ref_sum += sum(patch.left[:, -1].tolist())
+        ref_count += patch.left.shape[0]
+    dc = ref_sum / ref_count if ref_count else float(BORDER_FILL)
 
     coef = dct2d(cu - dc)
     step = qstep_of_qp(cfg.qp)
     levels = np.rint(coef / step)
-    rate = MODE_OVERHEAD_BITS + float(levels.size)   # significance bits
-    nz = levels != 0
-    if nz.any():
-        mags = np.abs(levels[nz])
-        rate += float(np.sum(2.0 * np.floor(np.log2(mags)) + 3.0))
-    recon_resid = dct2d(levels * step, inverse=True)
-    recon = np.clip(np.rint(dc + recon_resid), 0, 255).astype(np.uint8)
-    dist = float(np.sum((cu - recon.astype(np.float64)) ** 2))
-    return RdCost.compute(rate=rate, dist=dist, lam=lambda_of_qp(cfg.qp)), recon
+    exps = np.frexp(levels)[1]            # 2*(exp-1)+3 bits per nonzero level
+    rate = MODE_OVERHEAD_BITS + float(levels.size) \
+        + float(2 * int(exps.sum()) + np.count_nonzero(levels))
+    recon = dct2d(levels * step, inverse=True)
+    recon += dc
+    np.rint(recon, out=recon)
+    np.maximum(recon, 0.0, out=recon)
+    np.minimum(recon, 255.0, out=recon)
+    resid = (cu - recon).ravel()
+    dist = float(np.dot(resid, resid))
+    return RdCost.compute(rate=rate, dist=dist, lam=lambda_of_qp(cfg.qp)), \
+        recon.astype(np.uint8)
 
 
 class SearchState:

@@ -49,6 +49,17 @@ class ThresholdPolicy:
         self.zeroed = mask_indices(masked)
 
 
+def check_active_sizes(active_sizes, cfg: CodecConfig) -> None:
+    """Refuse gate sizes the search never consults: the prune hook runs
+    only at blocks that can still split, of side ``cfg.ctu >> d`` for d
+    below ``cfg.max_depth``."""
+    splittable = {cfg.ctu >> d for d in range(cfg.max_depth)}
+    unused = sorted(set(int(s) for s in active_sizes) - splittable)
+    if unused:
+        raise ValueError(f"active sizes {unused} are never consulted; the search "
+                         f"can split blocks of side {sorted(splittable)}")
+
+
 def decide(prediction: np.ndarray, policy: ThresholdPolicy) -> str:
     """Gate one prediction; inclusive at the threshold."""
     p = np.asarray(prediction, dtype=np.float64).ravel()
@@ -117,6 +128,8 @@ def encode_frame(frame: LumaFrame, cfg: CodecConfig,
                  policy: ThresholdPolicy | None = None) -> FrameRunResult:
     """Search every full CTU of a frame in raster order under one shared
     state; cropped border tiles are skipped."""
+    if policy is not None:
+        check_active_sizes(policy.active_sizes, cfg)
     state = SearchState(frame)
     trees, full = [], []
     cropped = 0

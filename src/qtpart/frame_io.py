@@ -183,18 +183,16 @@ def _grab(pix: np.ndarray, mask: np.ndarray,
           y0: int, y1: int, x0: int, x1: int) -> tuple[np.ndarray, bool]:
     """Copy [y0:y1, x0:x1] substituting BORDER_FILL where off-frame or
     not yet reconstructed. Returns (block, fully_available)."""
-    h, w = y1 - y0, x1 - x0
-    out = np.full((h, w), BORDER_FILL, dtype=np.uint8)
     iy0, iy1 = max(y0, 0), min(y1, pix.shape[0])
     ix0, ix1 = max(x0, 0), min(x1, pix.shape[1])
-    if iy1 <= iy0 or ix1 <= ix0:
-        return out, False
-    inside = iy0 == y0 and iy1 == y1 and ix0 == x0 and ix1 == x1
     sub = pix[iy0:iy1, ix0:ix1]
     avail = mask[iy0:iy1, ix0:ix1]
-    view = out[iy0 - y0:iy1 - y0, ix0 - x0:ix1 - x0]
-    view[avail] = sub[avail]
-    return out, inside and bool(avail.all())
+    inside = iy0 == y0 and iy1 == y1 and ix0 == x0 and ix1 == x1
+    if inside and np.count_nonzero(avail) == avail.size:
+        return sub.copy(), True
+    out = np.full((y1 - y0, x1 - x0), BORDER_FILL, dtype=np.uint8)
+    out[iy0 - y0:iy1 - y0, ix0 - x0:ix1 - x0][avail] = sub[avail]
+    return out, False
 
 
 def causal_patch(pix: np.ndarray, rect: Rect, encoded_mask: np.ndarray) -> CausalPatch:

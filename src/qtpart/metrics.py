@@ -18,7 +18,7 @@ import numpy as np
 
 from .codec import CodecConfig, psnr_of_mse
 from .dataset import CuRecord
-from .decision import ThresholdPolicy, encode_frame
+from .decision import ThresholdPolicy, check_active_sizes, encode_frame
 from .features import FeatureMask
 from .frame_io import LumaFrame
 from .mlp import (DEFAULT_HIDDEN, REDUCED_HIDDEN, MlpModel, TrainHyper,
@@ -146,11 +146,12 @@ def sweep(frames: Sequence[LumaFrame], cfg: CodecConfig, model: MlpModel,
 
     The anchor is the exhaustive search on the same frames and qps; each
     threshold yields one (delta_c, bd_rate) point. Every policy is built,
-    and so the model checked, before the first encode.
+    and so the model and the active sizes checked, before the first encode.
     """
     if not thresholds:
         raise ValueError("empty threshold list")
     _require_eval_qps(qps)
+    check_active_sizes(active_sizes, cfg)
     policies = [ThresholdPolicy(model=model, threshold=t, active_sizes=active_sizes)
                 for t in sorted(thresholds)]
     anchor = _run_setting(frames, cfg, None, qps)
@@ -197,6 +198,7 @@ def run_ablation(records: Sequence[CuRecord], frames: Sequence[LumaFrame],
     """Retrain the size-32 regression under each configuration, sweep it,
     and report bd_rate interpolated at 10% and 20% complexity drops."""
     _require_eval_qps(qps)
+    check_active_sizes(active_sizes, cfg)
     rows = []
     for name in configs:
         if name not in ABLATION_CONFIGS:

@@ -9,8 +9,10 @@ import itertools
 
 import numpy as np
 
-from qtpart.codec import NS, SearchState, encode_ns, split_signal_cost
-from qtpart.frame_io import LumaFrame, Rect, causal_patch
+from qtpart.codec import (MODE_OVERHEAD_BITS, NS, RdCost, SearchState, dct2d,
+                          encode_ns, lambda_of_qp, qstep_of_qp, split_signal_cost)
+from qtpart.frame_io import (BORDER_FILL, REF_BORDER, CausalPatch, LumaFrame,
+                             Rect, causal_patch)
 
 CHILD_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -194,3 +196,58 @@ def reference_glcm5(region) -> np.ndarray:
         corr = float((p * (ii - mu) * (jj - mu)).sum()) / var
         corr = min(1.0, max(-1.0, corr))
     return np.array([entropy, energy, homog, corr, dissim])
+
+
+def _reference_grab(pix, mask, y0, y1, x0, x1):
+    h, w = y1 - y0, x1 - x0
+    out = np.full((h, w), BORDER_FILL, dtype=np.uint8)
+    iy0, iy1 = max(y0, 0), min(y1, pix.shape[0])
+    ix0, ix1 = max(x0, 0), min(x1, pix.shape[1])
+    if iy1 <= iy0 or ix1 <= ix0:
+        return out, False
+    inside = iy0 == y0 and iy1 == y1 and ix0 == x0 and ix1 == x1
+    sub = pix[iy0:iy1, ix0:ix1]
+    avail = mask[iy0:iy1, ix0:ix1]
+    view = out[iy0 - y0:iy1 - y0, ix0 - x0:ix1 - x0]
+    view[avail] = sub[avail]
+    return out, inside and bool(avail.all())
+
+
+def reference_causal_patch(pix, rect: Rect, encoded_mask) -> CausalPatch:
+    """Fill-then-scatter strip extraction: the original formulation of
+    ``frame_io.causal_patch``, kept as its byte-identity oracle."""
+    cu = pix[rect.y:rect.y + rect.h, rect.x:rect.x + rect.w].copy()
+    b = REF_BORDER
+    top, top_ok = _reference_grab(pix, encoded_mask, rect.y - b, rect.y,
+                                  rect.x, rect.x + rect.w)
+    left, left_ok = _reference_grab(pix, encoded_mask, rect.y, rect.y + rect.h,
+                                    rect.x - b, rect.x)
+    corner, _ = _reference_grab(pix, encoded_mask, rect.y - b, rect.y,
+                                rect.x - b, rect.x)
+    return CausalPatch(cu=cu, top=top, left=left, corner=corner,
+                       top_available=top_ok, left_available=left_ok)
+
+
+def reference_encode_ns(patch: CausalPatch, cfg):
+    """Float-mean DC, log2 rate and clip/sum distortion: the original
+    formulation of ``codec.encode_ns``, kept as its byte-identity oracle."""
+    cu = patch.cu.astype(np.float64)
+    refs = []
+    if patch.top_available:
+        refs.append(patch.top[-1, :].astype(np.float64))
+    if patch.left_available:
+        refs.append(patch.left[:, -1].astype(np.float64))
+    dc = float(np.concatenate(refs).mean()) if refs else float(BORDER_FILL)
+
+    coef = dct2d(cu - dc)
+    step = qstep_of_qp(cfg.qp)
+    levels = np.rint(coef / step)
+    rate = MODE_OVERHEAD_BITS + float(levels.size)
+    nz = levels != 0
+    if nz.any():
+        mags = np.abs(levels[nz])
+        rate += float(np.sum(2.0 * np.floor(np.log2(mags)) + 3.0))
+    recon_resid = dct2d(levels * step, inverse=True)
+    recon = np.clip(np.rint(dc + recon_resid), 0, 255).astype(np.uint8)
+    dist = float(np.sum((cu - recon.astype(np.float64)) ** 2))
+    return RdCost.compute(rate=rate, dist=dist, lam=lambda_of_qp(cfg.qp)), recon

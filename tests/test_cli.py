@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from qtpart import dataset, metrics
+from qtpart import codec, dataset, metrics
 from qtpart.cli import main
 from qtpart.dataset import load_records, load_trajectories
 from qtpart.features import LAYOUT_HASH
@@ -200,6 +200,36 @@ def test_encode_model_requires_threshold(work, tmp_path, capsys):
                "--out", str(tmp_path / "r.json")])
     assert rc == 3
     assert "--model requires --threshold" in capsys.readouterr().err
+
+
+def test_encode_threshold_requires_model(work, tmp_path, capsys):
+    rc = main(["encode", "--frame", work["c128"], "--threshold", "1.0",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert "--threshold requires --model" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("sizes", ["8", "7"])
+@pytest.mark.parametrize("command", [
+    ["encode", "--frame", "c128", "--model", "reg", "--threshold", "1.0"],
+    ["sweep", "--frames", "a64", "--model", "reg", "--thresholds", "1.0"],
+    ["ablate", "--dataset", "dataset", "--frames", "a64", "--thresholds", "1.0",
+     "--configs", "none"],
+])
+def test_unconsulted_active_size_fails_before_any_search(work, tmp_path, capsys,
+                                                         monkeypatch, command,
+                                                         sizes):
+    # 64x64 CTUs searched to depth 3 consult the gate at 64, 32 and 16
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("work ran before the active-size check")
+
+    monkeypatch.setattr(codec, "search", must_not_run)
+    monkeypatch.setattr(metrics, "train_regression", must_not_run)
+    argv = [work.get(a, a) for a in command]     # artifact names -> fixture paths
+    rc = main(argv + ["--active-sizes", sizes, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "never consulted" in capsys.readouterr().err
 
 
 def test_encode_rejects_foreign_feature_layout(work, tmp_path, capsys):

@@ -10,7 +10,7 @@ from qtpart.codec import (MODE_OVERHEAD_BITS, NS, QT, TRANSFORM_SIZES,
 from qtpart.frame_io import LumaFrame, Rect, causal_patch
 
 from helpers import (bottom_up_qt_cost, chosen_leaves, dyadic_tables,
-                     natural_frame)
+                     natural_frame, reference_causal_patch, reference_encode_ns)
 
 
 # -- rate control laws --------------------------------------------------
@@ -179,6 +179,79 @@ def test_rate_decreases_with_coarser_quantization():
         cost, _ = encode_ns(patch, cfg)
         rates.append(cost.rate)
     assert rates[0] > rates[1]
+
+
+def _oracle_cases():
+    """Seeded (pixels, mask, rect) cases: block sides 4-64 at an interior
+    position, on the frame's top and left edges and two pixels in from
+    the corner; all four top/left availability combinations plus strips
+    with holes; noise, flat 0 and flat 255 blocks under opposite
+    references, so the reconstruction must clip."""
+    rng = np.random.default_rng(77)
+    side = 2 * 64 + 8
+    for n in TRANSFORM_SIZES:
+        for x, y in ((64, 64), (0, 64), (64, 0), (2, 2)):
+            rect = Rect(x, y, n, n)
+            for content in ("noise", "zero", "full"):
+                pix = rng.integers(0, 256, (side, side)).astype(np.uint8)
+                if content != "noise":
+                    v = 0 if content == "zero" else 255
+                    pix[:] = 255 - v
+                    pix[y:y + n, x:x + n] = v
+                for top, left, holes in ((0, 0, 0), (1, 0, 0), (0, 1, 0),
+                                         (1, 1, 0), (1, 1, 1)):
+                    mask = np.zeros((side, side), bool)
+                    if top:
+                        mask[max(y - 4, 0):y, max(x - 4, 0):x + n] = True
+                    if left:
+                        mask[y:y + n, max(x - 4, 0):x] = True
+                    if holes:
+                        mask &= rng.random((side, side)) > 0.05
+                    yield pix, mask, rect
+
+
+def test_lean_codec_path_byte_identical_to_reference():
+    cases = mismatches = 0
+    flags, clipped, exponents = set(), 0, set()
+    for pix, mask, rect in _oracle_cases():
+        patch = causal_patch(pix, rect, mask)
+        ref_patch = reference_causal_patch(pix, rect, mask)
+        for name in ("cu", "top", "left", "corner"):
+            mismatches += getattr(patch, name).tobytes() \
+                != getattr(ref_patch, name).tobytes()
+        mismatches += (patch.top_available, patch.left_available) \
+            != (ref_patch.top_available, ref_patch.left_available)
+        flags.add((patch.top_available, patch.left_available))
+        for qp in (0, 4, 22, 37, 51):
+            cfg = CodecConfig(qp=qp)
+            cost, recon = encode_ns(patch, cfg)
+            ref_cost, ref_recon = reference_encode_ns(ref_patch, cfg)
+            mismatches += cost != ref_cost
+            mismatches += recon.tobytes() != ref_recon.tobytes()
+            clipped += bool(recon.min() == 0 or recon.max() == 255)
+            cases += 1
+            if qp == 0:
+                refs = [patch.top[-1]] * patch.top_available \
+                    + [patch.left[:, -1]] * patch.left_available
+                dc = np.concatenate(refs).mean() if refs else 128.0
+                levels = np.rint(dct2d(patch.cu - dc) / qstep_of_qp(0))
+                exponents |= set(np.frexp(levels[levels != 0])[1].tolist())
+    assert cases == 5 * 4 * 3 * 5 * 5
+    assert mismatches == 0
+    assert flags == {(False, False), (True, False), (False, True), (True, True)}
+    assert clipped > 0
+    assert set(range(1, 16)) <= exponents         # |level| spans 1 .. 2**14
+
+
+def test_causal_patch_strips_are_copies():
+    pix = natural_frame(3, h=64, w=64).pixels.copy()
+    mask = np.ones(pix.shape, bool)
+    patch = causal_patch(pix, Rect(16, 16, 16, 16), mask)
+    assert patch.top_available and patch.left_available
+    before = [a.copy() for a in (patch.cu, patch.top, patch.left, patch.corner)]
+    pix[:] = 255 - pix
+    after = (patch.cu, patch.top, patch.left, patch.corner)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
 # -- search state ---------------------------------------------------------

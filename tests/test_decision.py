@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qtpart import codec
 from qtpart.codec import CodecConfig
 from qtpart.decision import (EXPLORE, PRUNE_QT, ThresholdPolicy, decide,
                              encode_frame)
@@ -155,6 +156,22 @@ def test_inactive_sizes_recurse_normally():
     assert res.pixels == 4 * 3 * CTU_AREA
     sizes = {n.rect.w for t in res.trees for n in t.preorder()}
     assert sizes == {64, 32, 16}
+
+
+@pytest.mark.parametrize("ctu, max_depth, sizes", [
+    (64, 3, (8,)), (64, 3, (7,)), (64, 3, (32, 8)), (64, 1, (32,)),
+    (32, 2, (64,)),
+])
+def test_unconsulted_active_sizes_rejected_before_search(monkeypatch, ctu,
+                                                         max_depth, sizes):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a search ran before the active-size check")
+
+    monkeypatch.setattr(codec, "search", must_not_run)
+    pol = ThresholdPolicy(ratio_model(1e6), threshold=1.0, active_sizes=sizes)
+    with pytest.raises(ValueError, match="never consulted"):
+        encode_frame(natural_frame(8), CodecConfig(ctu=ctu, max_depth=max_depth),
+                     policy=pol)
 
 
 # -------------------------------------------------------------- frame results
