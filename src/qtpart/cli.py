@@ -20,7 +20,7 @@ from .dataset import (DatasetError, balance, balance_trajectories,
                       load_trajectories, save_records, save_trajectories)
 from .decision import ThresholdPolicy, encode_frame
 from .dqn import DqnHyper, train_dqn
-from .features import LAYOUT_HASH, FeatureMask, describe_layout
+from .features import LAYOUT_HASH, describe_layout
 from .frame_io import FrameFormatError, load_frame
 from .metrics import ABLATION_CONFIGS, RdCurve, bd_rate, run_ablation, sweep
 from .mlp import (DEFAULT_HIDDEN, ModelError, TrainHyper, load_model,
@@ -125,7 +125,7 @@ def cmd_dataset_trajectories(args) -> int:
 def cmd_train_reg(args) -> int:
     records = load_records(args.dataset)
     hyper = TrainHyper(lr=args.lr, batch=args.batch, epochs=args.epochs)
-    mask = FeatureMask.from_names(args.mask.split(",")) if args.mask else None
+    mask = args.mask.split(",") if args.mask else ()
     hidden = tuple(_ints(args.hidden))
     model, history = train_regression(records, args.variant, hyper=hyper,
                                       seed=args.seed, mask=mask, hidden=hidden)

@@ -199,11 +199,9 @@ class VisitInfo:
     """Snapshot handed to search callbacks right after a block's NS encode."""
 
     rect: Rect
-    depth: int
     qp: int
     patch: CausalPatch
     ns_cost: RdCost
-    can_split: bool
     parent: Optional[tuple[RdCost, int]]          # (parent NS cost, parent area)
     top: Optional[tuple[float, int]]              # (j per pixel, depth)
     left: Optional[tuple[float, int]]
@@ -275,8 +273,7 @@ def _search_node(rect, depth, cfg, state, visitor, prune, parent) -> PartitionNo
     state.pixels += rect.area
 
     can_split = depth < cfg.max_depth
-    visit = VisitInfo(rect=rect, depth=depth, qp=cfg.qp, patch=patch,
-                      ns_cost=ns_cost, can_split=can_split, parent=parent,
+    visit = VisitInfo(rect=rect, qp=cfg.qp, patch=patch, ns_cost=ns_cost, parent=parent,
                       top=state.neighbor_at(rect.x, rect.y - 1),
                       left=state.neighbor_at(rect.x - 1, rect.y))
     if visitor is not None:

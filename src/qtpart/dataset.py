@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,23 +81,6 @@ class Trajectory:
     @property
     def optimal(self) -> str:
         return NS if self.ns_j_pp <= self.qt_j_pp else QT
-
-
-@dataclass
-class NormalizationSpec:
-    mode: str                     # "ratio" or "median"
-    c_median: Optional[float] = None
-
-    def __post_init__(self):
-        if self.mode not in ("ratio", "median"):
-            raise DatasetError(f"unknown normalization mode {self.mode!r}")
-
-    def as_dict(self) -> dict:
-        return {"mode": self.mode, "c_median": self.c_median}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormalizationSpec":
-        return cls(mode=d["mode"], c_median=d.get("c_median"))
 
 
 def _validate_sizes(cfg: CodecConfig, sizes: Sequence[int]) -> tuple[int, ...]:
@@ -252,34 +235,25 @@ def balance_trajectories(trajs: list[Trajectory], seed: int = 0) -> list[Traject
     return _downsample(trajs, [t.optimal for t in trajs], seed, "for trajectories")
 
 
-def normalize_targets(records: Sequence[CuRecord],
-                      spec: NormalizationSpec) -> tuple[np.ndarray, np.ndarray,
-                                                        NormalizationSpec]:
-    """Build (X, y) training arrays under a normalization scheme.
+def normalize_targets(records: Sequence[CuRecord]
+                      ) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Build (X, y) training arrays and the normalization that made y.
 
-    ratio: one block size only; y is the split/no-split cost ratio.
-    median: y stacks both costs divided by the median of all pooled
-    per-pixel costs (computed here when the spec does not pin one).
+    One block size: y is the split/no-split cost ratio (mode "ratio").
+    Several sizes: y stacks both costs divided by the median of all
+    pooled per-pixel costs (mode "median", divisor ``c_median``).
     """
     if not records:
         raise DatasetError("empty record set")
     X = np.stack([r.features for r in records]).astype(np.float32)
     ns = np.array([r.ns_j_pp for r in records])
     qt = np.array([r.qt_j_pp for r in records])
-    if spec.mode == "ratio":
-        if len({r.cu_size for r in records}) != 1:
-            raise DatasetError("ratio normalization needs a single block size")
-        if np.any(ns == 0.0):
-            raise DatasetError("zero no-split cost in ratio normalization")
+    if len({r.cu_size for r in records}) == 1:
         y = (qt / ns)[:, None]
-        return X, y.astype(np.float32), NormalizationSpec("ratio")
-    c = spec.c_median
-    if c is None:
-        c = float(np.median(np.concatenate([ns, qt])))
-    if c <= 0:
-        raise DatasetError("non-positive median cost")
+        return X, y.astype(np.float32), {"mode": "ratio", "c_median": None}
+    c = float(np.median(np.concatenate([ns, qt])))
     y = np.stack([ns / c, qt / c], axis=1)
-    return X, y.astype(np.float32), NormalizationSpec("median", c)
+    return X, y.astype(np.float32), {"mode": "median", "c_median": c}
 
 
 def _header(kind: int, count: int) -> bytes:

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import codec
 from .codec import CodecConfig, PartitionNode, Rect, SearchState, VisitInfo
-from .features import (FEATURE_COUNT, LAYOUT_HASH, FeatureMask, build_vector,
-                       mask_indices)
+from .features import FEATURE_COUNT, LAYOUT_HASH, build_vector, mask_indices
 from .frame_io import LumaFrame, tile_ctus
 from .mlp import MlpModel, ModelError, forward
 
@@ -31,7 +30,7 @@ class ThresholdPolicy:
     active_sizes: tuple = (32,)
 
     def __post_init__(self):
-        if self.threshold <= 0:
+        if not self.threshold > 0:
             raise ValueError("threshold must be positive")
         self.active_sizes = tuple(sorted(set(int(s) for s in self.active_sizes)))
         if not self.active_sizes:
@@ -45,8 +44,7 @@ class ThresholdPolicy:
             raise ModelError(f"model must have 1 or 2 outputs, got {self.model.out_dim}")
         # descriptor slots the model was trained with zeroed; the gate
         # zeroes them the same way
-        masked = FeatureMask.from_names(self.model.meta.get("mask", []))
-        self.zeroed = mask_indices(masked)
+        self.zeroed = mask_indices(self.model.meta.get("mask", []))
 
 
 def check_active_sizes(active_sizes, cfg: CodecConfig) -> None:

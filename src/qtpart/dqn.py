@@ -19,13 +19,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import DatasetError, NormalizationSpec, Trajectory
+from .dataset import DatasetError, Trajectory
 from .features import LAYOUT_HASH
 from .mlp import (DEFAULT_HIDDEN, MlpModel, ModelError, adam_init, adam_step,
-                  backward, forward, forward_cached, init_model)
+                  backward, check_parameter_scale, forward, forward_cached,
+                  init_model)
 
 ACTION_NS, ACTION_QT = 0, 1
 AREA_32, AREA_16 = 32 * 32, 16 * 16
+EPS_START, EPS_END = 1.0, 0.05                   # exploration schedule ends
 
 
 @dataclass
@@ -92,23 +94,23 @@ class DqnHyper:
     batch: int = 512
     capacity: int = 100_000
     lr: float = 1e-5
-    eps_start: float = 1.0
-    eps_end: float = 0.05
     eps_anneal: Optional[int] = None             # defaults to steps
     hidden: tuple = DEFAULT_HIDDEN
 
     def __post_init__(self):
         if self.steps <= 0 or self.batch <= 0:
             raise ValueError("steps and batch must be positive")
-        if not (0.0 <= self.eps_end <= self.eps_start <= 1.0):
-            raise ValueError("epsilon schedule must satisfy 0 <= end <= start <= 1")
+        if not self.lr > 0:
+            raise ValueError("lr must be positive")
+        if self.eps_anneal is not None and self.eps_anneal < 1:
+            raise ValueError("eps_anneal must be at least 1 step")
 
 
 def epsilon_at(step: int, hyper: DqnHyper) -> float:
-    """Linear schedule from eps_start at step 0 to eps_end at eps_anneal."""
+    """Linear schedule from EPS_START at step 0 to EPS_END at eps_anneal."""
     anneal = hyper.eps_anneal or hyper.steps
     frac = min(max(step, 0) / anneal, 1.0)
-    return hyper.eps_start + (hyper.eps_end - hyper.eps_start) * frac
+    return EPS_START + (EPS_END - EPS_START) * frac
 
 
 def select_action(model: MlpModel, state: np.ndarray, eps: float,
@@ -165,7 +167,7 @@ def _scaled_costs(trajs: Sequence[Trajectory]):
 
 
 def train_dqn(trajs: Sequence[Trajectory], hyper: DqnHyper | None = None,
-              seed: int = 0, init: MlpModel | None = None):
+              seed: int = 0):
     """Offline value learning over a fixed trajectory set.
 
     Each step takes one trajectory (reshuffled once per pass), picks an
@@ -173,7 +175,8 @@ def train_dqn(trajs: Sequence[Trajectory], hyper: DqnHyper | None = None,
     split also stores its four children, both actions, with their true
     costs), then fits a sampled batch against bellman targets with
     gradients only through the taken actions. Returns the model and a
-    (step, mean TD error, epsilon) diagnostics list.
+    (step, mean TD error, epsilon) diagnostics list; a model whose
+    parameters blew up is refused (ModelError).
     """
     hyper = hyper or DqnHyper()
     if not trajs:
@@ -182,10 +185,7 @@ def train_dqn(trajs: Sequence[Trajectory], hyper: DqnHyper | None = None,
 
     root = np.random.SeedSequence(seed)
     init_seq, order_seq, act_seq, mem_seq = root.spawn(4)
-    model = init if init is not None else init_model(hidden=hyper.hidden, out=2,
-                                                     seed=init_seq)
-    if model.out_dim != 2:
-        raise ModelError("action-value model must have two outputs")
+    model = init_model(hidden=hyper.hidden, out=2, seed=init_seq)
     memory = ReplayMemory(hyper.capacity, seed=mem_seq)
     order_rng = np.random.default_rng(order_seq)
     act_rng = np.random.default_rng(act_seq)
@@ -227,9 +227,10 @@ def train_dqn(trajs: Sequence[Trajectory], hyper: DqnHyper | None = None,
         grads = backward(model, cache, dout)
         adam_step(model, grads, adam)
         diagnostics.append((step, float(np.mean(np.abs(td))), eps))
+    check_parameter_scale(model)
 
     model.meta.update({"variant": "Q32_16",
-                       "normalization": NormalizationSpec("median", c_median).as_dict(),
+                       "normalization": {"mode": "median", "c_median": c_median},
                        "layout_hash": LAYOUT_HASH, "seed": seed,
                        "gamma": 1.0,        # the bootstrap is undiscounted
                        "out": 2,

@@ -18,16 +18,21 @@ its 8-level maximum, correlation is mapped through (r + 1) / 2 and
 dissimilarity divided by its maximum level distance.
 
 The descriptor is built from the snapshot the coding-tree search takes
-of each visited block (``codec.VisitInfo``). Ablation masks never change
-how it is built: every descriptor is built in full, then training zeroes
-the masked columns of its inputs and the gate the same slots of each
-descriptor it builds (``mask_indices``).
+of each visited block (``codec.VisitInfo``).
+
+Every slot belongs to one of five ablation groups, read off its name:
+NI, PI and BI from the ``ni_``/``pi_``/``bi_`` prefix, HOG or GLCM for
+the ``si_`` texture slots. An ablation mask is a list of group names in
+any case, e.g. ``["glcm", "NI"]``; a model file stores it in canonical
+order (``mask_groups``). Masks never change how a descriptor is built:
+every descriptor is built in full, then training zeroes the masked
+columns of its inputs and the gate the same slots of each descriptor it
+builds (``mask_indices``).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,9 +48,6 @@ QP_NORM = 64.0
 GLCM_STAT_NAMES = ("entropy", "energy", "homogeneity", "correlation", "dissimilarity")
 REGION_NAMES = ("cu", "q0", "q1", "q2", "q3", "top", "left", "lshape")
 
-_NI_SLOTS = slice(0, 4)
-_PI_SLOTS = slice(4, 7)
-_BI_SLOTS = slice(7, 11)
 _SI_BASE = 11
 _REGION_WIDTH = HOG_BINS + len(GLCM_STAT_NAMES)
 
@@ -63,6 +65,11 @@ def _build_names() -> tuple[str, ...]:
 FEATURE_NAMES = _build_names()
 assert len(FEATURE_NAMES) == FEATURE_COUNT
 LAYOUT_HASH = hashlib.sha256("\n".join(FEATURE_NAMES).encode("ascii")).hexdigest()[:16]
+
+# ablation group of every slot: the ni/pi/bi prefix, or the texture kind
+_SLOT_GROUPS = tuple(("HOG" if "_hog_" in n else "GLCM") if n.startswith("si_")
+                     else n.split("_")[0].upper() for n in FEATURE_NAMES)
+MASK_GROUPS = tuple(dict.fromkeys(_SLOT_GROUPS))     # NI, PI, BI, HOG, GLCM
 
 
 def hog8(region: np.ndarray) -> np.ndarray:
@@ -136,49 +143,19 @@ def glcm5(region: np.ndarray) -> np.ndarray:
     return np.array([entropy, energy, homog, corr, dissim])
 
 
-@dataclass(frozen=True)
-class FeatureMask:
-    """Groups of descriptor entries zeroed for ablation runs, by
-    ``mask_indices`` after the full descriptor is built."""
-
-    ni: bool = False
-    pi: bool = False
-    bi: bool = False
-    hog: bool = False
-    glcm: bool = False
-
-    _GROUPS = ("NI", "PI", "BI", "HOG", "GLCM")
-
-    @classmethod
-    def from_names(cls, names) -> "FeatureMask":
-        wanted = {str(n).upper() for n in names}
-        unknown = wanted - set(cls._GROUPS)
-        if unknown:
-            raise ValueError(f"unknown feature groups {sorted(unknown)}")
-        return cls(ni="NI" in wanted, pi="PI" in wanted, bi="BI" in wanted,
-                   hog="HOG" in wanted, glcm="GLCM" in wanted)
-
-    def names(self) -> list[str]:
-        flags = (self.ni, self.pi, self.bi, self.hog, self.glcm)
-        return [g for g, on in zip(self._GROUPS, flags) if on]
+def mask_groups(names) -> list[str]:
+    """Canonical ordered list of the named ablation groups, any case."""
+    wanted = {str(n).upper() for n in names}
+    unknown = wanted - set(MASK_GROUPS)
+    if unknown:
+        raise ValueError(f"unknown feature groups {sorted(unknown)}")
+    return [g for g in MASK_GROUPS if g in wanted]
 
 
-def mask_indices(mask: FeatureMask) -> np.ndarray:
-    """Boolean length-115 array, True at entries the mask zeroes."""
-    out = np.zeros(FEATURE_COUNT, dtype=bool)
-    if mask.ni:
-        out[_NI_SLOTS] = True
-    if mask.pi:
-        out[_PI_SLOTS] = True
-    if mask.bi:
-        out[_BI_SLOTS] = True
-    for r in range(len(REGION_NAMES)):
-        base = _SI_BASE + r * _REGION_WIDTH
-        if mask.hog:
-            out[base:base + HOG_BINS] = True
-        if mask.glcm:
-            out[base + HOG_BINS:base + _REGION_WIDTH] = True
-    return out
+def mask_indices(names) -> np.ndarray:
+    """Boolean length-115 array, True at the slots of the named groups."""
+    groups = mask_groups(names)
+    return np.array([g in groups for g in _SLOT_GROUPS])
 
 
 def _regions(patch: CausalPatch) -> list[np.ndarray]:
@@ -216,16 +193,8 @@ def build_vector(visit: VisitInfo) -> np.ndarray:
 
 
 def describe_layout() -> list[dict]:
-    """One row per descriptor entry: index, name and group."""
-    rows = []
-    for i, name in enumerate(FEATURE_NAMES):
-        if i < 4:
-            group = "NI"
-        elif i < 7:
-            group = "PI"
-        elif i < 11:
-            group = "BI"
-        else:
-            group = "SI_HOG" if "_hog_" in name else "SI_GLCM"
-        rows.append({"index": i, "name": name, "group": group})
-    return rows
+    """One row per descriptor entry: index, name and group (texture
+    groups labelled SI_HOG and SI_GLCM)."""
+    return [{"index": i, "name": name,
+             "group": "SI_" + group if name.startswith("si_") else group}
+            for i, (name, group) in enumerate(zip(FEATURE_NAMES, _SLOT_GROUPS))]

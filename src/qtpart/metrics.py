@@ -19,7 +19,6 @@ import numpy as np
 from .codec import CodecConfig, psnr_of_mse
 from .dataset import CuRecord
 from .decision import ThresholdPolicy, check_active_sizes, encode_frame
-from .features import FeatureMask
 from .frame_io import LumaFrame
 from .mlp import (DEFAULT_HIDDEN, REDUCED_HIDDEN, MlpModel, TrainHyper,
                   train_regression)
@@ -204,9 +203,8 @@ def run_ablation(records: Sequence[CuRecord], frames: Sequence[LumaFrame],
         if name not in ABLATION_CONFIGS:
             raise ValueError(f"unknown ablation config {name!r}")
         groups, hidden = ABLATION_CONFIGS[name]
-        mask = FeatureMask.from_names(groups) if groups else None
         model, _ = train_regression(records, "N32", hyper=hyper, seed=seed,
-                                    mask=mask, hidden=hidden)
+                                    mask=groups, hidden=hidden)
         result = sweep(frames, cfg, model, active_sizes, thresholds, qps)
         rows.append({"config": name,
                      "bd_at_dc10": interpolate_bd_at(result.points, 10.0),

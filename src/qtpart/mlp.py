@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import CuRecord, NormalizationSpec, normalize_targets
-from .features import FEATURE_COUNT, LAYOUT_HASH, FeatureMask, mask_indices
+from .dataset import CuRecord, normalize_targets
+from .features import FEATURE_COUNT, LAYOUT_HASH, mask_groups, mask_indices
 
 MODEL_MAGIC = b"QTNN"
 DEFAULT_HIDDEN = (256, 256, 128)
@@ -65,15 +65,15 @@ class MlpModel:
         return self.weights[0].dtype
 
 
-def init_model(hidden: Sequence[int] = DEFAULT_HIDDEN, out: int = 1,
-               in_dim: int = FEATURE_COUNT, seed=0,
+def init_model(hidden: Sequence[int] = DEFAULT_HIDDEN, out: int = 1, seed=0,
                dtype=np.float32) -> MlpModel:
-    """He-initialized network; identical seeds give identical models."""
+    """He-initialized network over the 115-entry descriptor; identical
+    seeds give identical models."""
     if out not in (1, 2):
         raise ModelError("output width must be 1 or 2")
-    if any(int(h) <= 0 for h in hidden) or in_dim <= 0:
+    if any(int(h) <= 0 for h in hidden):
         raise ModelError("layer widths must be positive")
-    chain = [int(in_dim)] + [int(h) for h in hidden] + [int(out)]
+    chain = [FEATURE_COUNT] + [int(h) for h in hidden] + [int(out)]
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for a, b in zip(chain[:-1], chain[1:]):
@@ -209,20 +209,22 @@ class TrainHyper:
     epochs: int = 10
 
     def __post_init__(self):
-        if self.lr <= 0 or self.batch <= 0 or self.epochs <= 0:
+        if not self.lr > 0 or self.batch <= 0 or self.epochs <= 0:
             raise ValueError("lr, batch and epochs must be positive")
 
 
 def train_regression(records: Sequence[CuRecord], variant: str,
                      hyper: TrainHyper | None = None, seed: int = 0,
-                     mask: FeatureMask | None = None,
+                     mask: Sequence[str] = (),
                      hidden: Sequence[int] = DEFAULT_HIDDEN):
     """Train a cost-regression model on balanced records.
 
     Returns (model, per-epoch mean training loss). The dataset's block
-    sizes must be exactly the variant's sizes.
+    sizes must be exactly the variant's sizes. ``mask`` names the
+    descriptor groups zeroed in every input (see ``features.mask_groups``).
     """
     hyper = hyper or TrainHyper()
+    groups = mask_groups(mask)
     if variant not in VARIANT_SIZES:
         raise ModelError(f"unknown variant {variant!r}")
     sizes = VARIANT_SIZES[variant]
@@ -232,11 +234,8 @@ def train_regression(records: Sequence[CuRecord], variant: str,
             f"variant {variant} expects block sizes {sorted(sizes)}, "
             f"dataset has {sorted(present)}")
     out = 1 if len(sizes) == 1 else 2
-    mode = "ratio" if out == 1 else "median"
-    X, y, norm = normalize_targets(records, NormalizationSpec(mode))
-    if mask is not None:
-        X = X.copy()
-        X[:, mask_indices(mask)] = 0.0
+    X, y, norm = normalize_targets(records)
+    X[:, mask_indices(groups)] = 0.0
 
     root = np.random.SeedSequence(seed)
     init_seq, shuffle_seq = root.spawn(2)
@@ -257,9 +256,8 @@ def train_regression(records: Sequence[CuRecord], variant: str,
         history.append(total / n)
         check_parameter_scale(model)
 
-    model.meta.update({"variant": variant, "normalization": norm.as_dict(),
-                       "layout_hash": LAYOUT_HASH, "seed": seed,
-                       "mask": mask.names() if mask else [],
+    model.meta.update({"variant": variant, "normalization": norm,
+                       "layout_hash": LAYOUT_HASH, "seed": seed, "mask": groups,
                        "hidden": [int(h) for h in hidden], "out": out})
     return model, history
 

@@ -146,6 +146,18 @@ def test_train_reg_artifacts(work):
     assert float(rows[-1][1]) > 0
 
 
+def test_train_reg_mask_is_group_names(work, tmp_path, capsys):
+    argv = ["train", "reg", "--dataset", work["dataset"], "--epochs", "1",
+            "--batch", "64", "--seed", "1"]
+    out = tmp_path / "masked.qtnn"
+    assert main(argv + ["--mask", "glcm,ni", "--out", str(out)]) == 0
+    assert load_model(str(out)).meta["mask"] == ["NI", "GLCM"]
+    bad = tmp_path / "bad.qtnn"
+    assert main(argv + ["--mask", "hog,dc", "--out", str(bad)]) == 3
+    assert "unknown feature groups ['DC']" in capsys.readouterr().err
+    assert not bad.exists()
+
+
 def test_train_dqn_artifacts(work, tmp_path, capsys):
     out = tmp_path / "q.qtnn"
     rc = main(["train", "dqn", "--trajectories", work["trajs"],
@@ -160,6 +172,30 @@ def test_train_dqn_artifacts(work, tmp_path, capsys):
     assert rows[0] == ["step", "td_error", "epsilon"]
     assert len(rows) == 1 + 30
     assert float(rows[1][2]) == 1.0
+
+
+DQN_ARGV = ["train", "dqn", "--steps", "40", "--batch", "16", "--hidden", "8",
+            "--seed", "2"]
+
+
+@pytest.mark.parametrize("flags", [["--lr", "nan"], ["--lr=-1e-3"], ["--lr", "0"],
+                                   ["--eps-anneal", "-5"], ["--eps-anneal", "0"]])
+def test_train_dqn_bad_hyper_is_data_error(work, tmp_path, capsys, flags):
+    out = tmp_path / "q.qtnn"
+    rc = main(DQN_ARGV + ["--trajectories", work["trajs"], *flags, "--out", str(out)])
+    assert rc == 3
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_dqn_blow_up_is_model_error(work, tmp_path, capsys):
+    out = tmp_path / "q.qtnn"
+    with np.errstate(all="ignore"):
+        rc = main(DQN_ARGV + ["--trajectories", work["trajs"], "--lr", "1e9",
+                              "--out", str(out)])
+    assert rc == 4
+    assert "blow-up" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- encode
@@ -230,6 +266,24 @@ def test_unconsulted_active_size_fails_before_any_search(work, tmp_path, capsys,
     rc = main(argv + ["--active-sizes", sizes, "--out", str(tmp_path / "out")])
     assert rc == 3
     assert "never consulted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["encode", "--frame", "c128", "--model", "reg", "--threshold", "nan"],
+    ["sweep", "--frames", "a64", "--model", "reg", "--thresholds", "1.0,nan"],
+])
+def test_nan_threshold_fails_before_any_search(work, tmp_path, capsys, monkeypatch,
+                                               command):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a search ran before the threshold check")
+
+    monkeypatch.setattr(codec, "search", must_not_run)
+    argv = [work.get(a, a) for a in command]     # artifact names -> fixture paths
+    out = tmp_path / "out"
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 3
+    assert "threshold must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_encode_rejects_foreign_feature_layout(work, tmp_path, capsys):

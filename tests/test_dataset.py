@@ -6,8 +6,8 @@ import pytest
 
 from qtpart.codec import NS, QT, CodecConfig, split_signal_cost
 from qtpart.dataset import (COLLECT_SIZES, CuRecord, DatasetError,
-                            NormalizationSpec, Trajectory, balance,
-                            balance_trajectories, collect_records,
+                            Trajectory, balance, balance_trajectories,
+                            collect_records,
                             collect_trajectories, load_records,
                             load_trajectories, normalize_targets,
                             save_records, save_trajectories)
@@ -176,43 +176,37 @@ def test_balance_trajectories_by_optimal_action():
 
 def test_normalize_ratio_mode():
     recs = [_rec(seed=1, ns=2.0, qt=3.0), _rec(seed=2, ns=4.0, qt=1.0)]
-    x, y, spec = normalize_targets(recs, NormalizationSpec("ratio"))
+    x, y, norm = normalize_targets(recs)
     assert x.shape == (2, 115) and x.dtype == np.float32
     assert y.shape == (2, 1)
     assert y[0, 0] == pytest.approx(1.5) and y[1, 0] == pytest.approx(0.25)
-    assert spec.mode == "ratio" and spec.c_median is None
+    assert norm == {"mode": "ratio", "c_median": None}
+    # X is a fresh array: zeroing its columns leaves the records intact
+    x[:] = 0.0
+    assert recs[0].features.any() and recs[1].features.any()
 
 
-def test_normalize_ratio_rejects_mixed_sizes():
-    recs = [_rec(seed=1, size=32), _rec(seed=2, size=16)]
-    with pytest.raises(DatasetError, match="single block size"):
-        normalize_targets(recs, NormalizationSpec("ratio"))
+def test_normalize_mode_follows_block_sizes():
+    one = [_rec(seed=i, size=16, ns=1.0 + i, qt=2.0) for i in range(3)]
+    assert normalize_targets(one)[2]["mode"] == "ratio"
+    three = [_rec(seed=1, size=32), _rec(seed=2, size=16), _rec(seed=3, size=8)]
+    _, y, norm = normalize_targets(three)
+    assert norm["mode"] == "median" and y.shape == (3, 2)
 
 
 def test_normalize_median_mode():
     recs = [_rec(seed=1, size=32, ns=1.0, qt=2.0),
             _rec(seed=2, size=16, ns=3.0, qt=4.0)]
-    x, y, spec = normalize_targets(recs, NormalizationSpec("median"))
+    x, y, norm = normalize_targets(recs)
     # pooled per-pixel costs {1,2,3,4} -> median 2.5
-    assert spec.c_median == 2.5
-    assert y.shape == (2, 2)
+    assert norm == {"mode": "median", "c_median": 2.5}
+    assert y.shape == (2, 2) and y.dtype == np.float32
     assert np.allclose(y, [[1 / 2.5, 2 / 2.5], [3 / 2.5, 4 / 2.5]])
-    # a stored divisor is reused untouched
-    _, y2, spec2 = normalize_targets(recs, NormalizationSpec("median", 5.0))
-    assert spec2.c_median == 5.0
-    assert np.allclose(y2, [[0.2, 0.4], [0.6, 0.8]])
 
 
-def test_normalize_rejects_empty_and_bad_mode():
+def test_normalize_rejects_empty():
     with pytest.raises(DatasetError, match="empty record set"):
-        normalize_targets([], NormalizationSpec("ratio"))
-    with pytest.raises(DatasetError, match="unknown normalization"):
-        NormalizationSpec("zscore")
-
-
-def test_normalization_spec_dict_roundtrip():
-    spec = NormalizationSpec("median", 2.5)
-    assert NormalizationSpec.from_dict(spec.as_dict()) == spec
+        normalize_targets([])
 
 
 # -- container -----------------------------------------------------------------

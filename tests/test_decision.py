@@ -7,7 +7,8 @@ from qtpart import codec
 from qtpart.codec import CodecConfig
 from qtpart.decision import (EXPLORE, PRUNE_QT, ThresholdPolicy, decide,
                              encode_frame)
-from qtpart.features import FEATURE_COUNT, FEATURE_NAMES, LAYOUT_HASH
+from qtpart.features import (FEATURE_COUNT, FEATURE_NAMES, LAYOUT_HASH,
+                             mask_indices)
 from qtpart.mlp import MlpModel, ModelError, init_model
 
 from helpers import natural_frame
@@ -56,8 +57,10 @@ def test_decide_rejects_wrong_arity():
 # --------------------------------------------------------------------- policy
 
 def test_policy_threshold_must_be_positive():
-    with pytest.raises(ValueError, match="threshold must be positive"):
-        ThresholdPolicy(ratio_model(1.0), threshold=0.0)
+    # NaN fails every comparison, so the check must be written "not t > 0"
+    for threshold in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            ThresholdPolicy(ratio_model(1.0), threshold=threshold)
 
 
 def test_policy_needs_active_sizes():
@@ -74,7 +77,8 @@ def test_policy_normalizes_sizes():
 def test_policy_reads_mask_from_meta():
     m = ratio_model(1.0)
     m.meta["mask"] = ["HOG", "GLCM"]
-    ThresholdPolicy(m, threshold=1.0)
+    pol = ThresholdPolicy(m, threshold=1.0)
+    assert np.array_equal(pol.zeroed, mask_indices(["hog", "glcm"]))
     m.meta["mask"] = ["HOG", "DC"]
     with pytest.raises(ValueError, match="unknown feature groups"):
         ThresholdPolicy(m, threshold=1.0)
@@ -91,7 +95,9 @@ def test_pruned_search_checks_feature_layout():
 
 
 def test_policy_checks_model_widths():
-    narrow = init_model(hidden=(), out=1, in_dim=FEATURE_COUNT - 1, seed=0)
+    narrow = MlpModel(weights=[np.zeros((FEATURE_COUNT - 1, 1), np.float32)],
+                      biases=[np.zeros(1, np.float32)],
+                      meta={"layout_hash": LAYOUT_HASH})
     with pytest.raises(ModelError, match="input width"):
         ThresholdPolicy(narrow, threshold=1.0)
     wide = MlpModel(weights=[np.zeros((FEATURE_COUNT, 3), np.float32)],

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from qtpart import dqn
 from qtpart.dataset import DatasetError, Trajectory
-from qtpart.dqn import (ACTION_NS, ACTION_QT, DqnHyper, ReplayMemory,
-                        Transition, _batch_targets, _scaled_costs,
+from qtpart.dqn import (ACTION_NS, ACTION_QT, EPS_END, EPS_START, DqnHyper,
+                        ReplayMemory, Transition, _batch_targets, _scaled_costs,
                         bellman_target, epsilon_at, select_action, train_dqn)
 from qtpart.features import LAYOUT_HASH
 from qtpart.mlp import ModelError, forward, init_model
@@ -135,13 +136,23 @@ def test_hyper_rejects_nonpositive_steps():
         DqnHyper(steps=0)
 
 
-def test_hyper_rejects_bad_epsilon_order():
-    with pytest.raises(ValueError, match="epsilon schedule"):
-        DqnHyper(eps_start=0.1, eps_end=0.5)
+@pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan")])
+def test_hyper_rejects_nonpositive_lr(lr):
+    # NaN fails every comparison, so the check must be written "not lr > 0"
+    with pytest.raises(ValueError, match="lr must be positive"):
+        DqnHyper(lr=lr)
+
+
+@pytest.mark.parametrize("anneal", [0, -5])
+def test_hyper_rejects_anneal_below_one_step(anneal):
+    # a negative horizon would push epsilon above 1
+    with pytest.raises(ValueError, match="eps_anneal"):
+        DqnHyper(eps_anneal=anneal)
 
 
 def test_epsilon_linear_anneal():
-    h = DqnHyper(steps=100, eps_start=1.0, eps_end=0.05)
+    assert (EPS_START, EPS_END) == (1.0, 0.05)
+    h = DqnHyper(steps=100)
     assert epsilon_at(0, h) == 1.0
     assert epsilon_at(50, h) == pytest.approx(0.525)
     assert epsilon_at(100, h) == pytest.approx(0.05)
@@ -150,9 +161,12 @@ def test_epsilon_linear_anneal():
 
 
 def test_epsilon_separate_anneal_horizon():
-    h = DqnHyper(steps=100, eps_start=1.0, eps_end=0.0, eps_anneal=10)
-    assert epsilon_at(5, h) == pytest.approx(0.5)
-    assert epsilon_at(10, h) == 0.0
+    h = DqnHyper(steps=100, eps_anneal=10)
+    assert epsilon_at(5, h) == pytest.approx(0.525)
+    assert epsilon_at(10, h) == pytest.approx(0.05)
+    assert epsilon_at(50, h) == pytest.approx(0.05)
+    # the shortest horizon, one step, is accepted
+    assert epsilon_at(7, DqnHyper(steps=100, eps_anneal=1)) == pytest.approx(EPS_END)
 
 
 # ------------------------------------------------------------- action choice
@@ -268,20 +282,27 @@ def test_train_rejects_empty_trajectories():
         train_dqn([])
 
 
-def test_train_rejects_single_output_init():
+def test_train_refuses_blown_up_model():
     rng = np.random.default_rng(8)
-    bad = init_model(hidden=(4,), out=1, seed=0)
-    with pytest.raises(ModelError, match="two outputs"):
-        train_dqn([mk_traj(rng)], DqnHyper(steps=1, batch=1), init=bad)
+    hyper = DqnHyper(steps=40, batch=16, lr=1e9, hidden=(8,))
+    with pytest.raises(ModelError, match="blow-up"):
+        with np.errstate(all="ignore"):
+            train_dqn([mk_traj(rng) for _ in range(4)], hyper, seed=2)
 
 
-def test_gradients_only_touch_taken_action():
+def test_gradients_only_touch_taken_action(monkeypatch):
     rng = np.random.default_rng(9)
-    init = init_model(hidden=(), out=2, seed=0)
-    init.weights[0][:] = 0.0                  # all-zero q, ties pick no-split
-    hyper = DqnHyper(steps=1, batch=4, capacity=16, lr=1e-3, hidden=(),
-                     eps_start=0.0, eps_end=0.0)
-    model, _ = train_dqn([mk_traj(rng)], hyper, seed=0, init=init)
+
+    def zero_model(hidden, out, seed):
+        m = init_model(hidden=hidden, out=out, seed=seed)
+        m.weights[0][:] = 0.0                 # all-zero q, ties pick no-split
+        return m
+
+    monkeypatch.setattr(dqn, "init_model", zero_model)
+    monkeypatch.setattr(dqn, "EPS_START", 0.0)      # always greedy
+    monkeypatch.setattr(dqn, "EPS_END", 0.0)
+    hyper = DqnHyper(steps=1, batch=4, capacity=16, lr=1e-3, hidden=())
+    model, _ = train_dqn([mk_traj(rng)], hyper, seed=0)
     assert np.any(model.weights[0][:, ACTION_NS] != 0.0)
     assert np.all(model.weights[0][:, ACTION_QT] == 0.0)
     assert model.biases[0][ACTION_NS] != 0.0
@@ -300,14 +321,6 @@ def test_train_same_seed_bitwise_repeat():
     m3, _ = train_dqn(trajs, hyper, seed=4)
     assert any(not np.array_equal(a, b)
                for a, b in zip(m1.weights, m3.weights))
-
-
-def test_train_warm_start_keeps_given_shape():
-    rng = np.random.default_rng(11)
-    warm = init_model(hidden=(5,), out=2, seed=2)
-    hyper = DqnHyper(steps=5, batch=4, hidden=(64, 64))   # hidden is ignored
-    model, _ = train_dqn([mk_traj(rng)], hyper, seed=0, init=warm)
-    assert model.layer_sizes == [115, 5, 2]
 
 
 def test_train_diagnostics_and_meta():

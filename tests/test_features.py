@@ -5,9 +5,9 @@ import pytest
 
 from qtpart.codec import RdCost, VisitInfo
 from qtpart.features import (FEATURE_COUNT, FEATURE_NAMES, GLCM_STAT_NAMES,
-                             HOG_BINS, LAYOUT_HASH, REGION_NAMES, FeatureMask,
+                             HOG_BINS, LAYOUT_HASH, MASK_GROUPS, REGION_NAMES,
                              build_vector, describe_layout, glcm5, hog8,
-                             mask_indices)
+                             mask_groups, mask_indices)
 from qtpart.frame_io import CausalPatch, Rect
 
 from helpers import natural_frame, reference_glcm5, reference_hog8
@@ -153,22 +153,42 @@ def test_kernels_byte_identical_to_reference():
 
 
 def test_mask_from_names_and_back():
-    m = FeatureMask.from_names(["NI", "HOG"])
-    assert m.ni and m.hog and not (m.pi or m.bi or m.glcm)
-    assert m.names() == ["NI", "HOG"]
-    assert FeatureMask().names() == []
+    assert MASK_GROUPS == ("NI", "PI", "BI", "HOG", "GLCM")
+    # any case and order in, canonical order out, duplicates folded
+    assert mask_groups(["hog", "NI", "Hog"]) == ["NI", "HOG"]
+    assert mask_groups(mask_groups(["glcm", "ni"])) == ["NI", "GLCM"]
+    assert mask_groups([]) == []
     with pytest.raises(ValueError, match="unknown feature groups"):
-        FeatureMask.from_names(["NI", "DC"])
+        mask_groups(["NI", "DC"])
+    with pytest.raises(ValueError, match="unknown feature groups"):
+        mask_indices(["hog", ""])
 
 
 def test_mask_indices_cover_expected_slots():
-    assert mask_indices(FeatureMask()).sum() == 0
-    full = FeatureMask(ni=True, pi=True, bi=True, hog=True, glcm=True)
-    assert mask_indices(full).sum() == FEATURE_COUNT
-    hog_only = mask_indices(FeatureMask.from_names(["HOG"]))
+    assert mask_indices([]).dtype == bool
+    assert mask_indices([]).sum() == 0
+    assert mask_indices(MASK_GROUPS).sum() == FEATURE_COUNT
+    hog_only = mask_indices(["HOG"])
     assert hog_only.sum() == 8 * HOG_BINS
     names = np.array(FEATURE_NAMES)
     assert all("_hog_" in n for n in names[hog_only])
+    assert np.flatnonzero(mask_indices(["ni"])).tolist() == [0, 1, 2, 3]
+    assert np.flatnonzero(mask_indices(["pi"])).tolist() == [4, 5, 6]
+    assert np.flatnonzero(mask_indices(["bi"])).tolist() == [7, 8, 9, 10]
+
+
+def test_mask_indices_and_layout_read_one_table():
+    rows = describe_layout()
+    cover = np.zeros(FEATURE_COUNT, dtype=int)
+    for g in MASK_GROUPS:
+        sel = mask_indices([g])
+        labelled = [r["index"] for r in rows if r["group"] in (g, "SI_" + g)]
+        assert np.flatnonzero(sel).tolist() == labelled
+        cover += sel
+    assert np.all(cover == 1)              # the five groups partition the slots
+    assert np.array_equal(mask_indices(["ni", "PI", "glcm"]),
+                          mask_indices(["NI"]) | mask_indices(["PI"])
+                          | mask_indices(["GLCM"]))
 
 
 # -- vector assembly -----------------------------------------------------------
@@ -185,9 +205,9 @@ def _synthetic_visit(seed=30, size=32, qp=22):
     cost = RdCost.compute(rate=200.0, dist=1500.0, lam=5.0)
     # parent per pixel over its 64x64 area: j 4.0, rate 0.5, dist 2.0
     parent = RdCost.compute(rate=2048.0, dist=8192.0, lam=4.0)
-    return VisitInfo(rect=Rect(64, 32, size, size), depth=1, qp=qp,
-                     patch=patch, ns_cost=cost, can_split=True,
-                     parent=(parent, 4096), top=(2.5, 1), left=(3.5, 2))
+    return VisitInfo(rect=Rect(64, 32, size, size), qp=qp, patch=patch,
+                     ns_cost=cost, parent=(parent, 4096), top=(2.5, 1),
+                     left=(3.5, 2))
 
 
 def test_vector_scalar_slots():

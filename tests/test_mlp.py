@@ -4,8 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from qtpart.dataset import NormalizationSpec, normalize_targets
-from qtpart.features import LAYOUT_HASH, FeatureMask, mask_indices
+from qtpart.dataset import normalize_targets
+from qtpart.features import LAYOUT_HASH, mask_indices
 from qtpart.mlp import (DEFAULT_HIDDEN, NORM_BLOWUP_LIMIT, REDUCED_HIDDEN,
                         AdamState, MlpModel, ModelError, TrainHyper, adam_init,
                         adam_step, check_parameter_scale, forward, init_model,
@@ -154,6 +154,9 @@ def test_train_hyper_validation():
     assert TrainHyper().lr == 1e-5
     with pytest.raises(ValueError, match="positive"):
         TrainHyper(epochs=0)
+    for lr in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            TrainHyper(lr=lr)
 
 
 # -- parameter scale -------------------------------------------------------
@@ -238,9 +241,8 @@ def test_train_two_size_median_model(records_mixed):
     norm = model.meta["normalization"]
     assert norm["mode"] == "median" and norm["c_median"] > 0
     assert model.meta["hidden"] == list(REDUCED_HIDDEN)
-    # the stored divisor is the pooled per-pixel cost median
-    _, _, spec = normalize_targets(records_mixed, NormalizationSpec("median"))
-    assert norm["c_median"] == spec.c_median
+    # the stored normalization is the one the targets were built with
+    assert norm == normalize_targets(records_mixed)[2]
 
 
 def test_train_is_seed_deterministic(records32):
@@ -262,9 +264,12 @@ def test_train_loss_decreases(records32):
 
 def test_train_records_mask_in_meta(records32):
     hyper = TrainHyper(lr=1e-4, batch=128, epochs=1)
-    mask = FeatureMask.from_names(["HOG", "GLCM"])
-    model, _ = train_regression(records32, "N32", hyper, seed=12, mask=mask)
+    model, _ = train_regression(records32, "N32", hyper, seed=12,
+                                mask=["glcm", "Hog"])
     assert model.meta["mask"] == ["HOG", "GLCM"]
+    # an unknown group is refused before anything else is checked
+    with pytest.raises(ValueError, match="unknown feature groups"):
+        train_regression(records32, "N64", hyper, mask=["HOG", "DC"])
 
 
 def test_train_blowup_raises(records32):
@@ -339,7 +344,7 @@ def test_load_rejects_corrupt_model(tmp_path):
 def test_masked_columns_do_not_affect_inference(records32):
     # a model trained with masked groups is always fed vectors whose
     # masked slots are zero, so flipping those inputs must not matter
-    mask = FeatureMask.from_names(["NI", "PI"])
+    mask = ["NI", "PI"]
     model, _ = train_regression(records32, "N32",
                                 TrainHyper(lr=1e-4, batch=128, epochs=1),
                                 seed=16, mask=mask)
