@@ -21,7 +21,7 @@ from .dataset import (DatasetError, balance, balance_trajectories,
 from .decision import ThresholdPolicy, encode_frame
 from .dqn import DqnHyper, train_dqn
 from .features import LAYOUT_HASH, describe_layout
-from .frame_io import FrameFormatError, load_frame
+from .frame_io import load_frame
 from .metrics import ABLATION_CONFIGS, RdCurve, bd_rate, run_ablation, sweep
 from .mlp import (DEFAULT_HIDDEN, ModelError, TrainHyper, load_model,
                   save_model, train_regression)
@@ -42,18 +42,9 @@ def _load_frames(paths, fmt, width, height):
     return [load_frame(p, fmt, width, height) for p in paths]
 
 
-def _jsonable(value):
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def _write_config(target: Path, args: argparse.Namespace) -> None:
     """Dump the resolved arguments next to the command's outputs."""
-    resolved = {k: _jsonable(v) for k, v in sorted(vars(args).items())
-                if k != "func"}
+    resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     if target.is_dir():
         path = target / "config.json"
     else:
@@ -198,11 +189,10 @@ def cmd_sweep(args) -> int:
                    _floats(args.thresholds), qps=tuple(_ints(args.qps)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if result.rows:
-        with (out / "sweep.csv").open("w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=list(result.rows[0]))
-            w.writeheader()
-            w.writerows(result.rows)
+    with (out / "sweep.csv").open("w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=list(result.rows[0]))
+        w.writeheader()
+        w.writerows(result.rows)
     summary = {
         "anchor": {str(qp): result.anchor[qp] for qp in sorted(result.anchor)},
         "points": [{"threshold": p.threshold, "delta_c_pct": p.delta_c,
@@ -359,13 +349,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args) or 0
-    except (FrameFormatError, DatasetError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -110,6 +110,11 @@ class CodecConfig:
         return replace(self, qp=qp)
 
 
+def split_sizes(cfg: CodecConfig) -> tuple[int, ...]:
+    """Sides of the blocks the search can still split, largest first."""
+    return tuple(cfg.ctu >> d for d in range(cfg.max_depth))
+
+
 def split_signal_cost(cfg: CodecConfig) -> float:
     """Cost charged for signalling one quadtree split."""
     return lambda_of_qp(cfg.qp) * cfg.split_bits

@@ -3,18 +3,18 @@
 A record pairs a block's descriptor with its measured no-split and split
 costs (per pixel); a trajectory additionally captures the four children
 of a 32x32 block for the two-depth value-learning agent. Both persist in
-one little-endian binary container:
-
-    magic "QTDS", u16 version, u8 kind (0 records / 1 trajectories),
-    16-byte descriptor layout hash, u32 count, then per-field arrays
-    (float32 descriptors, float64 costs).
+one little-endian binary container: a header (magic "QTDS", u16 version,
+u8 kind, 16-byte descriptor layout hash, u32 count), then one array per
+field of the kind. ``_FIELDS`` is the one statement of those fields,
+their order and their dtypes.
 
 Loading refuses containers whose layout hash does not match the current
-descriptor build.
+descriptor build, and any whose length does not match their count.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .codec import (NS, QP_MAX, QP_MIN, QT, CodecConfig, SearchState,
-                    exhaustive_search, split_signal_cost)
-from .features import LAYOUT_HASH, build_vector
+                    exhaustive_search, split_signal_cost, split_sizes)
+from .features import FEATURE_COUNT, LAYOUT_HASH, build_vector
 from .frame_io import LumaFrame, tile_ctus
 
 MAGIC = b"QTDS"
@@ -52,6 +52,11 @@ class CuRecord:
     @property
     def optimal(self) -> str:
         return NS if self.ns_j_pp <= self.qt_j_pp else QT
+
+    @property
+    def label(self) -> int:
+        """1 when splitting is strictly cheaper, as stored in the container."""
+        return int(self.qt_j_pp < self.ns_j_pp)
 
 
 @dataclass
@@ -92,8 +97,8 @@ def _validate_sizes(cfg: CodecConfig, sizes: Sequence[int]) -> tuple[int, ...]:
             raise DatasetError(f"unsupported block size {s}")
         if s > cfg.ctu // 2:
             raise DatasetError(f"size {s} is not a proper sub-block of a {cfg.ctu} CTU")
-        depth = (cfg.ctu // s).bit_length() - 1
-        if depth >= cfg.max_depth:
+        if s not in split_sizes(cfg):
+            depth = (cfg.ctu // s).bit_length() - 1
             raise DatasetError(
                 f"size {s} blocks need max_depth > {depth} to have a split cost")
     return sizes
@@ -170,8 +175,8 @@ def collect_trajectories(frames: Sequence[LumaFrame], qps: Sequence[int],
                          cfg: CodecConfig, seed: int = 0) -> list[Trajectory]:
     """Emit one trajectory per encountered 32x32 block whose 16x16
     children all have split costs."""
-    depth32 = (cfg.ctu // 32).bit_length() - 1
-    if cfg.ctu < 64 or cfg.max_depth < depth32 + 2:
+    if cfg.ctu < 64 or 16 not in split_sizes(cfg):
+        depth32 = (cfg.ctu // 32).bit_length() - 1
         raise DatasetError(
             f"trajectories need 16x16 split costs: max_depth >= {depth32 + 2} "
             f"with ctu {cfg.ctu}")
@@ -256,94 +261,75 @@ def normalize_targets(records: Sequence[CuRecord]
     return X, y.astype(np.float32), {"mode": "median", "c_median": c}
 
 
-def _header(kind: int, count: int) -> bytes:
-    return MAGIC + struct.pack("<HB", VERSION, kind) \
-        + LAYOUT_HASH.encode("ascii") + struct.pack("<I", count)
+# One table per container kind: (field, little-endian dtype, per-item
+# shape) in file order. Each field is stored as one array over all items.
+_FIELDS = {
+    KIND_RECORDS: [("features", "<f4", (FEATURE_COUNT,)), ("cu_size", "<u2", ()),
+                   ("qp", "<u2", ()), ("ns_j_pp", "<f8", ()), ("qt_j_pp", "<f8", ()),
+                   ("label", "u1", ())],
+    KIND_TRAJECTORIES: [("state32", "<f4", (FEATURE_COUNT,)), ("ns_j_pp", "<f8", ()),
+                        ("qt_j_pp", "<f8", ()), ("delta_qt_pp", "<f8", ()),
+                        ("child_features", "<f4", (4, FEATURE_COUNT)),
+                        ("child_ns_j_pp", "<f8", (4,)), ("child_qt_j_pp", "<f8", (4,))],
+}
+_HEADER = struct.Struct("<4sHB16sI")    # magic, version, kind, layout hash, count
 
 
-def _read_header(data: bytes, want_kind: int) -> tuple[int, int]:
-    if len(data) < 27 or data[:4] != MAGIC:
-        raise DatasetError("bad magic")
-    version, kind = struct.unpack_from("<HB", data, 4)
-    if version != VERSION:
-        raise DatasetError(f"unsupported version {version}")
-    layout = data[7:23].decode("ascii", errors="replace")
-    if layout != LAYOUT_HASH:
-        raise DatasetError("feature layout mismatch")
-    if kind != want_kind:
-        raise DatasetError("container holds a different dataset kind")
-    (count,) = struct.unpack_from("<I", data, 23)
-    return count, 27
-
-
-def _take(data: bytes, pos: int, dtype, shape) -> tuple[np.ndarray, int]:
-    n = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    if pos + n > len(data):
-        raise DatasetError("truncated dataset container")
-    arr = np.frombuffer(data[pos:pos + n], dtype=dtype).reshape(shape)
-    return arr, pos + n
-
-
-def save_records(records: Sequence[CuRecord], path: str | Path) -> None:
-    n = len(records)
-    feats = np.stack([r.features for r in records]).astype("<f4") if n else \
-        np.zeros((0, 115), "<f4")
-    parts = [_header(KIND_RECORDS, n), feats.tobytes(),
-             np.array([r.cu_size for r in records], "<u2").tobytes(),
-             np.array([r.qp for r in records], "<u2").tobytes(),
-             np.array([r.ns_j_pp for r in records], "<f8").tobytes(),
-             np.array([r.qt_j_pp for r in records], "<f8").tobytes(),
-             np.array([1 if r.optimal == QT else 0 for r in records], "u1").tobytes()]
+def _save(kind: int, items: Sequence, path: str | Path) -> None:
+    n = len(items)
+    parts = [_HEADER.pack(MAGIC, VERSION, kind, LAYOUT_HASH.encode("ascii"), n)]
+    for name, dtype, shape in _FIELDS[kind]:
+        arr = np.array([getattr(it, name) for it in items], dtype=dtype)
+        parts.append(arr.reshape((n,) + shape).tobytes())
     Path(path).write_bytes(b"".join(parts))
 
 
-def load_records(path: str | Path) -> list[CuRecord]:
+def _load(path: str | Path, kind: int) -> list[dict]:
+    """Check a container's header and length; return one field dict per item."""
     data = Path(path).read_bytes()
-    n, pos = _read_header(data, KIND_RECORDS)
-    feats, pos = _take(data, pos, "<f4", (n, 115))
-    cu, pos = _take(data, pos, "<u2", (n,))
-    qp, pos = _take(data, pos, "<u2", (n,))
-    ns, pos = _take(data, pos, "<f8", (n,))
-    qt, pos = _take(data, pos, "<f8", (n,))
-    opt, pos = _take(data, pos, "u1", (n,))
-    records = [CuRecord(features=feats[i].copy(), cu_size=int(cu[i]), qp=int(qp[i]),
-                        ns_j_pp=float(ns[i]), qt_j_pp=float(qt[i])) for i in range(n)]
-    for r, label in zip(records, opt):
-        if label != (r.optimal == QT):
+    if len(data) < _HEADER.size or data[:4] != MAGIC:
+        raise DatasetError("bad magic")
+    _, version, stored_kind, layout, n = _HEADER.unpack_from(data)
+    if version != VERSION:
+        raise DatasetError(f"unsupported version {version}")
+    if layout.decode("ascii", errors="replace") != LAYOUT_HASH:
+        raise DatasetError("feature layout mismatch")
+    if stored_kind != kind:
+        raise DatasetError("container holds a different dataset kind")
+    fields = _FIELDS[kind]
+    item_bytes = sum(math.prod(shape) * np.dtype(dtype).itemsize
+                     for _, dtype, shape in fields)
+    want = _HEADER.size + n * item_bytes
+    if len(data) != want:
+        state = "truncated" if len(data) < want else "oversized"
+        raise DatasetError(f"{state} dataset container: {len(data)} bytes, "
+                           f"{n} items need {want}")
+    columns, pos = [], _HEADER.size
+    for _, dtype, shape in fields:
+        col = np.frombuffer(data, dtype, n * math.prod(shape), pos).reshape((n,) + shape)
+        columns.append(list(col.copy()) if shape else col.tolist())
+        pos += col.nbytes
+    names = [name for name, _, _ in fields]
+    return [dict(zip(names, row)) for row in zip(*columns)]
+
+
+def save_records(records: Sequence[CuRecord], path: str | Path) -> None:
+    _save(KIND_RECORDS, records, path)
+
+
+def load_records(path: str | Path) -> list[CuRecord]:
+    records = []
+    for row in _load(path, KIND_RECORDS):
+        label = row.pop("label")
+        records.append(CuRecord(**row))
+        if label != records[-1].label:
             raise DatasetError("stored optimal label does not match costs")
     return records
 
 
 def save_trajectories(trajs: Sequence[Trajectory], path: str | Path) -> None:
-    n = len(trajs)
-    states = np.stack([t.state32 for t in trajs]).astype("<f4") if n else \
-        np.zeros((0, 115), "<f4")
-    kids = np.stack([t.child_features for t in trajs]).astype("<f4") if n else \
-        np.zeros((0, 4, 115), "<f4")
-    parts = [_header(KIND_TRAJECTORIES, n), states.tobytes(),
-             np.array([t.ns_j_pp for t in trajs], "<f8").tobytes(),
-             np.array([t.qt_j_pp for t in trajs], "<f8").tobytes(),
-             np.array([t.delta_qt_pp for t in trajs], "<f8").tobytes(),
-             kids.tobytes(),
-             np.stack([t.child_ns_j_pp for t in trajs]).astype("<f8").tobytes()
-             if n else b"",
-             np.stack([t.child_qt_j_pp for t in trajs]).astype("<f8").tobytes()
-             if n else b""]
-    Path(path).write_bytes(b"".join(parts))
+    _save(KIND_TRAJECTORIES, trajs, path)
 
 
 def load_trajectories(path: str | Path) -> list[Trajectory]:
-    data = Path(path).read_bytes()
-    n, pos = _read_header(data, KIND_TRAJECTORIES)
-    states, pos = _take(data, pos, "<f4", (n, 115))
-    ns, pos = _take(data, pos, "<f8", (n,))
-    qt, pos = _take(data, pos, "<f8", (n,))
-    delta, pos = _take(data, pos, "<f8", (n,))
-    kids, pos = _take(data, pos, "<f4", (n, 4, 115))
-    kns, pos = _take(data, pos, "<f8", (n, 4))
-    kqt, pos = _take(data, pos, "<f8", (n, 4))
-    return [Trajectory(state32=states[i].copy(), ns_j_pp=float(ns[i]),
-                       qt_j_pp=float(qt[i]), delta_qt_pp=float(delta[i]),
-                       child_features=kids[i].copy(),
-                       child_ns_j_pp=kns[i].copy(), child_qt_j_pp=kqt[i].copy())
-            for i in range(n)]
+    return [Trajectory(**row) for row in _load(path, KIND_TRAJECTORIES)]

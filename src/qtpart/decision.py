@@ -49,9 +49,8 @@ class ThresholdPolicy:
 
 def check_active_sizes(active_sizes, cfg: CodecConfig) -> None:
     """Refuse gate sizes the search never consults: the prune hook runs
-    only at blocks that can still split, of side ``cfg.ctu >> d`` for d
-    below ``cfg.max_depth``."""
-    splittable = {cfg.ctu >> d for d in range(cfg.max_depth)}
+    only at blocks that can still split (``codec.split_sizes``)."""
+    splittable = set(codec.split_sizes(cfg))
     unused = sorted(set(int(s) for s in active_sizes) - splittable)
     if unused:
         raise ValueError(f"active sizes {unused} are never consulted; the search "
@@ -66,7 +65,8 @@ def decide(prediction: np.ndarray, policy: ThresholdPolicy) -> str:
     elif p.size == 2:
         ns, qt = float(p[0]), float(p[1])
         if ns <= 0:
-            raise ModelError("non-positive predicted no-split cost")
+            # no ratio to gate on: fall back to the full search below it
+            return EXPLORE
         ratio = qt / ns
     else:
         raise ModelError(f"prediction must have 1 or 2 entries, got {p.size}")
@@ -97,7 +97,6 @@ class FrameRunResult:
     trees: list
     state: SearchState
     full_tiles: list
-    cropped_tiles: int
 
     @property
     def pixels(self) -> int:
@@ -130,10 +129,8 @@ def encode_frame(frame: LumaFrame, cfg: CodecConfig,
         check_active_sizes(policy.active_sizes, cfg)
     state = SearchState(frame)
     trees, full = [], []
-    cropped = 0
     for tile in tile_ctus(frame, cfg.ctu):
         if tile.cropped:
-            cropped += 1
             continue
         full.append(tile)
         if policy is None:
@@ -142,5 +139,4 @@ def encode_frame(frame: LumaFrame, cfg: CodecConfig,
             trees.append(pruned_search(tile.rect, cfg, state, policy))
     if not full:
         raise ValueError("frame holds no full CTU")
-    return FrameRunResult(trees=trees, state=state, full_tiles=full,
-                          cropped_tiles=cropped)
+    return FrameRunResult(trees=trees, state=state, full_tiles=full)

@@ -17,7 +17,7 @@ import numpy as np
 BORDER_FILL = 128   # substitute for unavailable reference samples
 REF_BORDER = 4      # causal reference rows/columns kept per side
 MIN_FRAME_SIDE = 8
-CTU_SIZES = (32, 64, 128)
+CTU_SIZES = (32, 64)      # the largest transform is 64x64
 
 
 class FrameFormatError(ValueError):

@@ -3,12 +3,15 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qtpart
 from qtpart import codec, dataset, metrics
 from qtpart.cli import main
 from qtpart.dataset import load_records, load_trajectories
@@ -413,6 +416,18 @@ def test_malformed_frame_is_data_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_ctu_128_fails_before_any_search(work, tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a search ran before the ctu check")
+
+    monkeypatch.setattr(codec, "search", must_not_run)
+    rc = main(["encode", "--frame", work["c128"], "--ctu", "128",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 3
+    assert "ctu must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_missing_dataset_is_data_error(tmp_path, capsys):
     rc = main(["train", "reg", "--dataset", str(tmp_path / "nope.qtds"),
                "--out", str(tmp_path / "m.qtnn")])
@@ -422,20 +437,23 @@ def test_missing_dataset_is_data_error(tmp_path, capsys):
 
 # -------------------------------------------------------------- entry point
 
+def _python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports the qtpart under test."""
+    src = str(Path(qtpart.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_installed_script_smoke():
-    proc = subprocess.run([sys.executable, "-c",
-                           "from qtpart.cli import main; "
-                           "raise SystemExit(main(['features', 'describe']))"],
-                          capture_output=True, text=True, timeout=120)
+    proc = _python("from qtpart.cli import main; "
+                   "raise SystemExit(main(['features', 'describe']))")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 115
 
 
 def test_import_needs_numpy_only():
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys, qtpart.cli; "
-                           "print(sorted(m for m in sys.modules "
-                           "if m.split('.')[0] == 'scipy'))"],
-                          capture_output=True, text=True, timeout=120)
+    proc = _python("import sys, qtpart.cli; "
+                   "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

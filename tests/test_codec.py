@@ -6,7 +6,8 @@ import pytest
 from qtpart.codec import (MODE_OVERHEAD_BITS, NS, QT, TRANSFORM_SIZES,
                           CodecConfig, RdCost, SearchState, dct2d, encode_ns,
                           exhaustive_search, lambda_of_qp, psnr_of_mse,
-                          qstep_of_qp, qt_cost_table, split_signal_cost)
+                          qstep_of_qp, qt_cost_table, split_signal_cost,
+                          split_sizes)
 from qtpart.frame_io import LumaFrame, Rect, causal_patch
 
 from helpers import (bottom_up_qt_cost, chosen_leaves, dyadic_tables,
@@ -98,6 +99,8 @@ def test_codec_config_validation():
     assert (cfg.ctu, cfg.max_depth, cfg.qp, cfg.split_bits) == (64, 3, 32, 2.0)
     with pytest.raises(ValueError, match="ctu must be one of"):
         CodecConfig(ctu=48)
+    with pytest.raises(ValueError, match="ctu must be one of"):
+        CodecConfig(ctu=128)               # beyond the largest transform
     with pytest.raises(ValueError, match="max_depth"):
         CodecConfig(max_depth=0)
     with pytest.raises(ValueError, match="below 4x4"):
@@ -106,6 +109,12 @@ def test_codec_config_validation():
         CodecConfig(qp=99)
     with pytest.raises(ValueError, match="split_bits"):
         CodecConfig(split_bits=-0.5)
+
+
+def test_split_sizes():
+    assert split_sizes(CodecConfig()) == (64, 32, 16)
+    assert split_sizes(CodecConfig(ctu=32, max_depth=1)) == (32,)
+    assert split_sizes(CodecConfig(max_depth=4)) == (64, 32, 16, 8)
 
 
 def test_at_qp_keeps_other_fields():

@@ -11,6 +11,7 @@ from qtpart.dataset import (COLLECT_SIZES, CuRecord, DatasetError,
                             collect_trajectories, load_records,
                             load_trajectories, normalize_targets,
                             save_records, save_trajectories)
+from qtpart.features import LAYOUT_HASH
 from qtpart.frame_io import LumaFrame
 
 from helpers import natural_frame
@@ -33,6 +34,7 @@ def test_record_validates_costs_and_label():
     assert _rec(ns=2.0, qt=1.5).optimal == QT
     assert _rec(ns=1.0, qt=2.0).optimal == NS
     assert _rec(ns=1.0, qt=1.0).optimal == NS       # a tie is a no-split
+    assert [_rec(ns=2.0, qt=1.5).label, _rec(ns=1.0, qt=1.0).label] == [1, 0]
 
 
 def _traj(seed=0, ns32=3.0, kns=(1.0, 2.0, 3.0, 4.0), kqt=(2.0, 1.0, 4.0, 3.0),
@@ -244,6 +246,58 @@ def test_container_header_layout(tmp_path):
     assert raw[7:23] == b"5ea0f3d7d5b524e0"
     (count,) = struct.unpack_from("<I", raw, 23)
     assert count == 1
+
+
+def test_container_field_layout(tmp_path):
+    # the bytes are assembled here field by field, independently of the
+    # writer's table: header, then one array per field in file order
+    recs = [_rec(seed=1, size=32, qp=22, ns=2.0, qt=1.5),     # QT
+            _rec(seed=2, size=16, qp=37, ns=1.0, qt=2.0)]     # NS
+    want = (b"QTDS" + struct.pack("<HB", 1, 0) + LAYOUT_HASH.encode("ascii")
+            + struct.pack("<I", 2)
+            + recs[0].features.astype("<f4").tobytes()
+            + recs[1].features.astype("<f4").tobytes()
+            + struct.pack("<2H", 32, 16) + struct.pack("<2H", 22, 37)
+            + struct.pack("<2d", 2.0, 1.0) + struct.pack("<2d", 1.5, 2.0)
+            + bytes([1, 0]))
+    p = tmp_path / "r.qtds"
+    save_records(recs, p)
+    assert p.read_bytes() == want
+
+    t = _traj(seed=3)
+    want = (b"QTDS" + struct.pack("<HB", 1, 1) + LAYOUT_HASH.encode("ascii")
+            + struct.pack("<I", 1)
+            + t.state32.astype("<f4").tobytes()
+            + struct.pack("<3d", t.ns_j_pp, t.qt_j_pp, t.delta_qt_pp)
+            + t.child_features.astype("<f4").tobytes()
+            + struct.pack("<4d", *t.child_ns_j_pp)
+            + struct.pack("<4d", *t.child_qt_j_pp))
+    p = tmp_path / "t.qtds"
+    save_trajectories([t], p)
+    assert p.read_bytes() == want
+
+
+@pytest.mark.parametrize("save,load,make", [
+    (save_records, load_records, _rec),
+    (save_trajectories, load_trajectories, _traj),
+])
+def test_load_rejects_container_of_wrong_length(tmp_path, save, load, make):
+    p = tmp_path / "n.qtds"
+    save([make(seed=i) for i in range(3)], p)
+    good = p.read_bytes()
+    assert len(load(p)) == 3
+
+    p.write_bytes(good + b"\x00" * 40)                  # junk appended
+    with pytest.raises(DatasetError, match="oversized"):
+        load(p)
+
+    p.write_bytes(good[:23] + struct.pack("<I", 1) + good[27:])   # count 3 -> 1
+    with pytest.raises(DatasetError, match="oversized"):
+        load(p)
+
+    p.write_bytes(good[:23] + struct.pack("<I", 4) + good[27:])   # count 3 -> 4
+    with pytest.raises(DatasetError, match="truncated"):
+        load(p)
 
 
 def test_empty_containers_roundtrip(tmp_path):

@@ -192,6 +192,16 @@ def test_sweep_anchor_and_rows(sweep_frames):
         assert res.rows[1][f"rate_bits_q{qp}"] == res.anchor[qp]["rate_bits"]
 
 
+def test_sweep_explores_where_no_split_prediction_is_nonpositive(sweep_frames):
+    # two outputs pinned at (-1, 1): no ratio, so every block is explored
+    model = init_model(hidden=(), out=2, seed=0)
+    model.weights[0][:] = 0.0
+    model.biases[0][:] = np.array([-1.0, 1.0], np.float32)
+    model.meta["layout_hash"] = LAYOUT_HASH
+    res = sweep(sweep_frames, CodecConfig(), model, (32,), (0.5, 1.0, 2.0))
+    assert [p.delta_c for p in res.points] == [0.0, 0.0, 0.0]
+
+
 # ---------------------------------------------------------------- ablation
 
 def test_ablation_unknown_config(records32, sweep_frames):
