@@ -32,6 +32,7 @@ builds (``mask_indices``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -72,74 +73,139 @@ _SLOT_GROUPS = tuple(("HOG" if "_hog_" in n else "GLCM") if n.startswith("si_")
 MASK_GROUPS = tuple(dict.fromkeys(_SLOT_GROUPS))     # NI, PI, BI, HOG, GLCM
 
 
+def _check_region(region) -> None:
+    if not isinstance(region, np.ndarray) or region.dtype != np.uint8:
+        raise ValueError("region must be a uint8 array")
+    if region.ndim != 2 or region.shape[0] < 2 or region.shape[1] < 2:
+        raise ValueError("region must be at least 2x2")
+
+
+def _orientation_bins() -> np.ndarray:
+    """Orientation bin of every integer gradient (gx, gy) in
+    [-255, 255]^2, at flat index (gy + 255) * 511 + (gx + 255).
+
+    Each entry is the float chain floor(degrees(arctan2(gy, gx)) % 180
+    * 8 / 180), capped at 7, evaluated on float64 copies of the integer
+    gradients, so a lookup gives exactly the bin that chain gives. The
+    chain runs on 16 gy rows at a time, which keeps each float64
+    temporary at 64 kB instead of the 2 MB of the full grid.
+    """
+    g = np.arange(-255.0, 256.0)
+    table = np.empty((g.size, g.size), dtype=np.uint8)
+    for lo in range(0, g.size, 16):
+        ang = np.degrees(np.arctan2(g[lo:lo + 16, None], g)) % 180.0
+        table[lo:lo + 16] = np.minimum((ang * (HOG_BINS / 180.0)).astype(np.int64),
+                                       HOG_BINS - 1)
+    return table.ravel()
+
+
+_BIN_OF_GRADIENT = _orientation_bins()
+_GRADIENT_CODE_OFFSET = 255 * 511 + 255
+
+
+@functools.lru_cache(maxsize=64)
+def _gradient_taps(h: int, w: int) -> np.ndarray:
+    """Flat sample indices of an h x w region, shape (2, 2, h*w):
+    [[right, below], [left, above]] neighbours of every sample, clamped
+    at the edges. ``a.take(taps)`` then one subtraction gives (gx, gy)."""
+    k = np.arange(h * w).reshape(h, w)
+    cols, rows = np.arange(w), np.arange(h)
+    plus = [k[:, np.minimum(cols + 1, w - 1)], k[np.minimum(rows + 1, h - 1)]]
+    minus = [k[:, np.maximum(cols - 1, 0)], k[np.maximum(rows - 1, 0)]]
+    taps = np.array([plus, minus]).reshape(2, 2, h * w)
+    taps.flags.writeable = False
+    return taps
+
+
 def hog8(region: np.ndarray) -> np.ndarray:
-    """8-bin unsigned orientation histogram of a 2-D region.
+    """8-bin unsigned orientation histogram of a 2-D uint8 region.
 
     Gradients use the central-difference kernel [-1, 0, 1] with replicated
     borders; orientations fold into [0, 180) and each pixel votes its
     gradient magnitude into one of 8 equal bins. The histogram is
     L1-normalized, or all zero when the total magnitude is negligible.
+
+    Exact shortcuts, each giving the bytes of the float64 formulation
+    (``tests/helpers.py::reference_hog8``):
+
+    - Gradients are differences of 8-bit samples, computed in int32:
+      the same integers float64 differences give, and ``np.hypot``
+      converts them to float64 exactly.
+    - The bin of each gradient is looked up in a 511 x 511 table built
+      at import from the same float chain (``_orientation_bins``).
+    - A nonzero integer gradient has magnitude at least 1, so the total
+      magnitude is negligible only when every gradient is 0; such
+      regions return zeros before ``hypot``.
     """
-    a = np.asarray(region, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < 2 or a.shape[1] < 2:
-        raise ValueError("region must be at least 2x2")
-    # replicated borders turn the edge differences one-sided
-    gx = np.empty_like(a)
-    gx[:, 1:-1] = a[:, 2:] - a[:, :-2]
-    gx[:, 0] = a[:, 1] - a[:, 0]
-    gx[:, -1] = a[:, -1] - a[:, -2]
-    gy = np.empty_like(a)
-    gy[1:-1] = a[2:] - a[:-2]
-    gy[0] = a[1] - a[0]
-    gy[-1] = a[-1] - a[-2]
-    mag = np.hypot(gx, gy)
-    total = float(mag.sum())
-    if total < 1e-9:
+    _check_region(region)
+    taps = region.astype(np.int32).take(_gradient_taps(*region.shape))
+    g = taps[0] - taps[1]
+    if not np.count_nonzero(g):
         return np.zeros(HOG_BINS, dtype=np.float64)
-    ang = np.degrees(np.arctan2(gy, gx)) % 180.0
-    bins = np.minimum((ang * (HOG_BINS / 180.0)).astype(np.int64), HOG_BINS - 1)
-    hist = np.bincount(bins.ravel(), weights=mag.ravel(), minlength=HOG_BINS)
-    return hist / hist.sum()
+    gx, gy = g[0], g[1]
+    bins = _BIN_OF_GRADIENT.take(gy * 511 + gx + _GRADIENT_CODE_OFFSET)
+    hist = np.bincount(bins, weights=np.hypot(gx, gy), minlength=HOG_BINS)
+    return hist / np.add.reduce(hist)
 
 
 _LEVELS = np.arange(GLCM_LEVELS, dtype=np.float64)
 _LEVEL_DIST = np.abs(_LEVELS[:, None] - _LEVELS[None, :])
 _HOMOG_DEN = 1.0 + _LEVEL_DIST
+# co-occurrence cell of every sample pair: level(left) * 8 + level(right)
+_LEVEL_OF = (np.arange(256) >> 5).astype(np.uint8)
+_PAIR_CELL = _LEVEL_OF[:, None] * np.uint8(GLCM_LEVELS) + _LEVEL_OF
+# what the full path yields when every pair falls in one diagonal cell
+_SINGLE_LEVEL_GLCM = (-0.0, 1.0, 1.0, 0.0, 0.0)
 
 
 def glcm5(region: np.ndarray) -> np.ndarray:
     """Five statistics of the 8-level symmetric horizontal co-occurrence
-    matrix: (entropy, energy, homogeneity, correlation, dissimilarity).
+    matrix of a 2-D uint8 region: (entropy, energy, homogeneity,
+    correlation, dissimilarity).
 
     Pixel values quantize to 8 gray levels; each horizontally adjacent
     pair is counted in both directions. Entropy is scaled by 1/6 (its
     8-level maximum) into [0, 1]; correlation is 0 when the level
     variance vanishes and is clamped to [-1, 1] against rounding.
+
+    Exact shortcuts, each giving the bytes of the scatter-add
+    formulation (``tests/helpers.py::reference_glcm5``):
+
+    - Pair cells come from a 256 x 256 table, counted by one bincount.
+    - A region whose pairs all fall in one diagonal cell (one gray
+      level) returns the constant the full path computes for it:
+      entropy -(1 * log2 1) / 6 = -0.0, energy and homogeneity 1,
+      zero variance so correlation 0, dissimilarity 0.
+    - Energy, homogeneity, dissimilarity and the correlation numerator
+      are rows of one (4, 64) buffer summed along its last axis, which
+      adds each row in the same pairwise order as summing the 8 x 8
+      matrix alone.
     """
-    a = np.asarray(region)
-    if a.ndim != 2 or a.shape[0] < 2 or a.shape[1] < 2:
-        raise ValueError("region must be at least 2x2")
-    lev = a.astype(np.int64) >> 5
-    pairs = (lev[:, :-1] * GLCM_LEVELS + lev[:, 1:]).ravel()
-    c = np.bincount(pairs, minlength=GLCM_LEVELS * GLCM_LEVELS).reshape(
-        GLCM_LEVELS, GLCM_LEVELS)
+    _check_region(region)
+    cells = _PAIR_CELL[region[:, :-1], region[:, 1:]]
+    n = cells.size
+    c = np.bincount(cells.ravel(), minlength=GLCM_LEVELS * GLCM_LEVELS)
+    k = int(c.argmax())
+    if c[k] == n and k % (GLCM_LEVELS + 1) == 0:
+        return np.array(_SINGLE_LEVEL_GLCM)
+    c = c.reshape(GLCM_LEVELS, GLCM_LEVELS)
     # counts are exact integers, so dividing by the known pair total
     # equals dividing by the matrix sum
-    p = (c + c.T) / float(2 * pairs.size)
+    p = (c + c.T) / float(2 * n)
 
     nzp = p[p > 0.0]
-    entropy = min(float(-(nzp * np.log2(nzp)).sum()), 6.0) / 6.0
-    energy = float((p * p).sum())
-    homog = float((p / _HOMOG_DEN).sum())
-    dissim = float((p * _LEVEL_DIST).sum())
-    marg = p.sum(axis=1)                       # symmetric: marginals coincide
-    mu = float((_LEVELS * marg).sum())
-    var = float(((_LEVELS - mu) ** 2 * marg).sum())
-    if var <= 0.0:
-        corr = 0.0
-    else:
-        corr = float((p * (_LEVELS[:, None] - mu) * (_LEVELS[None, :] - mu)).sum()) / var
-        corr = min(1.0, max(-1.0, corr))
+    entropy = min(-float(np.add.reduce(nzp * np.log2(nzp))), 6.0) / 6.0
+    marg = np.add.reduce(p, axis=1)            # symmetric: marginals coincide
+    mu = float(np.add.reduce(_LEVELS * marg))
+    d = _LEVELS - mu
+    var = float(np.add.reduce(d * d * marg))
+    rows = np.empty((4, GLCM_LEVELS, GLCM_LEVELS))
+    np.multiply(p, p, out=rows[0])
+    np.divide(p, _HOMOG_DEN, out=rows[1])
+    np.multiply(p, _LEVEL_DIST, out=rows[2])
+    np.multiply(p * d[:, None], d, out=rows[3])
+    energy, homog, dissim, cov = np.add.reduce(rows.reshape(4, -1), axis=1).tolist()
+    corr = 0.0 if var <= 0.0 else min(1.0, max(-1.0, cov / var))
     return np.array([entropy, energy, homog, corr, dissim])
 
 
@@ -161,7 +227,7 @@ def mask_indices(names) -> np.ndarray:
 def _regions(patch: CausalPatch) -> list[np.ndarray]:
     cu = patch.cu
     h2, w2 = cu.shape[0] // 2, cu.shape[1] // 2
-    lshape = np.hstack([patch.corner, patch.top, patch.left.T])
+    lshape = np.concatenate([patch.corner, patch.top, patch.left.T], axis=1)
     return [cu,
             cu[:h2, :w2], cu[:h2, w2:], cu[h2:, :w2], cu[h2:, w2:],
             patch.top, patch.left, lshape]
@@ -186,7 +252,7 @@ def build_vector(visit: VisitInfo) -> np.ndarray:
     for r, region in enumerate(_regions(visit.patch)):
         base = _SI_BASE + r * _REGION_WIDTH
         v[base:base + HOG_BINS] = hog8(region)
-        ent, ene, hom, corr, dis = glcm5(region)
+        ent, ene, hom, corr, dis = glcm5(region).tolist()
         v[base + HOG_BINS:base + _REGION_WIDTH] = (
             ent, ene, hom, (corr + 1.0) / 2.0, dis / (GLCM_LEVELS - 1.0))
     return v.astype(np.float32)

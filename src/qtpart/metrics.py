@@ -138,25 +138,31 @@ class SweepResult:
     anchor: dict                  # per-qp pixels/rate/psnr
 
 
-def sweep(frames: Sequence[LumaFrame], cfg: CodecConfig, model: MlpModel,
-          active_sizes: Sequence[int], thresholds: Sequence[float],
-          qps: Sequence[int] = EVAL_QPS) -> SweepResult:
-    """Measure the complexity/quality trade-off over a threshold grid.
-
-    The anchor is the exhaustive search on the same frames and qps; each
-    threshold yields one (delta_c, bd_rate) point. Every policy is built,
-    and so the model and the active sizes checked, before the first encode.
-    """
+def _check_grid(thresholds: Sequence[float], qps, active_sizes,
+                cfg: CodecConfig) -> None:
+    """Refuse a threshold grid, qp set or active sizes no sweep can run."""
     if not thresholds:
         raise ValueError("empty threshold list")
+    if not all(t > 0 for t in thresholds):
+        raise ValueError("threshold must be positive")
     _require_eval_qps(qps)
     check_active_sizes(active_sizes, cfg)
-    policies = [ThresholdPolicy(model=model, threshold=t, active_sizes=active_sizes)
-                for t in sorted(thresholds)]
-    anchor = _run_setting(frames, cfg, None, qps)
+
+
+def _policies(model: MlpModel, thresholds: Sequence[float],
+              active_sizes: Sequence[int]) -> list[ThresholdPolicy]:
+    """One gate per threshold, in increasing order; building them checks
+    the model."""
+    return [ThresholdPolicy(model=model, threshold=t, active_sizes=active_sizes)
+            for t in sorted(thresholds)]
+
+
+def _sweep_against(anchor: dict, frames: Sequence[LumaFrame], cfg: CodecConfig,
+                   policies: Sequence[ThresholdPolicy], qps) -> SweepResult:
+    """One (delta_c, bd_rate) point per policy against the exhaustive
+    ``anchor`` runs (``_run_setting`` with no policy) of the same frames."""
     anchor_curve = _curve_of(anchor)
     anchor_px = {qp: r["pixels"] for qp, r in anchor.items()}
-
     points, rows = [], []
     for policy in policies:
         t = policy.threshold
@@ -171,6 +177,21 @@ def sweep(frames: Sequence[LumaFrame], cfg: CodecConfig, model: MlpModel,
             row[f"pixels_q{qp}"] = runs[qp]["pixels"]
         rows.append(row)
     return SweepResult(points=points, rows=rows, anchor=anchor)
+
+
+def sweep(frames: Sequence[LumaFrame], cfg: CodecConfig, model: MlpModel,
+          active_sizes: Sequence[int], thresholds: Sequence[float],
+          qps: Sequence[int] = EVAL_QPS) -> SweepResult:
+    """Measure the complexity/quality trade-off over a threshold grid.
+
+    The anchor is the exhaustive search on the same frames and qps; each
+    threshold yields one (delta_c, bd_rate) point. Every policy is built,
+    and so the model and the active sizes checked, before the first encode.
+    """
+    _check_grid(thresholds, qps, active_sizes, cfg)
+    policies = _policies(model, thresholds, active_sizes)
+    return _sweep_against(_run_setting(frames, cfg, None, qps), frames, cfg,
+                          policies, qps)
 
 
 def interpolate_bd_at(points: Sequence[TradeoffPoint],
@@ -195,17 +216,25 @@ def run_ablation(records: Sequence[CuRecord], frames: Sequence[LumaFrame],
                  active_sizes: Sequence[int] = (32,),
                  qps: Sequence[int] = EVAL_QPS) -> list[dict]:
     """Retrain the size-32 regression under each configuration, sweep it,
-    and report bd_rate interpolated at 10% and 20% complexity drops."""
-    _require_eval_qps(qps)
-    check_active_sizes(active_sizes, cfg)
-    rows = []
+    and report bd_rate interpolated at 10% and 20% complexity drops.
+
+    Every config name, the threshold grid, the qps and the active sizes
+    are checked before the first model is trained. The exhaustive anchor
+    is encoded once and shared by every configuration's sweep.
+    """
+    _check_grid(thresholds, qps, active_sizes, cfg)
     for name in configs:
         if name not in ABLATION_CONFIGS:
             raise ValueError(f"unknown ablation config {name!r}")
+    rows, anchor = [], None
+    for name in configs:
         groups, hidden = ABLATION_CONFIGS[name]
         model, _ = train_regression(records, "N32", hyper=hyper, seed=seed,
                                     mask=groups, hidden=hidden)
-        result = sweep(frames, cfg, model, active_sizes, thresholds, qps)
+        policies = _policies(model, thresholds, active_sizes)
+        if anchor is None:       # once, after the first model passed the gate checks
+            anchor = _run_setting(frames, cfg, None, qps)
+        result = _sweep_against(anchor, frames, cfg, policies, qps)
         rows.append({"config": name,
                      "bd_at_dc10": interpolate_bd_at(result.points, 10.0),
                      "bd_at_dc20": interpolate_bd_at(result.points, 20.0)})

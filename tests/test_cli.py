@@ -289,6 +289,26 @@ def test_nan_threshold_fails_before_any_search(work, tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--configs", "none,bogus", "--thresholds", "1.0"], "unknown ablation config"),
+    (["--configs", "none", "--thresholds", ","], "empty threshold list"),
+    (["--configs", "none", "--thresholds", "1.0,nan"], "threshold must be positive"),
+])
+def test_ablate_bad_input_fails_before_training(work, tmp_path, capsys, monkeypatch,
+                                               extra, message):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a model was trained before the input checks")
+
+    monkeypatch.setattr(metrics, "train_regression", must_not_run)
+    monkeypatch.setattr(codec, "search", must_not_run)
+    out = tmp_path / "out"
+    rc = main(["ablate", "--dataset", work["dataset"], "--frames", work["a64"]]
+              + extra + ["--out", str(out)])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_encode_rejects_foreign_feature_layout(work, tmp_path, capsys):
     alien = init_model(hidden=(), out=1, seed=0)
     alien.meta["layout_hash"] = "0" * 16

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from qtpart import features
 from qtpart.codec import RdCost, VisitInfo
 from qtpart.features import (FEATURE_COUNT, FEATURE_NAMES, GLCM_STAT_NAMES,
                              HOG_BINS, LAYOUT_HASH, MASK_GROUPS, REGION_NAMES,
@@ -122,14 +123,18 @@ def test_glcm_rejects_tiny_regions():
 def _oracle_regions():
     """Seeded regions of every shape and content class the descriptor
     meets: blocks, quadrants, reference strips and L-shapes; noise,
-    ramps, flat and saturated content."""
+    ramps, flat, single-level and saturated content."""
     rng = np.random.default_rng(2024)
     shapes = [(2, 2)] + [(n, n) for n in (4, 8, 16, 32)]
     shapes += [(4, n) for n in (4, 8, 16, 32, 64)]              # top strips
     shapes += [(4, 4 + w + h) for w, h in ((4, 4), (8, 8), (16, 16), (32, 32))]
     shapes += [(2, 3), (3, 2), (2, 64), (64, 2), (5, 7)]
+    # every region shape build_vector cuts at each block size: block,
+    # quadrant, top strip, left strip, L-shape
+    for n in (8, 16, 32, 64):
+        shapes += [(n, n), (n // 2, n // 2), (4, n), (n, 4), (4, 4 + 2 * n)]
     regions = []
-    for h, w in shapes:
+    for h, w in dict.fromkeys(shapes):
         yy, xx = np.mgrid[0:h, 0:w]
         regions.append(rng.integers(0, 256, (h, w)).astype(np.uint8))
         regions.append(np.clip(128 + rng.normal(0, 2, (h, w)), 0, 255).astype(np.uint8))
@@ -138,15 +143,74 @@ def _oracle_regions():
         regions.append(np.full((h, w), 255, np.uint8))
         gx, gy = rng.uniform(-12, 12, 2)
         regions.append(np.clip(128 + gx * xx + gy * yy, 0, 255).astype(np.uint8))
+        # one gray level but not constant: values inside one 32-wide bucket
+        low = 32 * int(rng.integers(0, 8))
+        regions.append(rng.integers(low, low + 32, (h, w)).astype(np.uint8))
+        # 0/255 checkerboard: gradients of +-255 along the edges
+        regions.append(((yy + xx) % 2 * 255).astype(np.uint8))
+        # a quadrant view into a larger block, as build_vector passes it
+        big = rng.integers(0, 256, (2 * h, 2 * w)).astype(np.uint8)
+        regions.append(big[h:, :w])
+    for h in (2, 3, 8, 64):
+        # width 2, every row the same off-diagonal pair of levels 1 and 2
+        regions.append(np.tile(np.array([[32, 64]], np.uint8), (h, 1)))
+        regions.append(np.tile(np.array([[255, 0]], np.uint8), (h, 1)))
     return regions
+
+
+_SINGLE_LEVEL = np.array([-0.0, 1.0, 1.0, 0.0, 0.0]).tobytes()
 
 
 def test_kernels_byte_identical_to_reference():
     regions = _oracle_regions()
     assert any(hog8(r).sum() == 0.0 for r in regions)    # flat path covered
+    single = [r for r in regions if glcm5(r).tobytes() == _SINGLE_LEVEL]
+    assert any(r.min() != r.max() for r in single)       # not only constants
+    assert any(r.shape[1] == 2 and glcm5(r).tobytes() != _SINGLE_LEVEL
+               and len(set(r.ravel() >> 5)) == 2 for r in regions)
     for region in regions:
         assert hog8(region).tobytes() == reference_hog8(region).tobytes()
         assert glcm5(region).tobytes() == reference_glcm5(region).tobytes()
+
+
+def test_orientation_bin_table_matches_float_chain():
+    # every integer gradient pair, pushed through the float chain in
+    # short odd-length pieces rather than one big array
+    g = np.arange(-255, 256)
+    gy, gx = (a.ravel().astype(np.float64) for a in np.meshgrid(g, g, indexing="ij"))
+    cuts = np.cumsum(np.resize([1, 3, 5, 7, 9, 11, 13], gx.size))
+    cuts = cuts[cuts < gx.size]
+    want = np.concatenate([
+        np.minimum((np.degrees(np.arctan2(y, x)) % 180.0 * (8 / 180.0)).astype(np.int64), 7)
+        for x, y in zip(np.split(gx, cuts), np.split(gy, cuts))])
+    table = features._BIN_OF_GRADIENT
+    assert table.dtype == np.uint8 and table.shape == (511 * 511,)
+    index = (gy.astype(np.int64) + 255) * 511 + (gx.astype(np.int64) + 255)
+    assert np.array_equal(table[index], want)
+
+
+def test_glcm_single_level_matches_full_path():
+    # the shortcut returns what the full path computes, -0.0 entropy included
+    rng = np.random.default_rng(5)
+    for low in range(0, 256, 32):
+        for shape in ((2, 2), (4, 36), (16, 16), (64, 2)):
+            region = rng.integers(low, low + 32, shape).astype(np.uint8)
+            out = glcm5(region)
+            assert out.tobytes() == reference_glcm5(region).tobytes() == _SINGLE_LEVEL
+            assert np.signbit(out[0])
+    # width 2 with every pair off the diagonal is two levels, not one
+    ent, ene, hom, corr, dis = glcm5(np.tile(np.array([[32, 64]], np.uint8), (8, 1)))
+    assert (ent, ene, corr, dis) == (pytest.approx(1 / 6), 0.5, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("kernel", [hog8, glcm5])
+@pytest.mark.parametrize("region", [
+    np.zeros((4, 4), np.int64), np.zeros((4, 4), np.float64),
+    np.zeros((4, 4), np.int8), np.zeros((4, 4), np.uint16),
+    np.zeros((4, 4), bool), [[0, 1], [2, 3]]])
+def test_kernels_refuse_non_uint8_regions(kernel, region):
+    with pytest.raises(ValueError, match="uint8"):
+        kernel(region)
 
 
 # -- masks --------------------------------------------------------------------

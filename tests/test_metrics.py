@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from qtpart import metrics
 from qtpart.codec import CodecConfig
 from qtpart.features import LAYOUT_HASH
 from qtpart.metrics import (ABLATION_CONFIGS, EVAL_QPS, RdCurve, TradeoffPoint,
                             bd_rate, delta_c, interpolate_bd_at, run_ablation,
                             sweep)
-from qtpart.mlp import TrainHyper, init_model
+from qtpart.mlp import TrainHyper, init_model, train_regression
 
 from helpers import natural_frame
 
@@ -208,6 +209,49 @@ def test_ablation_unknown_config(records32, sweep_frames):
     with pytest.raises(ValueError, match="unknown ablation config"):
         run_ablation(records32, sweep_frames[:1], CodecConfig(), (1.0,),
                      configs=("bogus",))
+
+
+@pytest.mark.parametrize("configs, thresholds, message", [
+    (("none", "bogus"), (1.0,), "unknown ablation config 'bogus'"),
+    (("none",), (), "empty threshold list"),
+    (("none",), (1.0, float("nan")), "threshold must be positive"),
+    (("none",), (0.0,), "threshold must be positive"),
+])
+def test_ablation_checks_inputs_before_training(records32, sweep_frames, monkeypatch,
+                                                configs, thresholds, message):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a model was trained before the input checks")
+
+    monkeypatch.setattr(metrics, "train_regression", must_not_run)
+    with pytest.raises(ValueError, match=message):
+        run_ablation(records32, sweep_frames[:1], CodecConfig(), thresholds,
+                     configs=configs)
+
+
+def test_ablation_encodes_the_anchor_once(records32, sweep_frames, monkeypatch):
+    calls = []
+    encode = metrics.encode_frame
+
+    def counting(frame, cfg, policy):
+        calls.append(policy is None)
+        return encode(frame, cfg, policy)
+
+    monkeypatch.setattr(metrics, "encode_frame", counting)
+    hyper = TrainHyper(lr=1e-4, batch=128, epochs=2)
+    thresholds = (0.9, 1.1)
+    rows = run_ablation(records32, sweep_frames, CodecConfig(), thresholds,
+                        configs=("none", "wo_hog"), hyper=hyper, seed=1)
+    frames_qps = len(sweep_frames) * len(EVAL_QPS)
+    assert sum(calls) == frames_qps                  # one exhaustive pass
+    assert len(calls) == frames_qps * (1 + 2 * len(thresholds))
+    # each row is what a separate sweep of the same model reports
+    for row in rows:
+        groups, hidden = ABLATION_CONFIGS[row["config"]]
+        model, _ = train_regression(records32, "N32", hyper=hyper, seed=1,
+                                    mask=groups, hidden=hidden)
+        points = sweep(sweep_frames, CodecConfig(), model, (32,), thresholds).points
+        assert row["bd_at_dc10"] == interpolate_bd_at(points, 10.0)
+        assert row["bd_at_dc20"] == interpolate_bd_at(points, 20.0)
 
 
 def test_ablation_rows(records32, sweep_frames):
