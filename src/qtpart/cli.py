@@ -52,6 +52,13 @@ def _write_config(target: Path, args: argparse.Namespace) -> None:
     path.write_text(json.dumps(resolved, indent=2, sort_keys=True) + "\n")
 
 
+def _write_csv(path: Path, header: list, rows) -> None:
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _psnr_value(p: float):
     return "lossless" if math.isinf(p) else p
 
@@ -121,12 +128,8 @@ def cmd_train_reg(args) -> int:
     model, history = train_regression(records, args.variant, hyper=hyper,
                                       seed=args.seed, mask=mask, hidden=hidden)
     save_model(model, args.out)
-    loss_path = Path(args.out).with_name(Path(args.out).name + ".loss.csv")
-    with loss_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "train_loss"])
-        for epoch, loss in enumerate(history):
-            w.writerow([epoch, loss])
+    _write_csv(Path(args.out).with_name(Path(args.out).name + ".loss.csv"),
+               ["epoch", "train_loss"], enumerate(history))
     _write_config(Path(args.out), args)
     print(f"trained {args.variant} on {len(records)} records, "
           f"final loss {history[-1]:.6g}")
@@ -140,12 +143,8 @@ def cmd_train_dqn(args) -> int:
                      hidden=tuple(_ints(args.hidden)))
     model, diag = train_dqn(trajs, hyper, seed=args.seed)
     save_model(model, args.out)
-    diag_path = Path(args.out).with_name(Path(args.out).name + ".diag.csv")
-    with diag_path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "td_error", "epsilon"])
-        for row in diag:
-            w.writerow(list(row))
+    _write_csv(Path(args.out).with_name(Path(args.out).name + ".diag.csv"),
+               ["step", "td_error", "epsilon"], diag)
     _write_config(Path(args.out), args)
     print(f"trained value model on {len(trajs)} trajectories, "
           f"{args.steps} steps")
@@ -189,10 +188,8 @@ def cmd_sweep(args) -> int:
                    _floats(args.thresholds), qps=tuple(_ints(args.qps)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / "sweep.csv").open("w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(result.rows[0]))
-        w.writeheader()
-        w.writerows(result.rows)
+    _write_csv(out / "sweep.csv", list(result.rows[0]),
+               [row.values() for row in result.rows])
     summary = {
         "anchor": {str(qp): result.anchor[qp] for qp in sorted(result.anchor)},
         "points": [{"threshold": p.threshold, "delta_c_pct": p.delta_c,
@@ -226,13 +223,10 @@ def cmd_ablate(args) -> int:
                         qps=tuple(_ints(args.qps)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / "ablation.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["config", "bd_at_dc10", "bd_at_dc20"])
-        for row in rows:
-            w.writerow([row["config"],
-                        "unreachable" if row["bd_at_dc10"] is None else row["bd_at_dc10"],
-                        "unreachable" if row["bd_at_dc20"] is None else row["bd_at_dc20"]])
+    bd_keys = ("bd_at_dc10", "bd_at_dc20")
+    _write_csv(out / "ablation.csv", ["config", *bd_keys],
+               [[row["config"], *("unreachable" if row[k] is None else row[k]
+                                  for k in bd_keys)] for row in rows])
     _write_config(out, args)
     print(f"ablation over {len(rows)} configs; results in {out}")
     return 0

@@ -9,6 +9,11 @@ on their measured costs directly. All costs are whole-block values
 scaled by one median taken over the training set, which makes the
 bootstrap an exact sum. Gradients flow only through the taken action's
 output.
+
+Training fills two tables indexed by (trajectory, slot), slot 0 the
+32x32 block and slots 1-4 its children: the descriptors and the scaled
+(no-split, split) costs. A replay entry is the integer code
+``(trajectory * 5 + slot) * 2 + action`` into them.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataset import DatasetError, Trajectory
-from .features import LAYOUT_HASH
+from .features import FEATURE_COUNT
 from .mlp import (DEFAULT_HIDDEN, MlpModel, ModelError, adam_init, adam_step,
                   backward, check_parameter_scale, forward, forward_cached,
                   init_model)
@@ -32,7 +37,7 @@ EPS_START, EPS_END = 1.0, 0.05                   # exploration schedule ends
 
 @dataclass
 class Transition:
-    """One replayed decision.
+    """One decision in scalar form, as ``bellman_target`` scores it.
 
     ``next_states`` holds the four child descriptors of a split action;
     a no-split action observes nothing below. ``terminal`` marks
@@ -60,32 +65,32 @@ class Transition:
 
 
 class ReplayMemory:
-    """Bounded FIFO ring with seeded uniform sampling (no replacement)."""
+    """Bounded FIFO ring of replay codes, seeded uniform sampling."""
 
     def __init__(self, capacity: int, seed=0):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._items: list[Transition] = []
+        self._codes: list[int] = []
         self._next = 0
         self._rng = np.random.default_rng(seed)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._codes)
 
-    def push(self, t: Transition) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(t)
+    def push(self, code: int) -> None:
+        if len(self._codes) < self.capacity:
+            self._codes.append(code)
         else:
-            self._items[self._next] = t          # overwrite oldest
+            self._codes[self._next] = code       # overwrite oldest
             self._next = (self._next + 1) % self.capacity
 
-    def sample(self, n: int) -> list[Transition]:
-        if not self._items:
+    def sample(self, n: int) -> np.ndarray:
+        if not self._codes:
             raise ValueError("cannot sample from an empty memory")
-        n = min(n, len(self._items))
-        idx = self._rng.choice(len(self._items), size=n, replace=False)
-        return [self._items[i] for i in idx]
+        n = min(n, len(self._codes))
+        idx = self._rng.choice(len(self._codes), size=n, replace=False)
+        return np.array([self._codes[i] for i in idx.tolist()], dtype=np.int64)
 
 
 @dataclass
@@ -124,6 +129,18 @@ def select_action(model: MlpModel, state: np.ndarray, eps: float,
     return ACTION_NS if q[ACTION_NS] <= q[ACTION_QT] else ACTION_QT
 
 
+def _bootstrap(delta: np.ndarray, children: np.ndarray,
+               model: MlpModel) -> np.ndarray:
+    """Split targets of k rows: each row's signalling charge plus the sum
+    over its four children (k, 4, 115) of the cheaper action value, from
+    one forward over all the children in row order."""
+    q = np.asarray(forward(model, children.reshape(-1, children.shape[-1])),
+                   dtype=np.float64)
+    best = np.minimum(q[:, ACTION_NS], q[:, ACTION_QT]).reshape(len(delta), 4)
+    # fsum keeps each 4-term sum exactly rounded and order-independent
+    return np.array([float(d) + math.fsum(b) for d, b in zip(delta, best)])
+
+
 def bellman_target(t: Transition, model: MlpModel) -> float:
     """Training target of one transition.
 
@@ -133,37 +150,23 @@ def bellman_target(t: Transition, model: MlpModel) -> float:
     """
     if t.next_states is None or t.terminal:
         return float(t.reward)
-    q = np.asarray(forward(model, t.next_states), dtype=np.float64)
-    # fsum keeps the 4-term sum exactly rounded and order-independent
-    best = math.fsum(np.minimum(q[:, ACTION_NS], q[:, ACTION_QT]))
-    return float(t.delta_qt) + best
-
-
-def _batch_targets(batch: list[Transition], model: MlpModel) -> np.ndarray:
-    """Vectorized bellman_target over a batch (same math, one forward)."""
-    targets = np.array([t.reward for t in batch], dtype=np.float64)
-    boot = [i for i, t in enumerate(batch)
-            if t.next_states is not None and not t.terminal]
-    if boot:
-        kids = np.concatenate([batch[i].next_states for i in boot], axis=0)
-        q = np.asarray(forward(model, kids), dtype=np.float64)
-        best = np.minimum(q[:, ACTION_NS], q[:, ACTION_QT]).reshape(len(boot), 4)
-        for row, i in enumerate(boot):
-            targets[i] = float(batch[i].delta_qt) + math.fsum(best[row])
-    return targets
+    return float(_bootstrap(np.array([t.delta_qt]), t.next_states[None], model)[0])
 
 
 def _scaled_costs(trajs: Sequence[Trajectory]):
-    """Whole-block costs for every trajectory, scaled by one pooled median."""
-    ns32 = np.array([t.ns_j_pp for t in trajs]) * AREA_32
-    qt32 = np.array([t.qt_j_pp for t in trajs]) * AREA_32
+    """Whole-block (n, 5, 2) cost table and (n,) split signalling charges,
+    both scaled by the pooled median of the table, and that median."""
+    costs = np.empty((len(trajs), 5, 2))
+    costs[:, 0] = [(t.ns_j_pp, t.qt_j_pp) for t in trajs]
+    costs[:, 0] *= AREA_32
+    costs[:, 1:, ACTION_NS] = [t.child_ns_j_pp for t in trajs]
+    costs[:, 1:, ACTION_QT] = [t.child_qt_j_pp for t in trajs]
+    costs[:, 1:] *= AREA_16
     delta = np.array([t.delta_qt_pp for t in trajs]) * AREA_32
-    kns = np.stack([t.child_ns_j_pp for t in trajs]) * AREA_16
-    kqt = np.stack([t.child_qt_j_pp for t in trajs]) * AREA_16
-    c = float(np.median(np.concatenate([ns32, qt32, kns.ravel(), kqt.ravel()])))
+    c = float(np.median(costs))
     if c <= 0:
         raise DatasetError("non-positive median cost")
-    return ns32 / c, qt32 / c, delta / c, kns / c, kqt / c, c
+    return costs / c, delta / c, c
 
 
 def train_dqn(trajs: Sequence[Trajectory], hyper: DqnHyper | None = None,
@@ -171,9 +174,9 @@ def train_dqn(trajs: Sequence[Trajectory], hyper: DqnHyper | None = None,
     """Offline value learning over a fixed trajectory set.
 
     Each step takes one trajectory (reshuffled once per pass), picks an
-    epsilon-greedy action at the 32x32 level, stores the transition (a
-    split also stores its four children, both actions, with their true
-    costs), then fits a sampled batch against bellman targets with
+    epsilon-greedy action at the 32x32 level, stores its replay code (a
+    split also stores both actions of its four children, which train on
+    their true costs), then fits a sampled batch against bellman targets with
     gradients only through the taken actions. Returns the model and a
     (step, mean TD error, epsilon) diagnostics list; a model whose
     parameters blew up is refused (ModelError).
@@ -181,7 +184,10 @@ def train_dqn(trajs: Sequence[Trajectory], hyper: DqnHyper | None = None,
     hyper = hyper or DqnHyper()
     if not trajs:
         raise DatasetError("empty trajectory set")
-    ns32, qt32, delta, kns, kqt, c_median = _scaled_costs(trajs)
+    costs, delta, c_median = _scaled_costs(trajs)
+    states = np.empty(costs.shape[:2] + (FEATURE_COUNT,), dtype=np.float32)
+    states[:, 0] = [t.state32 for t in trajs]
+    states[:, 1:] = [t.child_features for t in trajs]
 
     root = np.random.SeedSequence(seed)
     init_seq, order_seq, act_seq, mem_seq = root.spawn(4)
@@ -199,31 +205,25 @@ def train_dqn(trajs: Sequence[Trajectory], hyper: DqnHyper | None = None,
         if at == 0:
             order = order_rng.permutation(n)
         i = int(order[at])
-        t = trajs[i]
         eps = epsilon_at(step, hyper)
-        action = select_action(model, t.state32, eps, act_rng)
-        if action == ACTION_NS:
-            memory.push(Transition(t.state32, ACTION_NS, float(ns32[i]),
-                                   delta_qt=float(delta[i])))
-        else:
-            memory.push(Transition(t.state32, ACTION_QT, float(qt32[i]),
-                                   next_states=t.child_features,
-                                   delta_qt=float(delta[i])))
-            for j in range(4):
-                memory.push(Transition(t.child_features[j], ACTION_NS,
-                                       float(kns[i, j]), terminal=True))
-                memory.push(Transition(t.child_features[j], ACTION_QT,
-                                       float(kqt[i, j]), terminal=True))
+        action = select_action(model, states[i, 0], eps, act_rng)
+        memory.push(i * 10 + action)             # code of (i, slot 0, action)
+        if action == ACTION_QT:                  # then slots 1-4, NS before QT
+            for code in range(i * 10 + 2, i * 10 + 10):
+                memory.push(code)
 
-        batch = memory.sample(hyper.batch)
-        targets = _batch_targets(batch, model)
-        X = np.stack([b.state for b in batch])
-        actions = np.array([b.action for b in batch])
-        out, cache = forward_cached(model, X)
-        rows = np.arange(len(batch))
+        codes = memory.sample(hyper.batch)
+        traj, slot, actions = np.unravel_index(codes, costs.shape)
+        targets = costs[traj, slot, actions]
+        boot = np.flatnonzero((slot == 0) & (actions == ACTION_QT))
+        if boot.size:
+            targets[boot] = _bootstrap(delta[traj[boot]], states[traj[boot], 1:],
+                                       model)
+        out, cache = forward_cached(model, states[traj, slot])
+        rows = np.arange(len(codes))
         td = out[rows, actions].astype(np.float64) - targets
         dout = np.zeros_like(out)
-        dout[rows, actions] = (2.0 / len(batch)) * td.astype(model.dtype)
+        dout[rows, actions] = (2.0 / len(codes)) * td.astype(model.dtype)
         grads = backward(model, cache, dout)
         adam_step(model, grads, adam)
         diagnostics.append((step, float(np.mean(np.abs(td))), eps))
@@ -231,8 +231,6 @@ def train_dqn(trajs: Sequence[Trajectory], hyper: DqnHyper | None = None,
 
     model.meta.update({"variant": "Q32_16",
                        "normalization": {"mode": "median", "c_median": c_median},
-                       "layout_hash": LAYOUT_HASH, "seed": seed,
-                       "gamma": 1.0,        # the bootstrap is undiscounted
-                       "out": 2,
-                       "hidden": [int(h) for h in hyper.hidden]})
+                       "seed": seed,
+                       "gamma": 1.0})       # the bootstrap is undiscounted
     return model, diagnostics

@@ -257,8 +257,7 @@ def train_regression(records: Sequence[CuRecord], variant: str,
         check_parameter_scale(model)
 
     model.meta.update({"variant": variant, "normalization": norm,
-                       "layout_hash": LAYOUT_HASH, "seed": seed, "mask": groups,
-                       "hidden": [int(h) for h in hidden], "out": out})
+                       "seed": seed, "mask": groups})
     return model, history
 
 
@@ -288,6 +287,8 @@ def load_model(path: str | Path) -> MlpModel:
         raise ModelError("unreadable model header") from exc
     if dtype not in (np.float32, np.float64):
         raise ModelError(f"unsupported parameter dtype {dtype}")
+    if len(layers) < 2 or min(layers) < 1:
+        raise ModelError(f"impossible layer widths {layers}")
     code = "<f4" if dtype == np.float32 else "<f8"
     expected = sum(a * b + b for a, b in zip(layers[:-1], layers[1:]))
     blob = data[8 + hlen:]

@@ -6,13 +6,19 @@ second, unrelated implementation rather than against itself.
 """
 
 import itertools
+import json
+import math
+import struct
 
 import numpy as np
 
 from qtpart.codec import (MODE_OVERHEAD_BITS, NS, RdCost, SearchState, dct2d,
                           encode_ns, lambda_of_qp, qstep_of_qp, split_signal_cost)
+from qtpart.dqn import ACTION_NS, ACTION_QT, Transition, epsilon_at, select_action
 from qtpart.frame_io import (BORDER_FILL, REF_BORDER, CausalPatch, LumaFrame,
                              Rect, causal_patch)
+from qtpart.mlp import (adam_init, adam_step, backward, forward, forward_cached,
+                        init_model)
 
 CHILD_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -251,3 +257,79 @@ def reference_encode_ns(patch: CausalPatch, cfg):
     recon = np.clip(np.rint(dc + recon_resid), 0, 255).astype(np.uint8)
     dist = float(np.sum((cu - recon.astype(np.float64)) ** 2))
     return RdCost.compute(rate=rate, dist=dist, lam=lambda_of_qp(cfg.qp)), recon
+
+
+def write_header_only_model(path, layers):
+    """A container whose blob is exactly what ``layers`` implies."""
+    n = sum(a * b + b for a, b in zip(layers[:-1], layers[1:]))
+    enc = json.dumps({"layers": layers, "dtype": "float32", "meta": {}}).encode()
+    path.write_bytes(b"QTNN" + struct.pack("<I", len(enc)) + enc
+                     + np.zeros(n, dtype="<f4").tobytes())
+
+
+def reference_train_dqn(trajs, hyper, seed=0):
+    """Replay of ``Transition`` objects in a list ring, targets from the
+    stacked batch objects: the original formulation of ``dqn.train_dqn``,
+    kept as its byte-identity oracle. Returns (model, diagnostics)."""
+    ns32 = np.array([t.ns_j_pp for t in trajs]) * 1024
+    qt32 = np.array([t.qt_j_pp for t in trajs]) * 1024
+    delta = np.array([t.delta_qt_pp for t in trajs]) * 1024
+    kns = np.stack([t.child_ns_j_pp for t in trajs]) * 256
+    kqt = np.stack([t.child_qt_j_pp for t in trajs]) * 256
+    c = float(np.median(np.concatenate([ns32, qt32, kns.ravel(), kqt.ravel()])))
+    ns32, qt32, delta, kns, kqt = (v / c for v in (ns32, qt32, delta, kns, kqt))
+
+    init_seq, order_seq, act_seq, mem_seq = np.random.SeedSequence(seed).spawn(4)
+    model = init_model(hidden=hyper.hidden, out=2, seed=init_seq)
+    ring, oldest = [], 0
+    mem_rng = np.random.default_rng(mem_seq)
+    order_rng = np.random.default_rng(order_seq)
+    act_rng = np.random.default_rng(act_seq)
+    adam = adam_init(model, lr=hyper.lr)
+
+    diagnostics = []
+    for step in range(hyper.steps):
+        if step % len(trajs) == 0:
+            order = order_rng.permutation(len(trajs))
+        i = int(order[step % len(trajs)])
+        t = trajs[i]
+        eps = epsilon_at(step, hyper)
+        if select_action(model, t.state32, eps, act_rng) == ACTION_NS:
+            new = [Transition(t.state32, ACTION_NS, float(ns32[i]),
+                              delta_qt=float(delta[i]))]
+        else:
+            new = [Transition(t.state32, ACTION_QT, float(qt32[i]),
+                              next_states=t.child_features, delta_qt=float(delta[i]))]
+            for j in range(4):
+                new += [Transition(t.child_features[j], ACTION_NS, float(kns[i, j]),
+                                   terminal=True),
+                        Transition(t.child_features[j], ACTION_QT, float(kqt[i, j]),
+                                   terminal=True)]
+        for tr in new:
+            if len(ring) < hyper.capacity:
+                ring.append(tr)
+            else:
+                ring[oldest] = tr
+                oldest = (oldest + 1) % hyper.capacity
+
+        pick = mem_rng.choice(len(ring), size=min(hyper.batch, len(ring)),
+                              replace=False)
+        batch = [ring[k] for k in pick]
+        targets = np.array([b.reward for b in batch], dtype=np.float64)
+        boot = [k for k, b in enumerate(batch)
+                if b.next_states is not None and not b.terminal]
+        if boot:
+            kids = np.concatenate([batch[k].next_states for k in boot], axis=0)
+            q = np.asarray(forward(model, kids), dtype=np.float64)
+            best = np.minimum(q[:, ACTION_NS], q[:, ACTION_QT]).reshape(len(boot), 4)
+            for row, k in enumerate(boot):
+                targets[k] = float(batch[k].delta_qt) + math.fsum(best[row])
+        actions = np.array([b.action for b in batch])
+        out, cache = forward_cached(model, np.stack([b.state for b in batch]))
+        rows = np.arange(len(batch))
+        td = out[rows, actions].astype(np.float64) - targets
+        dout = np.zeros_like(out)
+        dout[rows, actions] = (2.0 / len(batch)) * td.astype(model.dtype)
+        adam_step(model, backward(model, cache, dout), adam)
+        diagnostics.append((step, float(np.mean(np.abs(td))), eps))
+    return model, diagnostics

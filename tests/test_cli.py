@@ -19,7 +19,7 @@ from qtpart.features import LAYOUT_HASH
 from qtpart.frame_io import save_pgm
 from qtpart.mlp import init_model, load_model, save_model
 
-from helpers import natural_frame
+from helpers import natural_frame, write_header_only_model
 
 
 @pytest.fixture(scope="module")
@@ -309,6 +309,17 @@ def test_ablate_bad_input_fails_before_training(work, tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+def test_ablate_report_marks_unreachable_drops(work, tmp_path, capsys):
+    # a gate that never prunes reaches neither a 10% nor a 20% drop
+    out = tmp_path / "abl"
+    rc = main(["ablate", "--dataset", work["dataset"], "--frames", work["a64"],
+               "--thresholds", "1e30", "--configs", "none", "--epochs", "1",
+               "--batch", "64", "--out", str(out)])
+    assert rc == 0
+    assert (out / "ablation.csv").read_bytes() == (
+        b"config,bd_at_dc10,bd_at_dc20\r\nnone,unreachable,unreachable\r\n")
+
+
 def test_encode_rejects_foreign_feature_layout(work, tmp_path, capsys):
     alien = init_model(hidden=(), out=1, seed=0)
     alien.meta["layout_hash"] = "0" * 16
@@ -318,6 +329,16 @@ def test_encode_rejects_foreign_feature_layout(work, tmp_path, capsys):
                "--threshold", "1.0", "--out", str(tmp_path / "r.json")])
     assert rc == 4
     assert "feature layout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layers", [[115], [115, 0, 1]])
+def test_encode_impossible_model_is_model_error(work, tmp_path, capsys, layers):
+    mpath = tmp_path / "impossible.qtnn"
+    write_header_only_model(mpath, layers)
+    rc = main(["encode", "--frame", work["c128"], "--model", str(mpath),
+               "--threshold", "1.0", "--out", str(tmp_path / "r.json")])
+    assert rc == 4
+    assert "impossible layer widths" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- sweep

@@ -6,10 +6,12 @@ import pytest
 from qtpart import dqn
 from qtpart.dataset import DatasetError, Trajectory
 from qtpart.dqn import (ACTION_NS, ACTION_QT, EPS_END, EPS_START, DqnHyper,
-                        ReplayMemory, Transition, _batch_targets, _scaled_costs,
+                        ReplayMemory, Transition, _bootstrap, _scaled_costs,
                         bellman_target, epsilon_at, select_action, train_dqn)
 from qtpart.features import LAYOUT_HASH
-from qtpart.mlp import ModelError, forward, init_model
+from qtpart.mlp import ModelError, init_model
+
+from helpers import reference_train_dqn
 
 
 def mk_state(rng):
@@ -87,29 +89,26 @@ def test_replay_capacity_positive():
 
 
 def test_replay_fifo_overwrites_oldest():
-    rng = np.random.default_rng(1)
     mem = ReplayMemory(3, seed=0)
-    for r in range(5):
-        mem.push(Transition(mk_state(rng), ACTION_NS, float(r)))
+    for code in range(5):
+        mem.push(code)
     assert len(mem) == 3
-    got = sorted(t.reward for t in mem.sample(3))
-    assert got == [2.0, 3.0, 4.0]
+    assert sorted(mem.sample(3).tolist()) == [2, 3, 4]
 
 
 def test_replay_sample_no_replacement():
-    rng = np.random.default_rng(2)
     mem = ReplayMemory(16, seed=3)
-    for r in range(10):
-        mem.push(Transition(mk_state(rng), ACTION_NS, float(r)))
-    got = [t.reward for t in mem.sample(10)]
-    assert sorted(got) == [float(r) for r in range(10)]
+    for code in range(10):
+        mem.push(code)
+    got = mem.sample(10)
+    assert got.dtype == np.int64
+    assert sorted(got.tolist()) == list(range(10))
 
 
 def test_replay_sample_clamps_to_size():
-    rng = np.random.default_rng(2)
     mem = ReplayMemory(16, seed=3)
-    mem.push(Transition(mk_state(rng), ACTION_NS, 1.0))
-    assert len(mem.sample(64)) == 1
+    mem.push(7)
+    assert mem.sample(64).tolist() == [7]
 
 
 def test_replay_sample_empty_raises():
@@ -118,14 +117,12 @@ def test_replay_sample_empty_raises():
 
 
 def test_replay_sampling_is_seeded():
-    rng = np.random.default_rng(4)
-    states = [mk_state(rng) for _ in range(8)]
     picks = []
     for _ in range(2):
         mem = ReplayMemory(8, seed=17)
-        for r, s in enumerate(states):
-            mem.push(Transition(s, ACTION_NS, float(r)))
-        picks.append([t.reward for t in mem.sample(4)])
+        for code in range(8):
+            mem.push(code)
+        picks.append(mem.sample(4).tolist())
     assert picks[0] == picks[1]
 
 
@@ -230,31 +227,25 @@ def test_target_split_child_minimum_per_child():
     assert bellman_target(t, m) == pytest.approx(1.0 + (0.5 + 1.5 + 2.5 + 3.5))
 
 
-def test_batch_targets_match_scalar_path():
-    rng = np.random.default_rng(6)
+def test_bootstrap_matches_scalar_path():
     children = np.eye(115, dtype=np.float32)[:4]
+    m = value_model([1.0, 2.0, 3.0, 4.0], gap=-0.5)   # split side cheaper
+    rows = np.stack([children, children[::-1], children[[0, 0, 1, 1]]])
+    delta = np.array([0.05, 1.0, 0.25])
+    got = _bootstrap(delta, rows, m)
+    want = [bellman_target(Transition(np.zeros(115, dtype=np.float32), ACTION_QT,
+                                      0.0, next_states=kids, delta_qt=d), m)
+            for d, kids in zip(delta, rows)]
+    assert got.dtype == np.float64
+    assert got.tolist() == want
+    assert want[:2] == [0.05 + 8.0, 1.0 + 8.0]   # order inside the sum is moot
+    assert want[2] == 0.25 + 4.0
+
+
+def test_bootstrap_sums_child_minima_exactly():
     m = value_model([0.2, 0.3, 0.1, 0.4])
-    batch = [
-        Transition(mk_state(rng), ACTION_NS, 2.5),
-        Transition(np.zeros(115, dtype=np.float32), ACTION_QT, 0.0,
-                   next_states=children, delta_qt=0.05),
-        Transition(mk_state(rng), ACTION_QT, 7.0, terminal=True),
-        Transition(np.zeros(115, dtype=np.float32), ACTION_QT, 0.0,
-                   next_states=children[::-1].copy(), delta_qt=0.05),
-    ]
-    got = _batch_targets(batch, m)
-    want = np.array([bellman_target(t, m) for t in batch])
-    assert np.array_equal(got, want)
-    assert got[0] == 2.5 and got[1] == 1.05 and got[2] == 7.0
-    assert got[3] == 1.05                     # order inside the sum is moot
-
-
-def test_batch_targets_all_measured():
-    rng = np.random.default_rng(7)
-    batch = [Transition(mk_state(rng), ACTION_NS, float(r)) for r in range(5)]
-    m = init_model(hidden=(8,), out=2, seed=1)
-    assert np.array_equal(_batch_targets(batch, m),
-                          np.arange(5, dtype=np.float64))
+    got = _bootstrap(np.array([0.05]), np.eye(115, dtype=np.float32)[None, :4], m)
+    assert got.tolist() == [1.05]
 
 
 # -------------------------------------------------------------- cost scaling
@@ -264,15 +255,18 @@ def test_scaled_costs_pooled_median():
                    ns_j_pp=1.2, qt_j_pp=1.05, delta_qt_pp=0.05,
                    child_features=np.zeros((4, 115), dtype=np.float32),
                    child_ns_j_pp=np.ones(4), child_qt_j_pp=np.full(4, 2.0))
-    ns32, qt32, delta, kns, kqt, c = _scaled_costs([t])
+    costs, delta, c = _scaled_costs([t])
     # pool: 1228.8, 1075.2, 4x256, 4x512 -> median 512 (delta stays out)
     assert c == 512.0
-    assert ns32[0] == pytest.approx(1228.8 / 512.0)
-    assert qt32[0] == pytest.approx(2.1)
+    assert costs.shape == (1, 5, 2)
+    assert costs[0, 0, ACTION_NS] == pytest.approx(1228.8 / 512.0)
+    assert costs[0, 0, ACTION_QT] == pytest.approx(2.1)
     assert delta[0] == pytest.approx(0.1)
-    assert np.allclose(kns[0], 0.5) and np.allclose(kqt[0], 1.0)
+    assert np.allclose(costs[0, 1:, ACTION_NS], 0.5)
+    assert np.allclose(costs[0, 1:, ACTION_QT], 1.0)
     # scaling preserves the split identity
-    assert qt32[0] == pytest.approx(np.minimum(kns[0], kqt[0]).sum() + delta[0])
+    assert costs[0, 0, ACTION_QT] == pytest.approx(
+        costs[0, 1:].min(axis=1).sum() + delta[0])
 
 
 # ------------------------------------------------------------- training loop
@@ -339,7 +333,49 @@ def test_train_diagnostics_and_meta():
     assert model.meta["hidden"] == [8]
     norm = model.meta["normalization"]
     assert norm["mode"] == "median"
-    assert norm["c_median"] == pytest.approx(_scaled_costs(trajs)[5])
+    assert norm["c_median"] == pytest.approx(_scaled_costs(trajs)[2])
+
+
+def test_train_pushes_documented_codes(monkeypatch):
+    pushed = []
+
+    class Recording(ReplayMemory):
+        def push(self, code):
+            pushed.append(code)
+            super().push(code)
+
+    monkeypatch.setattr(dqn, "ReplayMemory", Recording)
+    rng = np.random.default_rng(14)
+    trajs = [mk_traj(rng) for _ in range(3)]
+    train_dqn(trajs, DqnHyper(steps=12, batch=4, lr=1e-3, hidden=(4,)), seed=0)
+    # a step pushes (i, slot 0, NS) alone, or (i, slot 0, QT) followed by
+    # NS then QT of slots 1-4: code (i * 5 + slot) * 2 + action
+    steps, k = [], 0
+    while k < len(pushed):
+        traj, slot, action = np.unravel_index(pushed[k], (3, 5, 2))
+        assert slot == 0
+        run = 1 if action == ACTION_NS else 9
+        assert pushed[k:k + run] == list(range(pushed[k], pushed[k] + run))
+        steps.append((int(traj), int(action)))
+        k += run
+    assert len(steps) == 12
+    assert {a for _, a in steps} == {ACTION_NS, ACTION_QT}
+    for p in range(0, 12, 3):                   # every pass visits each once
+        assert sorted(i for i, _ in steps[p:p + 3]) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("capacity,hidden", [(100_000, (16, 8)),  # never wraps
+                                             (7, (8,)),   # wraps within a step
+                                             (100_000, ())])
+def test_train_matches_object_replay_oracle(capacity, hidden):
+    rng = np.random.default_rng(13)
+    trajs = [mk_traj(rng) for _ in range(5)]
+    hyper = DqnHyper(steps=60, batch=16, capacity=capacity, lr=1e-3, hidden=hidden)
+    model, diag = train_dqn(trajs, hyper, seed=6)
+    ref, ref_diag = reference_train_dqn(trajs, hyper, seed=6)
+    assert diag == ref_diag
+    for a, b in zip(model.weights + model.biases, ref.weights + ref.biases):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_train_reduces_td_error(trajectories_small):

@@ -12,6 +12,8 @@ from qtpart.mlp import (DEFAULT_HIDDEN, NORM_BLOWUP_LIMIT, REDUCED_HIDDEN,
                         layer_operator_norms, load_model, loss_and_grads,
                         save_model, train_regression)
 
+from helpers import write_header_only_model
+
 
 # -- initialization -----------------------------------------------------
 
@@ -338,6 +340,16 @@ def test_load_rejects_corrupt_model(tmp_path):
     enc = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     p.write_bytes(good[:4] + struct.pack("<I", len(enc)) + enc + good[8 + hlen:])
     with pytest.raises(ModelError, match="unsupported parameter dtype"):
+        load_model(p)
+
+
+@pytest.mark.parametrize("layers", [[115], [115, 0, 1]])
+def test_load_rejects_impossible_layers(tmp_path, layers):
+    # no input-only model exists, and a zero-width layer would leave the
+    # output to its bias alone; both blobs match their headers
+    p = tmp_path / "impossible.qtnn"
+    write_header_only_model(p, layers)
+    with pytest.raises(ModelError, match="impossible layer widths"):
         load_model(p)
 
 
