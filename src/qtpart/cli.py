@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -232,7 +233,10 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    returns a fresh namespace on every call and keeps no state."""
     parser = argparse.ArgumentParser(
         prog="qtpart",
         description="toy intra codec with learned quadtree split pruning")

@@ -24,8 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .frame_io import (BORDER_FILL, CTU_SIZES, CausalPatch, LumaFrame, Rect,
-                       causal_patch)
+from .frame_io import (CTU_SIZES, CausalPatch, LumaFrame, Rect, causal_patch,
+                       reference_dc)
 
 QP_MIN, QP_MAX = 0, 51
 TRANSFORM_SIZES = (4, 8, 16, 32, 64)
@@ -120,44 +120,39 @@ def split_signal_cost(cfg: CodecConfig) -> float:
     return lambda_of_qp(cfg.qp) * cfg.split_bits
 
 
-def encode_ns(patch: CausalPatch, cfg: CodecConfig) -> tuple[RdCost, np.ndarray]:
+def encode_ns(block: np.ndarray, dc: float, cfg: CodecConfig) -> tuple[RdCost, np.ndarray]:
     """Code a block without splitting; returns its cost and reconstruction.
 
-    DC prediction uses the mean of the adjacent reconstructed row and
-    column (BORDER_FILL when neither strip is available). The rate proxy
-    charges one significance bit per coefficient, 2*floor(log2|level|)+3
-    bits per nonzero level, and a fixed mode overhead.
+    ``block`` holds the block's source pixels; the search passes its view
+    ``state.work[rect]``, which it copies once and never writes into.
+    ``dc`` is the block's DC prediction (``frame_io.reference_dc``). The
+    rate proxy charges one significance bit per coefficient,
+    2*floor(log2|level|)+3 bits per nonzero level, and a fixed mode
+    overhead.
 
     Outside the two transforms and the quantiser every step is exact, so
-    no summation order can move a result. The DC is an integer sum of
-    8-bit samples divided once: the correctly rounded mean. For an
-    integer level m != 0, frexp gives m = f * 2**e with 0.5 <= |f| < 1,
-    so e - 1 == floor(log2|m|) with no logarithm to round; frexp(0) has
-    e == 0, so zero levels drop out of the exponent sum. The rate and the
-    distortion are sums of small integers in float64, far below 2**53.
+    no summation order can move a result. For an integer level m != 0,
+    frexp gives m = f * 2**e with 0.5 <= |f| < 1, so e - 1 ==
+    floor(log2|m|) with no logarithm to round; frexp(0) has e == 0, so
+    zero levels drop out of the exponent sum. The rate and the distortion
+    are sums of small integers in float64, far below 2**53.
     """
-    cu = patch.cu.astype(np.float64)
-    ref_sum, ref_count = 0, 0
-    if patch.top_available:
-        ref_sum += sum(patch.top[-1, :].tolist())
-        ref_count += patch.top.shape[1]
-    if patch.left_available:
-        ref_sum += sum(patch.left[:, -1].tolist())
-        ref_count += patch.left.shape[0]
-    dc = ref_sum / ref_count if ref_count else float(BORDER_FILL)
-
+    cu = block.astype(np.float64)
     coef = dct2d(cu - dc)
     step = qstep_of_qp(cfg.qp)
-    levels = np.rint(coef / step)
+    np.divide(coef, step, out=coef)
+    levels = np.rint(coef, out=coef)
     exps = np.frexp(levels)[1]            # 2*(exp-1)+3 bits per nonzero level
     rate = MODE_OVERHEAD_BITS + float(levels.size) \
-        + float(2 * int(exps.sum()) + np.count_nonzero(levels))
-    recon = dct2d(levels * step, inverse=True)
+        + float(2 * int(np.add.reduce(exps, axis=None)) + np.count_nonzero(levels))
+    levels *= step
+    recon = dct2d(levels, inverse=True)
     recon += dc
     np.rint(recon, out=recon)
     np.maximum(recon, 0.0, out=recon)
     np.minimum(recon, 255.0, out=recon)
-    resid = (cu - recon).ravel()
+    np.subtract(cu, recon, out=cu)
+    resid = cu.ravel()
     dist = float(np.dot(resid, resid))
     return RdCost.compute(rate=rate, dist=dist, lam=lambda_of_qp(cfg.qp)), \
         recon.astype(np.uint8)
@@ -199,17 +194,34 @@ class SearchState:
         self.jpp_map[ys, xs] = cost.j / rect.area
 
 
-@dataclass
 class VisitInfo:
-    """Snapshot handed to search callbacks right after a block's NS encode."""
+    """Snapshot handed to search callbacks right after a block's NS encode.
 
-    rect: Rect
-    qp: int
-    patch: CausalPatch
-    ns_cost: RdCost
-    parent: Optional[tuple[RdCost, int]]          # (parent NS cost, parent area)
-    top: Optional[tuple[float, int]]              # (j per pixel, depth)
-    left: Optional[tuple[float, int]]
+    ``patch`` is the block's ``CausalPatch``. Unless one is given, it is
+    extracted from ``state`` on first read and kept, so a visit makes at
+    most one ``causal_patch`` call, and none when no callback reads
+    texture. Read it only inside the callback: callbacks run before any
+    recursion or commit, and afterwards ``state`` holds reconstructions
+    the block did not see when it was coded.
+    """
+
+    __slots__ = ("rect", "qp", "ns_cost", "parent", "top", "left", "_patch", "_state")
+
+    def __init__(self, rect: Rect, qp: int, ns_cost: RdCost,
+                 parent: Optional[tuple[RdCost, int]],      # (parent NS cost, parent area)
+                 top: Optional[tuple[float, int]],          # (j per pixel, depth)
+                 left: Optional[tuple[float, int]],
+                 patch: Optional[CausalPatch] = None,
+                 state: Optional[SearchState] = None):
+        self.rect, self.qp, self.ns_cost = rect, qp, ns_cost
+        self.parent, self.top, self.left = parent, top, left
+        self._patch, self._state = patch, state
+
+    @property
+    def patch(self) -> CausalPatch:
+        if self._patch is None:
+            self._patch = causal_patch(self._state.work, self.rect, self._state.mask)
+        return self._patch
 
 
 @dataclass
@@ -273,18 +285,21 @@ def exhaustive_search(rect: Rect, cfg: CodecConfig, state: SearchState,
 
 
 def _search_node(rect, depth, cfg, state, visitor, prune, parent) -> PartitionNode:
-    patch = causal_patch(state.work, rect, state.mask)
-    ns_cost, recon = encode_ns(patch, cfg)
+    # the block's own pixels are still source pixels: only the block and
+    # its descendants commit inside it, and they come after this encode
+    block = state.work[rect.y:rect.y + rect.h, rect.x:rect.x + rect.w]
+    ns_cost, recon = encode_ns(block, reference_dc(state.work, state.mask, rect), cfg)
     state.pixels += rect.area
 
     can_split = depth < cfg.max_depth
-    visit = VisitInfo(rect=rect, qp=cfg.qp, patch=patch, ns_cost=ns_cost, parent=parent,
-                      top=state.neighbor_at(rect.x, rect.y - 1),
-                      left=state.neighbor_at(rect.x - 1, rect.y))
-    if visitor is not None:
-        visitor(visit)
-    if can_split and prune is not None and prune(visit):
-        can_split = False
+    if visitor is not None or (can_split and prune is not None):
+        visit = VisitInfo(rect, cfg.qp, ns_cost, parent,
+                          top=state.neighbor_at(rect.x, rect.y - 1),
+                          left=state.neighbor_at(rect.x - 1, rect.y), state=state)
+        if visitor is not None:
+            visitor(visit)
+        if can_split and prune is not None and prune(visit):
+            can_split = False
 
     if not can_split:
         node = PartitionNode(rect, depth, ns_cost, None, NS)

@@ -1,4 +1,5 @@
-"""8-bit luma frame I/O, CTU tiling and causal reference extraction.
+"""8-bit luma frame I/O, CTU tiling, DC prediction and causal reference
+extraction.
 
 Frames are single-plane 8-bit arrays. Two on-disk formats are supported:
 binary PGM (P5, maxval 255) and headerless raw luma with caller-supplied
@@ -179,20 +180,52 @@ def tile_ctus(frame: LumaFrame, ctu: int) -> list[CtuTile]:
     return tiles
 
 
+def _available(mask: np.ndarray, y0: int, y1: int, x0: int, x1: int) -> bool:
+    """The reference availability rule: a strip counts only when all of
+    [y0:y1, x0:x1] lies inside the frame and every pixel of it has been
+    reconstructed."""
+    if y0 < 0 or x0 < 0 or y1 > mask.shape[0] or x1 > mask.shape[1]:
+        return False
+    m = mask[y0:y1, x0:x1]
+    return np.count_nonzero(m) == m.size
+
+
 def _grab(pix: np.ndarray, mask: np.ndarray,
           y0: int, y1: int, x0: int, x1: int) -> tuple[np.ndarray, bool]:
     """Copy [y0:y1, x0:x1] substituting BORDER_FILL where off-frame or
     not yet reconstructed. Returns (block, fully_available)."""
+    if _available(mask, y0, y1, x0, x1):
+        return pix[y0:y1, x0:x1].copy(), True
     iy0, iy1 = max(y0, 0), min(y1, pix.shape[0])
     ix0, ix1 = max(x0, 0), min(x1, pix.shape[1])
     sub = pix[iy0:iy1, ix0:ix1]
     avail = mask[iy0:iy1, ix0:ix1]
-    inside = iy0 == y0 and iy1 == y1 and ix0 == x0 and ix1 == x1
-    if inside and np.count_nonzero(avail) == avail.size:
-        return sub.copy(), True
     out = np.full((y1 - y0, x1 - x0), BORDER_FILL, dtype=np.uint8)
     out[iy0 - y0:iy1 - y0, ix0 - x0:ix1 - x0][avail] = sub[avail]
     return out, False
+
+
+def reference_dc(pix: np.ndarray, mask: np.ndarray, rect: Rect) -> float:
+    """DC prediction of a block from the working picture.
+
+    The mean of the reconstructed row directly above the block and the
+    reconstructed column directly to its left. Each counts only when its
+    whole REF_BORDER-deep strip is available (the rule behind
+    ``CausalPatch.top_available``/``left_available``); with neither, the
+    prediction is BORDER_FILL. The integer sum of 8-bit samples is
+    divided once, so the result is the correctly rounded mean. Reads only
+    ``pix`` and ``mask`` inside those two strips and builds no patch.
+    """
+    b = REF_BORDER
+    x0, x1, y0, y1 = rect.x, rect.x + rect.w, rect.y, rect.y + rect.h
+    total = count = 0
+    if _available(mask, y0 - b, y0, x0, x1):
+        total += sum(pix[y0 - 1, x0:x1].tolist())
+        count += rect.w
+    if _available(mask, y0, y1, x0 - b, x0):
+        total += sum(pix[y0:y1, x0 - 1].tolist())
+        count += rect.h
+    return total / count if count else float(BORDER_FILL)
 
 
 def causal_patch(pix: np.ndarray, rect: Rect, encoded_mask: np.ndarray) -> CausalPatch:

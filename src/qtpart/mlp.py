@@ -142,29 +142,51 @@ class AdamState:
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
+    scratch: list = field(default_factory=list)   # per layer: ((t, u) of W, (t, u) of b)
 
 
 def adam_init(model: MlpModel, lr: float = 1e-5) -> AdamState:
+    """Zero moments, plus two scratch buffers the size of the largest
+    parameter that every parameter's update reuses as views."""
     zeros = lambda: [(np.zeros_like(w), np.zeros_like(b))
                      for w, b in zip(model.weights, model.biases)]
-    return AdamState(lr=lr, m=zeros(), v=zeros())
+    size = max(p.size for p in (*model.weights, *model.biases))
+    t, u = np.empty(size, model.dtype), np.empty(size, model.dtype)
+    views = lambda p: (t[:p.size].reshape(p.shape), u[:p.size].reshape(p.shape))
+    scratch = [(views(w), views(b)) for w, b in zip(model.weights, model.biases)]
+    return AdamState(lr=lr, m=zeros(), v=zeros(), scratch=scratch)
 
 
 def adam_step(model: MlpModel, grads: list, state: AdamState) -> None:
-    """One in-place Adam update with bias correction."""
+    """One in-place Adam update with bias correction.
+
+    Computes p -= lr * (m / c1) / (sqrt(v / c2) + eps) with the same
+    float operations, in the same order, as that expression, but writes
+    every intermediate into ``state.scratch``, so a step allocates
+    nothing parameter-sized. Gradients are in the model's dtype, as
+    ``backward`` returns them.
+    """
     state.step += 1
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    b1, b2, lr = ADAM_BETA1, ADAM_BETA2, state.lr
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    for l, (dw, db) in enumerate(grads):
-        for park, grad, (m, v) in (("weights", dw, (state.m[l][0], state.v[l][0])),
-                                   ("biases", db, (state.m[l][1], state.v[l][1]))):
+    for l, grad in enumerate(grads):
+        for p, g, m, v, (t, u) in zip((model.weights[l], model.biases[l]), grad,
+                                      state.m[l], state.v[l], state.scratch[l]):
             m *= b1
-            m += (1.0 - b1) * grad
+            np.multiply(1.0 - b1, g, out=t)
+            m += t
             v *= b2
-            v += (1.0 - b2) * grad * grad
-            upd = (state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS))
-            getattr(model, park)[l] -= upd.astype(model.dtype)
+            np.multiply(1.0 - b2, g, out=t)
+            t *= g
+            v += t
+            np.divide(m, c1, out=t)
+            t *= lr
+            np.divide(v, c2, out=u)
+            np.sqrt(u, out=u)
+            u += ADAM_EPS
+            t /= u
+            p -= t
 
 
 def layer_operator_norms(model: MlpModel) -> list[float]:

@@ -12,13 +12,14 @@ import struct
 
 import numpy as np
 
+from qtpart import codec
 from qtpart.codec import (MODE_OVERHEAD_BITS, NS, RdCost, SearchState, dct2d,
                           encode_ns, lambda_of_qp, qstep_of_qp, split_signal_cost)
 from qtpart.dqn import ACTION_NS, ACTION_QT, Transition, epsilon_at, select_action
 from qtpart.frame_io import (BORDER_FILL, REF_BORDER, CausalPatch, LumaFrame,
-                             Rect, causal_patch)
-from qtpart.mlp import (adam_init, adam_step, backward, forward, forward_cached,
-                        init_model)
+                             Rect, reference_dc)
+from qtpart.mlp import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, adam_init, adam_step,
+                        backward, forward, forward_cached, init_model)
 
 CHILD_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -120,9 +121,22 @@ def dyadic_tables(rng: np.random.Generator, depth: int = 3):
             for d in range(depth + 1)]
 
 
+def count_patch_calls(monkeypatch) -> list:
+    """Wrap the ``causal_patch`` the search uses; returns the list of
+    rects it is called with, in call order."""
+    calls, inner = [], codec.causal_patch
+
+    def counting(pix, rect, mask):
+        calls.append(rect)
+        return inner(pix, rect, mask)
+
+    monkeypatch.setattr(codec, "causal_patch", counting)
+    return calls
+
+
 def _encode_leaf(state: SearchState, rect: Rect, depth: int, cfg) -> float:
-    patch = causal_patch(state.work, rect, state.mask)
-    cost, recon = encode_ns(patch, cfg)
+    block = state.work[rect.y:rect.y + rect.h, rect.x:rect.x + rect.w]
+    cost, recon = encode_ns(block, reference_dc(state.work, state.mask, rect), cfg)
     state.commit(rect, depth, recon, cost)
     return cost.j
 
@@ -257,6 +271,24 @@ def reference_encode_ns(patch: CausalPatch, cfg):
     recon = np.clip(np.rint(dc + recon_resid), 0, 255).astype(np.uint8)
     dist = float(np.sum((cu - recon.astype(np.float64)) ** 2))
     return RdCost.compute(rate=rate, dist=dist, lam=lambda_of_qp(cfg.qp)), recon
+
+
+def reference_adam_step(model, grads, state) -> None:
+    """Allocate-per-expression Adam: the original formulation of
+    ``mlp.adam_step``, kept as its byte-identity oracle."""
+    state.step += 1
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    c1 = 1.0 - b1 ** state.step
+    c2 = 1.0 - b2 ** state.step
+    for l, (dw, db) in enumerate(grads):
+        for park, grad, (m, v) in (("weights", dw, (state.m[l][0], state.v[l][0])),
+                                   ("biases", db, (state.m[l][1], state.v[l][1]))):
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            v += (1.0 - b2) * grad * grad
+            upd = (state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS))
+            getattr(model, park)[l] -= upd.astype(model.dtype)
 
 
 def write_header_only_model(path, layers):

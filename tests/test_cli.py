@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qtpart
-from qtpart import codec, dataset, metrics
+from qtpart import cli, codec, dataset, metrics
 from qtpart.cli import main
 from qtpart.dataset import load_records, load_trajectories
 from qtpart.features import LAYOUT_HASH
@@ -418,6 +418,38 @@ def test_bdrate_bad_curve_is_data_error(tmp_path, capsys):
     rc = main(["bdrate", "--anchor", str(anchor), "--test", str(anchor)])
     assert rc == 3
     assert "needs exactly the qps" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------------- parser
+
+def test_parser_is_built_once_and_parses_like_a_fresh_one(work):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    fresh = cli.build_parser.__wrapped__
+    encode = ["encode", "--frame", work["a64"], "--qp", "27", "--out", "r.json"]
+    sweep = ["sweep", "--frames", work["a64"], work["b64"], "--model", "m.qtnn",
+             "--thresholds", "1,2", "--out", "s"]
+    for argv in (encode, sweep, encode, ["bdrate", "--anchor", "a", "--test", "b"],
+                 sweep):
+        assert vars(parser.parse_args(argv)) == vars(fresh().parse_args(argv))
+
+
+def test_usage_error_then_commands_write_the_same_config(work, tmp_path, capsys,
+                                                         monkeypatch):
+    out = tmp_path / "report.json"
+    config = tmp_path / "report.json.config.json"
+    encode = ["encode", "--frame", work["a64"], "--qp", "27", "--out", str(out)]
+    written = lambda: (out.read_bytes(), config.read_bytes())
+    assert main(["encode", "--out", str(out)]) == 2            # usage error first
+    assert main(encode) == 0
+    first = written()
+    assert main(["features", "describe"]) == 0
+    assert main(encode) == 0
+    second = written()
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert main(encode) == 0                                   # a fresh parser
+    assert first == second == written()
 
 
 # --------------------------------------------------------------- exit codes

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from qtpart.codec import (MODE_OVERHEAD_BITS, NS, QT, TRANSFORM_SIZES,
-                          CodecConfig, RdCost, SearchState, dct2d, encode_ns,
-                          exhaustive_search, lambda_of_qp, psnr_of_mse,
+from qtpart.codec import (MODE_OVERHEAD_BITS, NS, QP_MAX, QT, TRANSFORM_SIZES,
+                          CodecConfig, RdCost, SearchState, VisitInfo, dct2d,
+                          encode_ns, exhaustive_search, lambda_of_qp, psnr_of_mse,
                           qstep_of_qp, qt_cost_table, split_signal_cost,
-                          split_sizes)
-from qtpart.frame_io import LumaFrame, Rect, causal_patch
+                          search, split_sizes)
+from qtpart.frame_io import LumaFrame, Rect, causal_patch, reference_dc
 
-from helpers import (bottom_up_qt_cost, chosen_leaves, dyadic_tables,
-                     natural_frame, reference_causal_patch, reference_encode_ns)
+from helpers import (bottom_up_qt_cost, chosen_leaves, count_patch_calls,
+                     dyadic_tables, natural_frame, reference_causal_patch,
+                     reference_encode_ns)
 
 
 # -- rate control laws --------------------------------------------------
@@ -132,18 +133,19 @@ def test_split_signal_cost():
 # -- single-block encode --------------------------------------------------
 
 
-def _lone_patch(pixels, qp, ctu):
-    frame = LumaFrame(pixels)
-    state = SearchState(frame)
+def _lone_block(pixels, qp, ctu):
+    """A whole-frame block with no reconstructed neighbours."""
+    state = SearchState(LumaFrame(pixels))
     cfg = CodecConfig(ctu=ctu, max_depth=2, qp=qp)
-    return causal_patch(state.work, Rect(0, 0, ctu, ctu), state.mask), cfg
+    return state.work, reference_dc(state.work, state.mask, Rect(0, 0, ctu, ctu)), cfg
 
 
 def test_flat_block_at_fill_value_costs_only_rate():
     # value 128 equals the no-reference DC prediction: zero residual,
     # so J is purely the signalling rate (4 mode bits + 1 bit/coeff)
-    patch, cfg = _lone_patch(np.full((32, 32), 128, np.uint8), qp=32, ctu=32)
-    cost, recon = encode_ns(patch, cfg)
+    block, dc, cfg = _lone_block(np.full((32, 32), 128, np.uint8), qp=32, ctu=32)
+    assert dc == 128.0
+    cost, recon = encode_ns(block, dc, cfg)
     assert cost.dist == 0.0
     assert cost.rate == MODE_OVERHEAD_BITS + 32 * 32
     assert cost.j == lambda_of_qp(32) * (MODE_OVERHEAD_BITS + 32 * 32)
@@ -152,13 +154,15 @@ def test_flat_block_at_fill_value_costs_only_rate():
 
 def test_encode_ns_cost_identity_and_recon_range():
     f = natural_frame(8, h=32, w=32)
-    patch, cfg = _lone_patch(f.pixels, qp=27, ctu=32)
-    cost, recon = encode_ns(patch, cfg)
+    block, dc, cfg = _lone_block(f.pixels, qp=27, ctu=32)
+    before = block.copy()
+    cost, recon = encode_ns(block, dc, cfg)
+    assert np.array_equal(block, before)          # the view is never written
     assert cost.j == cost.dist + cost.lam * cost.rate
     assert cost.lam == lambda_of_qp(27)
     assert recon.dtype == np.uint8
     # distortion is the SSE against the source block
-    sse = float(np.sum((recon.astype(np.int64) - patch.cu.astype(np.int64)) ** 2))
+    sse = float(np.sum((recon.astype(np.int64) - block.astype(np.int64)) ** 2))
     assert cost.dist == sse
 
 
@@ -170,12 +174,14 @@ def test_dc_prediction_uses_reconstructed_neighbors():
     state = SearchState(frame)
     cfg = CodecConfig(ctu=32, max_depth=2, qp=32)
     for rect in (Rect(0, 0, 16, 16), Rect(16, 0, 16, 16), Rect(0, 16, 16, 16)):
-        patch = causal_patch(state.work, rect, state.mask)
-        cost, recon = encode_ns(patch, cfg)
+        block = state.work[rect.y:rect.y + 16, rect.x:rect.x + 16]
+        cost, recon = encode_ns(block, reference_dc(state.work, state.mask, rect), cfg)
         state.commit(rect, 1, recon, cost)
     patch = causal_patch(state.work, Rect(16, 16, 16, 16), state.mask)
     assert patch.top_available and patch.left_available
-    cost, recon = encode_ns(patch, cfg)
+    dc = reference_dc(state.work, state.mask, Rect(16, 16, 16, 16))
+    assert dc == 57.0
+    cost, recon = encode_ns(state.work[16:, 16:], dc, cfg)
     assert cost.dist == 0.0
     assert np.array_equal(recon, np.full((16, 16), 57))
 
@@ -184,22 +190,23 @@ def test_rate_decreases_with_coarser_quantization():
     f = natural_frame(9, h=32, w=32)
     rates = []
     for qp in (22, 37):
-        patch, cfg = _lone_patch(f.pixels, qp=qp, ctu=32)
-        cost, _ = encode_ns(patch, cfg)
+        block, dc, cfg = _lone_block(f.pixels, qp=qp, ctu=32)
+        cost, _ = encode_ns(block, dc, cfg)
         rates.append(cost.rate)
     assert rates[0] > rates[1]
 
 
 def _oracle_cases():
     """Seeded (pixels, mask, rect) cases: block sides 4-64 at an interior
-    position, on the frame's top and left edges and two pixels in from
-    the corner; all four top/left availability combinations plus strips
-    with holes; noise, flat 0 and flat 255 blocks under opposite
+    position, on the frame's top and left edges, on its bottom-right
+    corner and two pixels in from the top-left corner; all four top/left
+    availability combinations, strips with holes and an unstructured
+    random mask; noise, flat 0 and flat 255 blocks under opposite
     references, so the reconstruction must clip."""
     rng = np.random.default_rng(77)
     side = 2 * 64 + 8
     for n in TRANSFORM_SIZES:
-        for x, y in ((64, 64), (0, 64), (64, 0), (2, 2)):
+        for x, y in ((64, 64), (0, 64), (64, 0), (2, 2), (side - n, side - n)):
             rect = Rect(x, y, n, n)
             for content in ("noise", "zero", "full"):
                 pix = rng.integers(0, 256, (side, side)).astype(np.uint8)
@@ -208,21 +215,23 @@ def _oracle_cases():
                     pix[:] = 255 - v
                     pix[y:y + n, x:x + n] = v
                 for top, left, holes in ((0, 0, 0), (1, 0, 0), (0, 1, 0),
-                                         (1, 1, 0), (1, 1, 1)):
+                                         (1, 1, 0), (1, 1, 1), (0, 0, 1)):
                     mask = np.zeros((side, side), bool)
                     if top:
                         mask[max(y - 4, 0):y, max(x - 4, 0):x + n] = True
                     if left:
                         mask[y:y + n, max(x - 4, 0):x] = True
-                    if holes:
+                    if holes and (top or left):
                         mask &= rng.random((side, side)) > 0.05
+                    elif holes:
+                        mask = rng.random((side, side)) > 0.5
                     yield pix, mask, rect
 
 
 def test_lean_codec_path_byte_identical_to_reference():
     cases = mismatches = 0
-    flags, clipped, exponents = set(), 0, set()
-    for pix, mask, rect in _oracle_cases():
+    flags, clipped, exponents, qps = set(), 0, set(), set()
+    for i, (pix, mask, rect) in enumerate(_oracle_cases()):
         patch = causal_patch(pix, rect, mask)
         ref_patch = reference_causal_patch(pix, rect, mask)
         for name in ("cu", "top", "left", "corner"):
@@ -230,24 +239,29 @@ def test_lean_codec_path_byte_identical_to_reference():
                 != getattr(ref_patch, name).tobytes()
         mismatches += (patch.top_available, patch.left_available) \
             != (ref_patch.top_available, ref_patch.left_available)
-        flags.add((patch.top_available, patch.left_available))
-        for qp in (0, 4, 22, 37, 51):
+        flags.add((ref_patch.top_available, ref_patch.left_available))
+        refs = [ref_patch.top[-1]] * ref_patch.top_available \
+            + [ref_patch.left[:, -1]] * ref_patch.left_available
+        ref_dc = float(np.concatenate(refs).mean()) if refs else 128.0
+        dc = reference_dc(pix, mask, rect)
+        mismatches += dc != ref_dc
+        block = pix[rect.y:rect.y + rect.h, rect.x:rect.x + rect.w]
+        for qp in (0, 22, 51, i % (QP_MAX + 1)):
             cfg = CodecConfig(qp=qp)
-            cost, recon = encode_ns(patch, cfg)
+            cost, recon = encode_ns(block, dc, cfg)
             ref_cost, ref_recon = reference_encode_ns(ref_patch, cfg)
             mismatches += cost != ref_cost
             mismatches += recon.tobytes() != ref_recon.tobytes()
             clipped += bool(recon.min() == 0 or recon.max() == 255)
+            qps.add(qp)
             cases += 1
             if qp == 0:
-                refs = [patch.top[-1]] * patch.top_available \
-                    + [patch.left[:, -1]] * patch.left_available
-                dc = np.concatenate(refs).mean() if refs else 128.0
-                levels = np.rint(dct2d(patch.cu - dc) / qstep_of_qp(0))
+                levels = np.rint(dct2d(ref_patch.cu - ref_dc) / qstep_of_qp(0))
                 exponents |= set(np.frexp(levels[levels != 0])[1].tolist())
-    assert cases == 5 * 4 * 3 * 5 * 5
+    assert cases == 5 * 5 * 3 * 6 * 4
     assert mismatches == 0
     assert flags == {(False, False), (True, False), (False, True), (True, True)}
+    assert qps == set(range(QP_MAX + 1))
     assert clipped > 0
     assert set(range(1, 16)) <= exponents         # |level| spans 1 .. 2**14
 
@@ -279,6 +293,60 @@ def test_state_commit_and_neighbor_lookup():
     jpp, depth = state.neighbor_at(31, 31)
     assert depth == 1
     assert jpp == cost.j / 1024.0
+
+
+# -- visits -------------------------------------------------------------
+
+
+def test_visit_patch_is_built_once_on_first_read(monkeypatch):
+    calls = count_patch_calls(monkeypatch)
+    f = natural_frame(13, h=64, w=64)
+    state = SearchState(f)
+    seen = []
+
+    def visitor(visit):
+        first = visit.patch
+        assert visit.patch is first
+        fresh = causal_patch(state.work, visit.rect, state.mask)
+        for name in ("cu", "top", "left", "corner", "top_available", "left_available"):
+            assert np.array_equal(getattr(first, name), getattr(fresh, name))
+        seen.append(visit.rect)
+
+    exhaustive_search(Rect(0, 0, 64, 64), CodecConfig(), state, visitor=visitor)
+    assert len(seen) == 85
+    assert calls == seen                       # the two reads made one call
+
+
+def test_visit_with_explicit_patch_uses_it(monkeypatch):
+    calls = count_patch_calls(monkeypatch)
+    pix = natural_frame(14, h=32, w=32).pixels
+    patch = causal_patch(pix, Rect(0, 0, 32, 32), np.zeros((32, 32), bool))
+    visit = VisitInfo(Rect(0, 0, 32, 32), 32, RdCost.compute(1.0, 1.0, 1.0),
+                      None, None, None, patch=patch)
+    assert visit.patch is patch and calls == []
+
+
+def test_visited_blocks_still_hold_source_pixels():
+    # encode_ns codes the view state.work[rect]; every visit, pruned or
+    # not, must find there the source pixels, never a reconstruction
+    f = natural_frame(15)
+    visits = 0
+    for mode in ("visitor", "prune"):
+        state = SearchState(f)
+
+        def check(visit):
+            nonlocal visits
+            r = visit.rect
+            assert np.array_equal(state.work[r.y:r.y + r.h, r.x:r.x + r.w],
+                                  state.orig[r.y:r.y + r.h, r.x:r.x + r.w])
+            visits += 1
+            return r.x % 64 == 32               # prune some blocks
+
+        for y in (0, 64):
+            for x in (0, 64):
+                search(Rect(x, y, 64, 64), CodecConfig(), state, **{mode: check})
+        assert state.mask.all()
+    assert visits == 4 * 85 + 4 * 13             # 64, 4x32 and 8 unpruned 16s
 
 
 # -- full search ----------------------------------------------------------

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from qtpart import dataset
 from qtpart.codec import NS, QT, CodecConfig, split_signal_cost
 from qtpart.dataset import (COLLECT_SIZES, CuRecord, DatasetError,
                             Trajectory, balance, balance_trajectories,
@@ -14,7 +15,7 @@ from qtpart.dataset import (COLLECT_SIZES, CuRecord, DatasetError,
 from qtpart.features import LAYOUT_HASH
 from qtpart.frame_io import LumaFrame
 
-from helpers import natural_frame
+from helpers import count_patch_calls, natural_frame
 
 QPS4 = (22, 27, 32, 37)
 
@@ -76,6 +77,13 @@ def test_collect_counts_per_size():
     assert Counter(r.qp for r in recs) == {22: 4, 37: 4}
     both = collect_records([frame], (22, 37), cfg, sizes=(32, 16), seed=0)
     assert len(both) == 2 * (4 + 16)           # plus 16 size-16 blocks per qp
+
+
+def test_collect_walk_builds_one_patch_per_visit(monkeypatch):
+    calls = count_patch_calls(monkeypatch)
+    pairs, _ = dataset._walk_frame(natural_frame(40, h=64, w=128), 27, CodecConfig())
+    assert len(pairs) == 2 * 85
+    assert calls == [node.rect for node, _ in pairs]
 
 
 def test_collect_is_seed_shuffled_but_content_stable():

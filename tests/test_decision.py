@@ -11,7 +11,7 @@ from qtpart.features import (FEATURE_COUNT, FEATURE_NAMES, LAYOUT_HASH,
                              mask_indices)
 from qtpart.mlp import MlpModel, ModelError, init_model
 
-from helpers import natural_frame
+from helpers import count_patch_calls, natural_frame
 
 CTU_AREA = 64 * 64
 
@@ -162,6 +162,22 @@ def test_inactive_sizes_recurse_normally():
     assert res.pixels == 4 * 3 * CTU_AREA
     sizes = {n.rect.w for t in res.trees for n in t.preorder()}
     assert sizes == {64, 32, 16}
+
+
+def test_exhaustive_encode_builds_no_patch(monkeypatch):
+    calls = count_patch_calls(monkeypatch)
+    encode_frame(natural_frame(8), CodecConfig())
+    assert calls == []
+
+
+@pytest.mark.parametrize("ratio", [0.5, 2.0])       # explore all, prune all
+def test_gated_search_builds_one_patch_per_active_visit(monkeypatch, ratio):
+    calls = count_patch_calls(monkeypatch)
+    pol = ThresholdPolicy(ratio_model(ratio), threshold=1.0, active_sizes=(32, 16))
+    res = encode_frame(natural_frame(8), CodecConfig(), policy=pol)
+    active = [n.rect for t in res.trees for n in t.preorder() if n.rect.w in (32, 16)]
+    assert calls == active
+    assert len(active) == 4 * (4 if ratio > 1 else 4 + 16)
 
 
 @pytest.mark.parametrize("ctu, max_depth, sizes", [

@@ -12,7 +12,7 @@ from qtpart.mlp import (DEFAULT_HIDDEN, NORM_BLOWUP_LIMIT, REDUCED_HIDDEN,
                         layer_operator_norms, load_model, loss_and_grads,
                         save_model, train_regression)
 
-from helpers import write_header_only_model
+from helpers import reference_adam_step, write_header_only_model
 
 
 # -- initialization -----------------------------------------------------
@@ -133,6 +133,27 @@ def test_adam_zero_gradient_keeps_parameters():
     for w, old in zip(m.weights, before):
         assert np.array_equal(w, old)
     assert st.step == 1
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("lr", [1e-3, 1e-5])
+def test_adam_step_bit_identical_to_reference(dtype, lr):
+    rng = np.random.default_rng(12)
+    x = rng.random((48, 115)).astype(dtype)
+    y = rng.random((48, 2)).astype(dtype)
+    models = [init_model(hidden=(32, 16), out=2, seed=3, dtype=dtype) for _ in range(2)]
+    states = [adam_init(m, lr=lr) for m in models]
+    for step in range(20):
+        rows = rng.choice(48, size=16, replace=False)
+        _, grads = loss_and_grads(models[0], x[rows], y[rows])
+        adam_step(models[0], grads, states[0])
+        reference_adam_step(models[1], grads, states[1])
+    got, want = models
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert a.dtype == np.dtype(dtype) and a.tobytes() == b.tobytes()
+    for ma, mb in zip(states[0].m + states[0].v, states[1].m + states[1].v):
+        assert all(p.tobytes() == q.tobytes() for p, q in zip(ma, mb))
+    assert states[0].step == states[1].step == 20
 
 
 def test_adam_first_step_is_bias_corrected_sign_step():
