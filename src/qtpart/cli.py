@@ -24,8 +24,8 @@ from .dqn import DqnHyper, train_dqn
 from .features import LAYOUT_HASH, describe_layout
 from .frame_io import load_frame
 from .metrics import ABLATION_CONFIGS, RdCurve, bd_rate, run_ablation, sweep
-from .mlp import (DEFAULT_HIDDEN, ModelError, TrainHyper, load_model,
-                  save_model, train_regression)
+from .mlp import (DEFAULT_HIDDEN, VARIANT_SIZES, ModelError, TrainHyper,
+                  load_model, save_model, train_regression)
 
 DEFAULT_QPS = "22,27,32,37"
 JOBS_HELP = "accepted and ignored; collection runs serially"
@@ -268,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_sub = p_train.add_subparsers(dest="subcommand")
     p = train_sub.add_parser("reg", help="cost regression")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--variant", default="N32",
-                   choices=("N8", "N16", "N32", "N32_16", "N32_16_8"))
+    p.add_argument("--variant", default="N32", choices=tuple(VARIANT_SIZES))
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch", type=int, default=512)
     p.add_argument("--lr", type=float, default=1e-5)

@@ -161,21 +161,21 @@ def encode_ns(block: np.ndarray, dc: float, cfg: CodecConfig) -> tuple[RdCost, n
 class SearchState:
     """Mutable per-run encoder state shared by all CTUs of one frame.
 
-    ``work`` starts as a copy of the source and is progressively
-    overwritten with committed reconstructions; ``mask`` marks committed
-    pixels, the only ones usable as prediction references. ``depth_map``
-    and ``jpp_map`` record the depth and per-pixel cost of the committed
-    leaf covering each pixel, for neighbour summaries. ``pixels`` counts
-    the area of every NS encode performed.
+    ``orig`` is the frame's own read-only pixel array. ``work`` starts as
+    a copy of it and is progressively overwritten with committed
+    reconstructions; ``mask`` marks committed pixels, the only ones
+    usable as prediction references. ``depth_map`` and ``jpp_map`` record
+    the depth and per-pixel cost of the committed leaf covering each
+    pixel, for neighbour summaries. ``pixels`` counts the area of every
+    NS encode performed.
     """
 
-    def __init__(self, frame: LumaFrame | np.ndarray):
-        pix = frame.pixels if isinstance(frame, LumaFrame) else np.asarray(frame, np.uint8)
-        self.orig = pix.copy()
-        self.work = pix.copy()
-        self.mask = np.zeros(pix.shape, dtype=bool)
-        self.depth_map = np.full(pix.shape, -1, dtype=np.int8)
-        self.jpp_map = np.zeros(pix.shape, dtype=np.float64)
+    def __init__(self, frame: LumaFrame):
+        self.orig = frame.pixels
+        self.work = self.orig.copy()
+        self.mask = np.zeros(self.orig.shape, dtype=bool)
+        self.depth_map = np.full(self.orig.shape, -1, dtype=np.int8)
+        self.jpp_map = np.zeros(self.orig.shape, dtype=np.float64)
         self.pixels = 0
 
     def neighbor_at(self, x: int, y: int) -> Optional[tuple[float, int]]:

@@ -105,29 +105,27 @@ def _validate_sizes(cfg: CodecConfig, sizes: Sequence[int]) -> tuple[int, ...]:
 
 
 def _walk_frame(frame: LumaFrame, qp: int, cfg: CodecConfig):
-    """Search every full CTU of a frame, yielding (node, descriptor) pairs
-    in visit order. Cropped border tiles are skipped."""
+    """Search every full CTU of a frame. Returns its nodes in preorder
+    (the visit order), each node's descriptor keyed by its rect, and the
+    config at ``qp``."""
     cfg_qp = cfg.at_qp(qp)
     state = SearchState(frame)
-    pairs = []
-    for tile in tile_ctus(frame, cfg.ctu):
-        if tile.cropped:
-            continue
-        vecs = []
-        tree = exhaustive_search(
-            tile.rect, cfg_qp, state,
-            visitor=lambda v: vecs.append(build_vector(v)))
-        nodes = list(tree.preorder())
-        assert len(nodes) == len(vecs)
-        pairs.extend(zip(nodes, vecs))
-    return pairs, cfg_qp
+    nodes, vecs = [], {}
+
+    def visitor(visit):
+        vecs[visit.rect] = build_vector(visit)
+
+    for rect in tile_ctus(frame, cfg.ctu):
+        nodes.extend(exhaustive_search(rect, cfg_qp, state, visitor=visitor).preorder())
+    return nodes, vecs, cfg_qp
 
 
 def _collect(frames: Sequence[LumaFrame], qps: Sequence[int], cfg: CodecConfig,
              seed: int, emit: Callable) -> list:
     """Search every frame at every qp, in (frame, qp) order, concatenate
-    what ``emit(pairs, cfg_qp)`` returns for each search, then shuffle
-    once with the given seed. Inputs are checked before the first search."""
+    what ``emit(nodes, vecs, cfg_qp)`` returns for each search, then
+    shuffle once with the given seed. Inputs, frame sizes included, are
+    checked before the first search."""
     if not frames:
         raise DatasetError("empty frame list")
     qps = tuple(qps)
@@ -137,14 +135,11 @@ def _collect(frames: Sequence[LumaFrame], qps: Sequence[int], cfg: CodecConfig,
         if not QP_MIN <= qp <= QP_MAX:
             raise DatasetError(f"qp {qp} outside [{QP_MIN}, {QP_MAX}]")
     for frame in frames:
-        if frame.width < cfg.ctu or frame.height < cfg.ctu:
-            raise DatasetError(f"{frame.width}x{frame.height} frame holds no "
-                               f"full {cfg.ctu}x{cfg.ctu} CTU")
+        tile_ctus(frame, cfg.ctu)
     items = []
     for frame in frames:
         for qp in qps:
-            pairs, cfg_qp = _walk_frame(frame, qp, cfg)
-            items.extend(emit(pairs, cfg_qp))
+            items.extend(emit(*_walk_frame(frame, qp, cfg)))
     order = np.random.default_rng(seed).permutation(len(items))
     return [items[i] for i in order]
 
@@ -157,14 +152,14 @@ def collect_records(frames: Sequence[LumaFrame], qps: Sequence[int],
     (frame, qp) order, then shuffled with the given seed."""
     sizes = _validate_sizes(cfg, sizes)
 
-    def emit(pairs, cfg_qp):
+    def emit(nodes, vecs, cfg_qp):
         out = []
-        for node, vec in pairs:
+        for node in nodes:
             if node.qt_j is None or node.rect.w not in sizes:
                 continue
             area = node.rect.area
-            out.append(CuRecord(features=vec, cu_size=node.rect.w, qp=cfg_qp.qp,
-                                ns_j_pp=node.ns.j / area,
+            out.append(CuRecord(features=vecs[node.rect], cu_size=node.rect.w,
+                                qp=cfg_qp.qp, ns_j_pp=node.ns.j / area,
                                 qt_j_pp=node.qt_j / area))
         return out
 
@@ -181,21 +176,20 @@ def collect_trajectories(frames: Sequence[LumaFrame], qps: Sequence[int],
             f"trajectories need 16x16 split costs: max_depth >= {depth32 + 2} "
             f"with ctu {cfg.ctu}")
 
-    def emit(pairs, cfg_qp):
+    def emit(nodes, vecs, cfg_qp):
         out = []
-        by_node = {id(n): v for n, v in pairs}
         delta_pp = split_signal_cost(cfg_qp) / 1024.0
-        for node, vec in pairs:
+        for node in nodes:
             if node.rect.w != 32 or not node.children:
                 continue
             if any(c.qt_j is None for c in node.children):
                 continue
             out.append(Trajectory(
-                state32=vec,
+                state32=vecs[node.rect],
                 ns_j_pp=node.ns.j / 1024.0,
                 qt_j_pp=node.qt_j / 1024.0,
                 delta_qt_pp=delta_pp,
-                child_features=np.stack([by_node[id(c)] for c in node.children]),
+                child_features=np.stack([vecs[c.rect] for c in node.children]),
                 child_ns_j_pp=np.array([c.ns.j / 256.0 for c in node.children]),
                 child_qt_j_pp=np.array([c.qt_j / 256.0 for c in node.children])))
         return out

@@ -4,7 +4,9 @@ and the pruned CTU search that embeds it.
 A one-output model predicts the split/no-split cost ratio directly; a
 two-output model predicts both scaled costs and the gate compares their
 ratio. Rule: prune the split branch when ratio >= threshold. The block's
-own coding is never skipped, only the descent below it.
+own coding is never skipped, only the descent below it. A frame is
+encoded CTU by CTU over the full CTUs that ``frame_io.tile_ctus``
+returns; its remainders are neither coded nor counted.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def pruned_search(rect: Rect, cfg: CodecConfig, state: SearchState,
 class FrameRunResult:
     trees: list
     state: SearchState
-    full_tiles: list
+    covered: Rect                 # the top-left area the full CTUs tile
 
     @property
     def pixels(self) -> int:
@@ -106,37 +108,35 @@ class FrameRunResult:
         return float(sum(t.rate_bits(split_bits) for t in self.trees))
 
     def sse(self) -> float:
-        """Reconstruction error over the area covered by full CTUs."""
-        total = 0.0
-        o = self.state.orig.astype(np.float64)
-        w = self.state.work.astype(np.float64)
-        for tile in self.full_tiles:
-            r = tile.rect
-            total += float(np.sum((o[r.y:r.y + r.h, r.x:r.x + r.w]
-                                   - w[r.y:r.y + r.h, r.x:r.x + r.w]) ** 2))
-        return total
+        """Reconstruction error over the area covered by full CTUs.
+
+        The residuals fit int16 and their squares are summed in int64,
+        exactly; the total stays far below 2**53, so it converts to float
+        exactly too.
+        """
+        r = self.covered
+        d = np.subtract(self.state.orig[:r.h, :r.w], self.state.work[:r.h, :r.w],
+                        dtype=np.int16)
+        return float(np.einsum("ij,ij->", d, d, dtype=np.int64))
 
     @property
     def covered_area(self) -> int:
-        return sum(t.rect.area for t in self.full_tiles)
+        return self.covered.area
 
 
 def encode_frame(frame: LumaFrame, cfg: CodecConfig,
                  policy: ThresholdPolicy | None = None) -> FrameRunResult:
-    """Search every full CTU of a frame in raster order under one shared
-    state; cropped border tiles are skipped."""
+    """Search every full CTU of a frame (``tile_ctus``) in raster order
+    under one shared state. A frame that holds no full CTU is refused
+    before any search."""
     if policy is not None:
         check_active_sizes(policy.active_sizes, cfg)
+    rects = tile_ctus(frame, cfg.ctu)
     state = SearchState(frame)
-    trees, full = [], []
-    for tile in tile_ctus(frame, cfg.ctu):
-        if tile.cropped:
-            continue
-        full.append(tile)
-        if policy is None:
-            trees.append(codec.exhaustive_search(tile.rect, cfg, state))
-        else:
-            trees.append(pruned_search(tile.rect, cfg, state, policy))
-    if not full:
-        raise ValueError("frame holds no full CTU")
-    return FrameRunResult(trees=trees, state=state, full_tiles=full)
+    if policy is None:
+        trees = [codec.exhaustive_search(rect, cfg, state) for rect in rects]
+    else:
+        trees = [pruned_search(rect, cfg, state, policy) for rect in rects]
+    last = rects[-1]
+    return FrameRunResult(trees=trees, state=state,
+                          covered=Rect(0, 0, last.x + last.w, last.y + last.h))

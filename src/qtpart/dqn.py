@@ -219,12 +219,12 @@ def train_dqn(trajs: Sequence[Trajectory], hyper: DqnHyper | None = None,
         if boot.size:
             targets[boot] = _bootstrap(delta[traj[boot]], states[traj[boot], 1:],
                                        model)
-        out, cache = forward_cached(model, states[traj, slot])
+        out, acts = forward_cached(model, states[traj, slot])
         rows = np.arange(len(codes))
         td = out[rows, actions].astype(np.float64) - targets
         dout = np.zeros_like(out)
         dout[rows, actions] = (2.0 / len(codes)) * td.astype(model.dtype)
-        grads = backward(model, cache, dout)
+        grads = backward(model, acts, dout)
         adam_step(model, grads, adam)
         diagnostics.append((step, float(np.mean(np.abs(td))), eps))
     check_parameter_scale(model)

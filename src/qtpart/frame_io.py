@@ -3,9 +3,10 @@ extraction.
 
 Frames are single-plane 8-bit arrays. Two on-disk formats are supported:
 binary PGM (P5, maxval 255) and headerless raw luma with caller-supplied
-dimensions. Frames are tiled into coding-tree-unit squares in raster
-order; tiles sticking out past the border are cropped and flagged so the
-quadtree code can skip them.
+dimensions. ``tile_ctus`` is the one tiling rule: a frame is covered by
+the full coding-tree-unit squares that fit in it, in raster order. The
+right and bottom remainders are never searched, and a frame that holds
+no full CTU is refused.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 BORDER_FILL = 128   # substitute for unavailable reference samples
 REF_BORDER = 4      # causal reference rows/columns kept per side
-MIN_FRAME_SIDE = 8
 CTU_SIZES = (32, 64)      # the largest transform is 64x64
 
 
@@ -37,12 +37,6 @@ class Rect:
     @property
     def area(self) -> int:
         return self.w * self.h
-
-
-@dataclass(frozen=True)
-class CtuTile:
-    rect: Rect
-    cropped: bool
 
 
 class LumaFrame:
@@ -79,16 +73,13 @@ class CausalPatch:
     directly above, ``left`` the REF_BORDER columns directly to the left
     and ``corner`` the square where the two strips meet. Reference pixels
     that fall outside the frame, or that have not been reconstructed yet,
-    are replaced by BORDER_FILL; the top and left strips' availability
-    flags are set only when every one of their pixels is genuine.
+    are replaced by BORDER_FILL.
     """
 
     cu: np.ndarray
     top: np.ndarray
     left: np.ndarray
     corner: np.ndarray
-    top_available: bool
-    left_available: bool
 
 
 def load_frame(path: str | Path, fmt: str = "pgm8",
@@ -162,22 +153,19 @@ def _parse_pgm(data: bytes) -> LumaFrame:
     return LumaFrame(np.frombuffer(raster, dtype=np.uint8).reshape(height, width))
 
 
-def tile_ctus(frame: LumaFrame, ctu: int) -> list[CtuTile]:
-    """Cover the frame with ctu x ctu tiles in raster order.
+def tile_ctus(frame: LumaFrame, ctu: int) -> list[Rect]:
+    """The full ctu x ctu CTUs of a frame, in raster order.
 
-    Border tiles that stick out are cropped to the frame and flagged.
+    Pixels right of the last full column or below the last full row
+    belong to no CTU. A frame that holds no full CTU is refused.
     """
     if ctu not in CTU_SIZES:
         raise ValueError(f"ctu must be one of {CTU_SIZES}")
-    if frame.width < MIN_FRAME_SIDE or frame.height < MIN_FRAME_SIDE:
-        raise FrameFormatError("frame smaller than 8x8")
-    tiles = []
-    for y in range(0, frame.height, ctu):
-        for x in range(0, frame.width, ctu):
-            w = min(ctu, frame.width - x)
-            h = min(ctu, frame.height - y)
-            tiles.append(CtuTile(Rect(x, y, w, h), cropped=(w < ctu or h < ctu)))
-    return tiles
+    w, h = frame.width, frame.height
+    if w < ctu or h < ctu:
+        raise FrameFormatError(f"{w}x{h} frame holds no full {ctu}x{ctu} CTU")
+    return [Rect(x, y, ctu, ctu)
+            for y in range(0, h - ctu + 1, ctu) for x in range(0, w - ctu + 1, ctu)]
 
 
 def _available(mask: np.ndarray, y0: int, y1: int, x0: int, x1: int) -> bool:
@@ -191,18 +179,18 @@ def _available(mask: np.ndarray, y0: int, y1: int, x0: int, x1: int) -> bool:
 
 
 def _grab(pix: np.ndarray, mask: np.ndarray,
-          y0: int, y1: int, x0: int, x1: int) -> tuple[np.ndarray, bool]:
+          y0: int, y1: int, x0: int, x1: int) -> np.ndarray:
     """Copy [y0:y1, x0:x1] substituting BORDER_FILL where off-frame or
-    not yet reconstructed. Returns (block, fully_available)."""
+    not yet reconstructed."""
     if _available(mask, y0, y1, x0, x1):
-        return pix[y0:y1, x0:x1].copy(), True
+        return pix[y0:y1, x0:x1].copy()
     iy0, iy1 = max(y0, 0), min(y1, pix.shape[0])
     ix0, ix1 = max(x0, 0), min(x1, pix.shape[1])
     sub = pix[iy0:iy1, ix0:ix1]
     avail = mask[iy0:iy1, ix0:ix1]
     out = np.full((y1 - y0, x1 - x0), BORDER_FILL, dtype=np.uint8)
     out[iy0 - y0:iy1 - y0, ix0 - x0:ix1 - x0][avail] = sub[avail]
-    return out, False
+    return out
 
 
 def reference_dc(pix: np.ndarray, mask: np.ndarray, rect: Rect) -> float:
@@ -210,8 +198,8 @@ def reference_dc(pix: np.ndarray, mask: np.ndarray, rect: Rect) -> float:
 
     The mean of the reconstructed row directly above the block and the
     reconstructed column directly to its left. Each counts only when its
-    whole REF_BORDER-deep strip is available (the rule behind
-    ``CausalPatch.top_available``/``left_available``); with neither, the
+    whole REF_BORDER-deep strip is available (``_available``, the rule
+    under which ``causal_patch`` copies a strip whole); with neither, the
     prediction is BORDER_FILL. The integer sum of 8-bit samples is
     divided once, so the result is the correctly rounded mean. Reads only
     ``pix`` and ``mask`` inside those two strips and builds no patch.
@@ -241,8 +229,7 @@ def causal_patch(pix: np.ndarray, rect: Rect, encoded_mask: np.ndarray) -> Causa
         raise ValueError(f"rect {rect} outside frame {pix.shape}")
     cu = pix[rect.y:rect.y + rect.h, rect.x:rect.x + rect.w].copy()
     b = REF_BORDER
-    top, top_ok = _grab(pix, encoded_mask, rect.y - b, rect.y, rect.x, rect.x + rect.w)
-    left, left_ok = _grab(pix, encoded_mask, rect.y, rect.y + rect.h, rect.x - b, rect.x)
-    corner, _ = _grab(pix, encoded_mask, rect.y - b, rect.y, rect.x - b, rect.x)
-    return CausalPatch(cu=cu, top=top, left=left, corner=corner,
-                       top_available=top_ok, left_available=left_ok)
+    top = _grab(pix, encoded_mask, rect.y - b, rect.y, rect.x, rect.x + rect.w)
+    left = _grab(pix, encoded_mask, rect.y, rect.y + rect.h, rect.x - b, rect.x)
+    corner = _grab(pix, encoded_mask, rect.y - b, rect.y, rect.x - b, rect.x)
+    return CausalPatch(cu=cu, top=top, left=left, corner=corner)

@@ -19,7 +19,7 @@ import numpy as np
 from .codec import CodecConfig, psnr_of_mse
 from .dataset import CuRecord
 from .decision import ThresholdPolicy, check_active_sizes, encode_frame
-from .frame_io import LumaFrame
+from .frame_io import LumaFrame, tile_ctus
 from .mlp import (DEFAULT_HIDDEN, REDUCED_HIDDEN, MlpModel, TrainHyper,
                   train_regression)
 
@@ -138,9 +138,14 @@ class SweepResult:
     anchor: dict                  # per-qp pixels/rate/psnr
 
 
-def _check_grid(thresholds: Sequence[float], qps, active_sizes,
-                cfg: CodecConfig) -> None:
-    """Refuse a threshold grid, qp set or active sizes no sweep can run."""
+def _check_grid(frames: Sequence[LumaFrame], thresholds: Sequence[float], qps,
+                active_sizes, cfg: CodecConfig) -> None:
+    """Refuse frames, a threshold grid, qp set or active sizes no sweep
+    can run."""
+    if not frames:
+        raise ValueError("empty frame list")
+    for frame in frames:
+        tile_ctus(frame, cfg.ctu)
     if not thresholds:
         raise ValueError("empty threshold list")
     if not all(t > 0 for t in thresholds):
@@ -186,9 +191,10 @@ def sweep(frames: Sequence[LumaFrame], cfg: CodecConfig, model: MlpModel,
 
     The anchor is the exhaustive search on the same frames and qps; each
     threshold yields one (delta_c, bd_rate) point. Every policy is built,
-    and so the model and the active sizes checked, before the first encode.
+    and so the model and the active sizes checked, and every frame
+    tiled, before the first encode.
     """
-    _check_grid(thresholds, qps, active_sizes, cfg)
+    _check_grid(frames, thresholds, qps, active_sizes, cfg)
     policies = _policies(model, thresholds, active_sizes)
     return _sweep_against(_run_setting(frames, cfg, None, qps), frames, cfg,
                           policies, qps)
@@ -218,11 +224,12 @@ def run_ablation(records: Sequence[CuRecord], frames: Sequence[LumaFrame],
     """Retrain the size-32 regression under each configuration, sweep it,
     and report bd_rate interpolated at 10% and 20% complexity drops.
 
-    Every config name, the threshold grid, the qps and the active sizes
-    are checked before the first model is trained. The exhaustive anchor
-    is encoded once and shared by every configuration's sweep.
+    Every config name, the frames, the threshold grid, the qps and the
+    active sizes are checked before the first model is trained. The
+    exhaustive anchor is encoded once and shared by every configuration's
+    sweep.
     """
-    _check_grid(thresholds, qps, active_sizes, cfg)
+    _check_grid(frames, thresholds, qps, active_sizes, cfg)
     for name in configs:
         if name not in ABLATION_CONFIGS:
             raise ValueError(f"unknown ablation config {name!r}")

@@ -92,48 +92,52 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def forward_cached(model: MlpModel, x: np.ndarray):
+    """Forward pass that also returns every layer's input activations,
+    the (batch, width) input first, for ``backward``."""
     a = np.asarray(x, dtype=model.dtype)
     single = a.ndim == 1
     if single:
         a = a[None, :]
     if a.shape[1] != model.in_dim:
         raise ModelError(f"input width {a.shape[1]} != model input {model.in_dim}")
-    acts, pres = [a], []
+    acts = [a]
     n_layers = len(model.weights)
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
+        a = a @ w
+        a += b
         if l < n_layers - 1:
-            pres.append(z)
-            a = np.maximum(z, 0.0)
+            np.maximum(a, 0.0, out=a)
             acts.append(a)
-        else:
-            a = z
     out = a[0] if single else a
-    return out, {"acts": acts, "pres": pres}
+    return out, acts
 
 
-def backward(model: MlpModel, cache: dict, dout: np.ndarray) -> list:
+def backward(model: MlpModel, acts: list, dout: np.ndarray) -> list:
     """Gradients of a scalar loss given d(loss)/d(output); returns
-    [(dW, db), ...] in layer order."""
+    [(dW, db), ...] in layer order.
+
+    A hidden unit passes gradient where its rectified output is positive,
+    which is exactly where its pre-activation is: NaN and -0.0 fail both
+    tests.
+    """
     delta = np.atleast_2d(np.asarray(dout, dtype=model.dtype))
     grads = [None] * len(model.weights)
     for l in range(len(model.weights) - 1, -1, -1):
-        a_prev = cache["acts"][l]
-        grads[l] = (a_prev.T @ delta, delta.sum(axis=0))
+        grads[l] = (acts[l].T @ delta, delta.sum(axis=0))
         if l > 0:
-            delta = (delta @ model.weights[l].T) * (cache["pres"][l - 1] > 0)
+            delta = (delta @ model.weights[l].T) * (acts[l] > 0)
     return grads
 
 
 def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray):
     """Mean squared error over batch and outputs, with its gradients."""
-    out, cache = forward_cached(model, x)
+    out, acts = forward_cached(model, x)
     out2 = np.atleast_2d(out)
     t = np.asarray(y, dtype=model.dtype).reshape(out2.shape)
     diff = out2 - t
     loss = float(np.mean(diff.astype(np.float64) ** 2))
     dout = (2.0 / diff.size) * diff
-    return loss, backward(model, cache, dout)
+    return loss, backward(model, acts, dout)
 
 
 @dataclass

@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +17,7 @@ from qtpart import codec
 from qtpart.codec import (MODE_OVERHEAD_BITS, NS, RdCost, SearchState, dct2d,
                           encode_ns, lambda_of_qp, qstep_of_qp, split_signal_cost)
 from qtpart.dqn import ACTION_NS, ACTION_QT, Transition, epsilon_at, select_action
-from qtpart.frame_io import (BORDER_FILL, REF_BORDER, CausalPatch, LumaFrame,
-                             Rect, reference_dc)
+from qtpart.frame_io import BORDER_FILL, REF_BORDER, LumaFrame, Rect, reference_dc
 from qtpart.mlp import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, adam_init, adam_step,
                         backward, forward, forward_cached, init_model)
 
@@ -233,7 +233,20 @@ def _reference_grab(pix, mask, y0, y1, x0, x1):
     return out, inside and bool(avail.all())
 
 
-def reference_causal_patch(pix, rect: Rect, encoded_mask) -> CausalPatch:
+@dataclass
+class ReferencePatch:
+    """A ``frame_io.CausalPatch`` plus the strip availability flags that
+    the reference DC reads."""
+
+    cu: np.ndarray
+    top: np.ndarray
+    left: np.ndarray
+    corner: np.ndarray
+    top_available: bool
+    left_available: bool
+
+
+def reference_causal_patch(pix, rect: Rect, encoded_mask) -> ReferencePatch:
     """Fill-then-scatter strip extraction: the original formulation of
     ``frame_io.causal_patch``, kept as its byte-identity oracle."""
     cu = pix[rect.y:rect.y + rect.h, rect.x:rect.x + rect.w].copy()
@@ -244,11 +257,11 @@ def reference_causal_patch(pix, rect: Rect, encoded_mask) -> CausalPatch:
                                     rect.x - b, rect.x)
     corner, _ = _reference_grab(pix, encoded_mask, rect.y - b, rect.y,
                                 rect.x - b, rect.x)
-    return CausalPatch(cu=cu, top=top, left=left, corner=corner,
-                       top_available=top_ok, left_available=left_ok)
+    return ReferencePatch(cu=cu, top=top, left=left, corner=corner,
+                          top_available=top_ok, left_available=left_ok)
 
 
-def reference_encode_ns(patch: CausalPatch, cfg):
+def reference_encode_ns(patch: ReferencePatch, cfg):
     """Float-mean DC, log2 rate and clip/sum distortion: the original
     formulation of ``codec.encode_ns``, kept as its byte-identity oracle."""
     cu = patch.cu.astype(np.float64)
@@ -289,6 +302,27 @@ def reference_adam_step(model, grads, state) -> None:
             v += (1.0 - b2) * grad * grad
             upd = (state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS))
             getattr(model, park)[l] -= upd.astype(model.dtype)
+
+
+def reference_backward(model, x, dout) -> list:
+    """Forward pass keeping every pre-activation, then gradients masked
+    where the pre-activation is positive: the original formulation of
+    ``mlp.forward_cached``/``mlp.backward``, kept as their oracle."""
+    a = np.atleast_2d(np.asarray(x, dtype=model.dtype))
+    acts, pres, n = [a], [], len(model.weights)
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w + b
+        if l < n - 1:
+            pres.append(z)
+            a = np.maximum(z, 0.0)
+            acts.append(a)
+    delta = np.atleast_2d(np.asarray(dout, dtype=model.dtype))
+    grads = [None] * n
+    for l in range(n - 1, -1, -1):
+        grads[l] = (acts[l].T @ delta, delta.sum(axis=0))
+        if l > 0:
+            delta = (delta @ model.weights[l].T) * (pres[l - 1] > 0)
+    return grads
 
 
 def write_header_only_model(path, layers):

@@ -261,9 +261,9 @@ def test_criterion_09_texture_descriptor_properties():
         for qp in (22, 37):
             cfg = CodecConfig().at_qp(qp)
             state = SearchState(frame)
-            for tile in tile_ctus(frame, cfg.ctu):
+            for rect in tile_ctus(frame, cfg.ctu):
                 exhaustive_search(
-                    tile.rect, cfg, state,
+                    rect, cfg, state,
                     visitor=lambda v: vectors.append(build_vector(v)))
     assert len(vectors) >= 2000
     si = np.stack(vectors)[:, SI_START:]

@@ -382,6 +382,36 @@ def test_bad_qp_set_fails_before_any_work(work, tmp_path, capsys, monkeypatch,
     assert "needs exactly the qps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["encode", "--frame", "small"],
+    ["encode", "--frame", "small", "--model", "reg", "--threshold", "1.0"],
+    ["sweep", "--frames", "a64", "small", "--model", "reg", "--thresholds", "1.0"],
+    ["ablate", "--dataset", "dataset", "--frames", "a64", "small",
+     "--thresholds", "1.0", "--configs", "none"],
+    ["dataset", "build", "--frames", "a64", "small"],
+    ["dataset", "trajectories", "--frames", "a64", "small"],
+], ids=["encode", "encode-gated", "sweep", "ablate", "dataset-build",
+        "dataset-trajectories"])
+def test_frame_with_no_full_ctu_fails_before_any_work(work, tmp_path, capsys,
+                                                      monkeypatch, command):
+    # the bad frame comes after a good one, so a late check would search first
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("expensive work ran before the frame check")
+
+    for module, name in ((codec, "search"), (metrics, "encode_frame"),
+                         (metrics, "train_regression"), (dataset, "_walk_frame")):
+        monkeypatch.setattr(module, name, must_not_run)
+    small = tmp_path / "small.pgm"
+    save_pgm(natural_frame(33, 32, 48), small)
+    paths = {**work, "small": str(small)}
+    out = tmp_path / "out"
+    argv = command[:1] + [paths.get(a, a) for a in command[1:]]   # names -> paths
+    rc = main(argv + ["--out", str(out)])
+    assert rc == 3
+    assert "error: 48x32 frame holds no full 64x64 CTU" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_foreign_layout_fails_before_any_work(work, tmp_path, capsys,
                                                     monkeypatch):
     def must_not_run(*args, **kwargs):

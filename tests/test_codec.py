@@ -178,7 +178,7 @@ def test_dc_prediction_uses_reconstructed_neighbors():
         cost, recon = encode_ns(block, reference_dc(state.work, state.mask, rect), cfg)
         state.commit(rect, 1, recon, cost)
     patch = causal_patch(state.work, Rect(16, 16, 16, 16), state.mask)
-    assert patch.top_available and patch.left_available
+    assert (patch.top == 57).all() and (patch.left == 57).all()
     dc = reference_dc(state.work, state.mask, Rect(16, 16, 16, 16))
     assert dc == 57.0
     cost, recon = encode_ns(state.work[16:, 16:], dc, cfg)
@@ -237,8 +237,6 @@ def test_lean_codec_path_byte_identical_to_reference():
         for name in ("cu", "top", "left", "corner"):
             mismatches += getattr(patch, name).tobytes() \
                 != getattr(ref_patch, name).tobytes()
-        mismatches += (patch.top_available, patch.left_available) \
-            != (ref_patch.top_available, ref_patch.left_available)
         flags.add((ref_patch.top_available, ref_patch.left_available))
         refs = [ref_patch.top[-1]] * ref_patch.top_available \
             + [ref_patch.left[:, -1]] * ref_patch.left_available
@@ -270,7 +268,8 @@ def test_causal_patch_strips_are_copies():
     pix = natural_frame(3, h=64, w=64).pixels.copy()
     mask = np.ones(pix.shape, bool)
     patch = causal_patch(pix, Rect(16, 16, 16, 16), mask)
-    assert patch.top_available and patch.left_available
+    assert np.array_equal(patch.top, pix[12:16, 16:32])
+    assert np.array_equal(patch.left, pix[16:32, 12:16])
     before = [a.copy() for a in (patch.cu, patch.top, patch.left, patch.corner)]
     pix[:] = 255 - pix
     after = (patch.cu, patch.top, patch.left, patch.corner)
@@ -295,6 +294,16 @@ def test_state_commit_and_neighbor_lookup():
     assert jpp == cost.j / 1024.0
 
 
+def test_state_orig_is_the_frames_read_only_pixels():
+    f = natural_frame(11, h=64, w=64)
+    state = SearchState(f)
+    assert state.orig is f.pixels
+    with pytest.raises(ValueError):
+        state.orig[0, 0] = 1
+    state.work[0, 0] = 255 - state.work[0, 0]     # the working copy is writable
+    assert state.work[0, 0] != f.pixels[0, 0]
+
+
 # -- visits -------------------------------------------------------------
 
 
@@ -308,7 +317,7 @@ def test_visit_patch_is_built_once_on_first_read(monkeypatch):
         first = visit.patch
         assert visit.patch is first
         fresh = causal_patch(state.work, visit.rect, state.mask)
-        for name in ("cu", "top", "left", "corner", "top_available", "left_available"):
+        for name in ("cu", "top", "left", "corner"):
             assert np.array_equal(getattr(first, name), getattr(fresh, name))
         seen.append(visit.rect)
 

@@ -81,9 +81,25 @@ def test_collect_counts_per_size():
 
 def test_collect_walk_builds_one_patch_per_visit(monkeypatch):
     calls = count_patch_calls(monkeypatch)
-    pairs, _ = dataset._walk_frame(natural_frame(40, h=64, w=128), 27, CodecConfig())
-    assert len(pairs) == 2 * 85
-    assert calls == [node.rect for node, _ in pairs]
+    nodes, vecs, _ = dataset._walk_frame(natural_frame(40, h=64, w=128), 27,
+                                         CodecConfig())
+    assert len(nodes) == len(vecs) == 2 * 85
+    assert calls == [node.rect for node in nodes] == list(vecs)
+
+
+def test_collect_from_frame_with_remainders_matches_its_full_ctu_crop(tmp_path):
+    frame = natural_frame(44, h=130, w=200)    # 2px bottom, 8px right remainder
+    crop = LumaFrame(frame.pixels[:128, :192])
+    cfg = CodecConfig()
+    for name, frames in (("full", [frame]), ("crop", [crop])):
+        save_records(collect_records(frames, (27,), cfg, sizes=(32, 16), seed=5),
+                     tmp_path / f"{name}.qtds")
+        save_trajectories(collect_trajectories(frames, (27,), cfg, seed=5),
+                          tmp_path / f"{name}.traj.qtds")
+    for suffix in (".qtds", ".traj.qtds"):
+        full = (tmp_path / f"full{suffix}").read_bytes()
+        assert len(full) > 1000
+        assert full == (tmp_path / f"crop{suffix}").read_bytes()
 
 
 def test_collect_is_seed_shuffled_but_content_stable():

@@ -9,6 +9,7 @@ from qtpart.decision import (EXPLORE, PRUNE_QT, ThresholdPolicy, decide,
                              encode_frame)
 from qtpart.features import (FEATURE_COUNT, FEATURE_NAMES, LAYOUT_HASH,
                              mask_indices)
+from qtpart.frame_io import LumaFrame, Rect
 from qtpart.mlp import MlpModel, ModelError, init_model
 
 from helpers import count_patch_calls, natural_frame
@@ -202,13 +203,32 @@ def test_encode_frame_skips_cropped_tiles():
     frame = natural_frame(9, 128, 200)         # 8px remainder column
     cfg = CodecConfig()
     res = encode_frame(frame, cfg)
-    assert len(res.full_tiles) == 6
+    assert res.covered == Rect(0, 0, 192, 128)
     assert res.covered_area == 6 * CTU_AREA
     assert len(res.trees) == 6
 
 
-def test_encode_frame_requires_one_full_ctu():
-    with pytest.raises(ValueError, match="no full CTU"):
+@pytest.mark.parametrize("ctu", [32, 64])
+def test_encode_frame_with_remainders_matches_its_full_ctu_crop(ctu):
+    frame = natural_frame(12, 130, 200)        # 2px bottom, 8px right remainder
+    crop = LumaFrame(frame.pixels[:128, :192])
+    cfg = CodecConfig(ctu=ctu, max_depth=2)
+    a, b = encode_frame(frame, cfg), encode_frame(crop, cfg)
+    assert [t.to_dict() for t in a.trees] == [t.to_dict() for t in b.trees]
+    assert len(a.trees) == (128 // ctu) * (192 // ctu)
+    assert a.pixels == b.pixels
+    assert a.rate_bits(cfg.split_bits) == b.rate_bits(cfg.split_bits)
+    assert a.sse() == b.sse()
+    assert a.covered == b.covered == Rect(0, 0, 192, 128)
+    assert np.array_equal(a.state.work[:128, :192], b.state.work)
+
+
+def test_encode_frame_requires_one_full_ctu(monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a search ran on a frame with no full CTU")
+
+    monkeypatch.setattr(codec, "search", must_not_run)
+    with pytest.raises(ValueError, match="32x32 frame holds no full 64x64 CTU"):
         encode_frame(natural_frame(0, 32, 32), CodecConfig())
 
 
@@ -221,7 +241,7 @@ def test_frame_result_accounting():
         sum(t.rate_bits(cfg.split_bits) for t in res.trees))
     o = res.state.orig.astype(np.float64)
     w = res.state.work.astype(np.float64)
-    assert res.sse() == pytest.approx(float(np.sum((o - w) ** 2)))
+    assert res.sse() == float(np.sum((o - w) ** 2))
 
 
 def test_frame_result_sse_covers_full_tiles_only():
@@ -230,6 +250,6 @@ def test_frame_result_sse_covers_full_tiles_only():
     o = res.state.orig.astype(np.float64)
     w = res.state.work.astype(np.float64)
     manual = float(np.sum((o[:, :192] - w[:, :192]) ** 2))
-    assert res.sse() == pytest.approx(manual)
+    assert res.sse() == manual
     # the cropped strip is never touched
     assert np.array_equal(res.state.work[:, 192:], res.state.orig[:, 192:])

@@ -264,8 +264,7 @@ def _synthetic_visit(seed=30, size=32, qp=22):
     top = rng.integers(0, 256, (4, size)).astype(np.uint8)
     left = rng.integers(0, 256, (size, 4)).astype(np.uint8)
     corner = rng.integers(0, 256, (4, 4)).astype(np.uint8)
-    patch = CausalPatch(cu=cu, top=top, left=left, corner=corner,
-                        top_available=True, left_available=True)
+    patch = CausalPatch(cu=cu, top=top, left=left, corner=corner)
     cost = RdCost.compute(rate=200.0, dist=1500.0, lam=5.0)
     # parent per pixel over its 64x64 area: j 4.0, rate 0.5, dist 2.0
     parent = RdCost.compute(rate=2048.0, dist=8192.0, lam=4.0)

@@ -89,25 +89,28 @@ def test_unknown_format(tmp_path):
 # -- tiling ------------------------------------------------------------
 
 
-def test_tile_ctus_counts_and_flags():
+def test_tile_ctus_returns_full_ctus_in_raster_order():
     f = LumaFrame(np.zeros((130, 200), np.uint8))
-    tiles = tile_ctus(f, 64)
-    assert len(tiles) == 12  # ceil(130/64) * ceil(200/64) = 3 * 4
-    full = [t for t in tiles if not t.cropped]
-    assert len(full) == 6    # 2 rows x 3 cols fit entirely
-    assert tiles[0].rect == Rect(0, 0, 64, 64)
-    # raster order: x varies fastest
-    assert tiles[1].rect.x == 64 and tiles[1].rect.y == 0
-    last = tiles[-1]
-    assert last.cropped and last.rect == Rect(192, 128, 8, 2)
+    rects = tile_ctus(f, 64)
+    assert rects == [Rect(x, y, 64, 64) for y in (0, 64) for x in (0, 64, 128)]
+    # the 8-pixel right and 2-pixel bottom remainders belong to no CTU
+    rects = tile_ctus(f, 32)
+    assert len(rects) == 24      # 4 rows x 6 cols
+    assert rects == [Rect(x, y, 32, 32) for y in range(0, 128, 32)
+                     for x in range(0, 192, 32)]
 
 
 def test_tile_ctus_rejects_bad_inputs():
     f = LumaFrame(np.zeros((64, 64), np.uint8))
     with pytest.raises(ValueError, match=str(CTU_SIZES)):
         tile_ctus(f, 48)
-    with pytest.raises(FrameFormatError, match="smaller than 8x8"):
+    with pytest.raises(FrameFormatError, match="64x4 frame holds no full 64x64 CTU"):
         tile_ctus(LumaFrame(np.zeros((4, 64), np.uint8)), 64)
+    with pytest.raises(FrameFormatError, match="48x32 frame holds no full 64x64 CTU"):
+        tile_ctus(LumaFrame(np.zeros((32, 48), np.uint8)), 64)
+    with pytest.raises(FrameFormatError, match="63x200 frame holds no full 64x64 CTU"):
+        tile_ctus(LumaFrame(np.zeros((200, 63), np.uint8)), 64)
+    assert tile_ctus(LumaFrame(np.zeros((32, 48), np.uint8)), 32) == [Rect(0, 0, 32, 32)]
 
 
 # -- causal patches ----------------------------------------------------
@@ -118,7 +121,6 @@ def test_patch_at_origin_is_all_fill():
     mask = np.zeros((64, 64), bool)
     p = causal_patch(f.pixels, Rect(0, 0, 16, 16), mask)
     assert np.array_equal(p.cu, f.pixels[:16, :16])
-    assert not (p.top_available or p.left_available)
     for strip in (p.top, p.left, p.corner):
         assert (strip == BORDER_FILL).all()
     assert p.top.shape == (4, 16) and p.left.shape == (16, 4)
@@ -130,12 +132,11 @@ def test_patch_reads_only_encoded_pixels():
     mask = np.zeros((64, 64), bool)
     mask[:16, :] = True          # top row of blocks done
     p = causal_patch(f.pixels, Rect(16, 16, 16, 16), mask)
-    assert p.top_available and not p.left_available
     assert np.array_equal(p.top, f.pixels[12:16, 16:32])
     assert (p.left == BORDER_FILL).all()
     mask[:, :16] = True          # left column done as well
     p = causal_patch(f.pixels, Rect(16, 16, 16, 16), mask)
-    assert p.left_available
+    assert np.array_equal(p.top, f.pixels[12:16, 16:32])
     assert np.array_equal(p.left, f.pixels[16:32, 12:16])
     assert np.array_equal(p.corner, f.pixels[12:16, 12:16])
 
@@ -145,7 +146,6 @@ def test_patch_partial_strip_is_unavailable():
     mask = np.zeros((64, 64), bool)
     mask[:16, :24] = True        # only part of the row above is done
     p = causal_patch(f.pixels, Rect(16, 16, 16, 16), mask)
-    assert not p.top_available
     assert np.array_equal(p.top[:, :8], f.pixels[12:16, 16:24])
     assert (p.top[:, 8:] == BORDER_FILL).all()
 
@@ -169,7 +169,6 @@ def test_patch_without_mask_has_no_references():
     # sample lies inside the frame but none may be used
     f = natural_frame(6, h=32, w=32)
     p = causal_patch(f.pixels, Rect(8, 8, 8, 8), np.zeros((32, 32), bool))
-    assert not (p.top_available or p.left_available)
     for strip in (p.top, p.left, p.corner):
         assert (strip == BORDER_FILL).all()
 

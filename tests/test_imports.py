@@ -1,4 +1,5 @@
-"""Static check: every name a qtpart module imports is used in it."""
+"""Static checks: every name a qtpart module imports is used in it, and
+a module imports only the qtpart modules below it in ``LAYERS``."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,11 @@ import pytest
 import qtpart
 
 MODULES = sorted(Path(qtpart.__file__).parent.glob("*.py"))
+
+# lowest first; a module may import only the modules before it, so no
+# import cycle can form
+LAYERS = ("frame_io", "codec", "features", "dataset", "mlp", "dqn", "decision",
+          "metrics", "cli")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +39,43 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The qtpart modules a source file imports, relative or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif (node.module or "").split(".")[0] == "qtpart":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            if module:
+                found.add(module.split(".")[0])
+            else:                                  # from . import codec
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "qtpart" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def test_package_imports_are_found():
+    source = ("import numpy as np\nfrom .decision import x\nfrom . import mlp\n"
+              "import qtpart.cli\nfrom qtpart.codec import y\nfrom typing import Z\n"
+              "def f():\n    from .dqn import w\n")
+    assert package_imports(source) == {"decision", "mlp", "cli", "codec", "dqn"}
+
+
+def test_every_module_has_a_layer():
+    assert sorted(p.stem for p in MODULES if p.stem != "__init__") == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_imports_only_lower_layers(path):
+    below = LAYERS[:LAYERS.index(path.stem)] if path.stem in LAYERS else ()
+    assert package_imports(path.read_text()) <= set(below)

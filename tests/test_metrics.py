@@ -228,6 +228,25 @@ def test_ablation_checks_inputs_before_training(records32, sweep_frames, monkeyp
                      configs=configs)
 
 
+@pytest.mark.parametrize("small, message", [
+    (True, "48x32 frame holds no full 64x64 CTU"),
+    (False, "empty frame list"),
+])
+def test_sweep_and_ablation_check_frames_before_any_work(records32, sweep_frames,
+                                                         monkeypatch, small, message):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("expensive work ran before the frame check")
+
+    monkeypatch.setattr(metrics, "encode_frame", must_not_run)
+    monkeypatch.setattr(metrics, "train_regression", must_not_run)
+    # the bad frame comes after a good one, so a late check would encode first
+    frames = sweep_frames[:1] + [natural_frame(33, 32, 48)] if small else []
+    with pytest.raises(ValueError, match=message):
+        sweep(frames, CodecConfig(), ratio_model(1.0), (32,), (1.0,))
+    with pytest.raises(ValueError, match=message):
+        run_ablation(records32, frames, CodecConfig(), (1.0,), configs=("none",))
+
+
 def test_ablation_encodes_the_anchor_once(records32, sweep_frames, monkeypatch):
     calls = []
     encode = metrics.encode_frame

@@ -8,11 +8,11 @@ from qtpart.dataset import normalize_targets
 from qtpart.features import LAYOUT_HASH, mask_indices
 from qtpart.mlp import (DEFAULT_HIDDEN, NORM_BLOWUP_LIMIT, REDUCED_HIDDEN,
                         AdamState, MlpModel, ModelError, TrainHyper, adam_init,
-                        adam_step, check_parameter_scale, forward, init_model,
-                        layer_operator_norms, load_model, loss_and_grads,
-                        save_model, train_regression)
+                        adam_step, backward, check_parameter_scale, forward,
+                        forward_cached, init_model, layer_operator_norms,
+                        load_model, loss_and_grads, save_model, train_regression)
 
-from helpers import reference_adam_step, write_header_only_model
+from helpers import reference_adam_step, reference_backward, write_header_only_model
 
 
 # -- initialization -----------------------------------------------------
@@ -108,6 +108,26 @@ def test_gradients_match_finite_differences():
                 rel = abs(fd - gflat[idx]) / max(abs(fd), abs(gflat[idx]), 1e-8)
                 worst = max(worst, rel)
     assert worst < 1e-5
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_backward_bit_identical_to_pre_activation_mask(dtype):
+    # the rectified output is positive exactly where the pre-activation
+    # is; a NaN row and a zero row (pre-activations +-0.0) included
+    m = init_model(hidden=(32, 16), out=2, seed=4, dtype=dtype)
+    m.biases[0][::2] = -0.0
+    rng = np.random.default_rng(13)
+    x = rng.normal(0.0, 1.0, (300, 115)).astype(dtype)
+    x[7] = np.nan
+    x[8] = 0.0
+    dout = rng.normal(0.0, 1.0, (300, 2)).astype(dtype)
+    out, acts = forward_cached(m, x)
+    assert out.tobytes() == forward(m, x).tobytes()
+    got = backward(m, acts, dout)
+    want = reference_backward(m, x, dout)
+    assert np.isnan(got[0][0]).any()
+    for (gw, gb), (rw, rb) in zip(got, want):
+        assert gw.tobytes() == rw.tobytes() and gb.tobytes() == rb.tobytes()
 
 
 def test_loss_is_mse_over_all_elements():
