@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage error, 3 data error (missing or malformed
-inputs), 4 model error. Every command that writes artifacts also writes
-the resolved configuration next to them as JSON.
+Exit codes: 0 success, 2 usage error, 3 data error (missing, unreadable
+or malformed inputs), 4 model error. Every command that writes artifacts
+also writes the resolved configuration next to them as JSON.
 """
 
 from __future__ import annotations
@@ -205,6 +205,10 @@ def cmd_sweep(args) -> int:
 def cmd_bdrate(args) -> int:
     def read_curve(path):
         raw = json.loads(Path(path).read_text())
+        if not isinstance(raw, dict) or not all(
+                k.isdigit() and isinstance(v, list) and len(v) == 2
+                and all(type(x) in (int, float) for x in v) for k, v in raw.items()):
+            raise ValueError(f"{path}: a curve is a JSON object of qp -> [rate, psnr]")
         return RdCurve.from_qp_points({int(k): tuple(v) for k, v in raw.items()})
 
     value = bd_rate(read_curve(args.anchor), read_curve(args.test))
@@ -349,7 +353,7 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

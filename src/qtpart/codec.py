@@ -163,9 +163,9 @@ class SearchState:
 
     ``orig`` is the frame's own read-only pixel array. ``work`` starts as
     a copy of it and is progressively overwritten with committed
-    reconstructions; ``mask`` marks committed pixels, the only ones
-    usable as prediction references. ``depth_map`` and ``jpp_map`` record
-    the depth and per-pixel cost of the committed leaf covering each
+    reconstructions, which ``search``'s CTU order makes the in-frame
+    references. ``depth_map`` and ``jpp_map`` record the depth (-1 until
+    committed) and per-pixel cost of the committed leaf covering each
     pixel, for neighbour summaries. ``pixels`` counts the area of every
     NS encode performed.
     """
@@ -173,7 +173,6 @@ class SearchState:
     def __init__(self, frame: LumaFrame):
         self.orig = frame.pixels
         self.work = self.orig.copy()
-        self.mask = np.zeros(self.orig.shape, dtype=bool)
         self.depth_map = np.full(self.orig.shape, -1, dtype=np.int8)
         self.jpp_map = np.zeros(self.orig.shape, dtype=np.float64)
         self.pixels = 0
@@ -186,10 +185,14 @@ class SearchState:
             return None
         return float(self.jpp_map[y, x]), int(self.depth_map[y, x])
 
+    @property
+    def mask(self) -> np.ndarray:
+        """Committed pixels, derived from ``depth_map``; a fresh array."""
+        return self.depth_map >= 0
+
     def commit(self, rect: Rect, depth: int, recon: np.ndarray, cost: RdCost) -> None:
         ys, xs = slice(rect.y, rect.y + rect.h), slice(rect.x, rect.x + rect.w)
         self.work[ys, xs] = recon
-        self.mask[ys, xs] = True
         self.depth_map[ys, xs] = depth
         self.jpp_map[ys, xs] = cost.j / rect.area
 
@@ -220,7 +223,7 @@ class VisitInfo:
     @property
     def patch(self) -> CausalPatch:
         if self._patch is None:
-            self._patch = causal_patch(self._state.work, self.rect, self._state.mask)
+            self._patch = causal_patch(self._state.work, self.rect)
         return self._patch
 
 
@@ -271,10 +274,19 @@ def search(rect: Rect, cfg: CodecConfig, state: SearchState,
     ``visitor`` is called once per visited block, right after its NS
     encode and before any recursion. ``prune`` is consulted at every
     block that could structurally split; returning True forces NS there
-    without exploring the subtree.
+    without exploring the subtree. Each CTU comes once, after its left and
+    upper neighbours (raster order), so every in-frame reference strip is
+    reconstructed (``frame_io``); any other CTU is refused before encoding.
     """
     if rect.w != rect.h or rect.w != cfg.ctu or rect.w & (rect.w - 1):
         raise ValueError(f"search rect must be a full {cfg.ctu}x{cfg.ctu} CTU, got {rect}")
+    seen = state.depth_map
+    if not (0 <= rect.x <= seen.shape[1] - rect.w and 0 <= rect.y <= seen.shape[0] - rect.h):
+        raise ValueError(f"CTU {rect} outside frame {seen.shape}")
+    if seen[rect.y, rect.x] >= 0:
+        raise ValueError(f"CTU {rect} was already searched")
+    if (rect.x and seen[rect.y, rect.x - 1] < 0) or (rect.y and seen[rect.y - 1, rect.x] < 0):
+        raise ValueError(f"CTU {rect} searched before its left or upper neighbour")
     return _search_node(rect, 0, cfg, state, visitor, prune, None)
 
 
@@ -288,7 +300,7 @@ def _search_node(rect, depth, cfg, state, visitor, prune, parent) -> PartitionNo
     # the block's own pixels are still source pixels: only the block and
     # its descendants commit inside it, and they come after this encode
     block = state.work[rect.y:rect.y + rect.h, rect.x:rect.x + rect.w]
-    ns_cost, recon = encode_ns(block, reference_dc(state.work, state.mask, rect), cfg)
+    ns_cost, recon = encode_ns(block, reference_dc(state.work, rect), cfg)
     state.pixels += rect.area
 
     can_split = depth < cfg.max_depth

@@ -6,7 +6,10 @@ binary PGM (P5, maxval 255) and headerless raw luma with caller-supplied
 dimensions. ``tile_ctus`` is the one tiling rule: a frame is covered by
 the full coding-tree-unit squares that fit in it, in raster order. The
 right and bottom remainders are never searched, and a frame that holds
-no full CTU is refused.
+no full CTU is refused. Reference availability is geometry: a strip
+beside a block is used whole when it lies inside the frame and is
+BORDER_FILL otherwise. ``codec.search`` takes CTUs in raster order and
+their blocks in z-order, so every in-frame strip is then reconstructed.
 """
 
 from __future__ import annotations
@@ -71,9 +74,9 @@ class CausalPatch:
 
     ``cu`` is the h x w block itself. ``top`` holds the REF_BORDER rows
     directly above, ``left`` the REF_BORDER columns directly to the left
-    and ``corner`` the square where the two strips meet. Reference pixels
-    that fall outside the frame, or that have not been reconstructed yet,
-    are replaced by BORDER_FILL.
+    and ``corner`` the square where the two strips meet. A strip that
+    reaches outside the frame is BORDER_FILL as a whole; one inside it is
+    copied from the working picture.
     """
 
     cu: np.ndarray
@@ -168,68 +171,44 @@ def tile_ctus(frame: LumaFrame, ctu: int) -> list[Rect]:
             for y in range(0, h - ctu + 1, ctu) for x in range(0, w - ctu + 1, ctu)]
 
 
-def _available(mask: np.ndarray, y0: int, y1: int, x0: int, x1: int) -> bool:
-    """The reference availability rule: a strip counts only when all of
-    [y0:y1, x0:x1] lies inside the frame and every pixel of it has been
-    reconstructed."""
-    if y0 < 0 or x0 < 0 or y1 > mask.shape[0] or x1 > mask.shape[1]:
-        return False
-    m = mask[y0:y1, x0:x1]
-    return np.count_nonzero(m) == m.size
-
-
-def _grab(pix: np.ndarray, mask: np.ndarray,
-          y0: int, y1: int, x0: int, x1: int) -> np.ndarray:
-    """Copy [y0:y1, x0:x1] substituting BORDER_FILL where off-frame or
-    not yet reconstructed."""
-    if _available(mask, y0, y1, x0, x1):
-        return pix[y0:y1, x0:x1].copy()
-    iy0, iy1 = max(y0, 0), min(y1, pix.shape[0])
-    ix0, ix1 = max(x0, 0), min(x1, pix.shape[1])
-    sub = pix[iy0:iy1, ix0:ix1]
-    avail = mask[iy0:iy1, ix0:ix1]
-    out = np.full((y1 - y0, x1 - x0), BORDER_FILL, dtype=np.uint8)
-    out[iy0 - y0:iy1 - y0, ix0 - x0:ix1 - x0][avail] = sub[avail]
-    return out
-
-
-def reference_dc(pix: np.ndarray, mask: np.ndarray, rect: Rect) -> float:
+def reference_dc(pix: np.ndarray, rect: Rect) -> float:
     """DC prediction of a block from the working picture.
 
     The mean of the reconstructed row directly above the block and the
     reconstructed column directly to its left. Each counts only when its
-    whole REF_BORDER-deep strip is available (``_available``, the rule
-    under which ``causal_patch`` copies a strip whole); with neither, the
-    prediction is BORDER_FILL. The integer sum of 8-bit samples is
-    divided once, so the result is the correctly rounded mean. Reads only
-    ``pix`` and ``mask`` inside those two strips and builds no patch.
+    whole REF_BORDER-deep strip lies inside the frame (the rule under
+    which ``causal_patch`` copies a strip); with neither, the prediction
+    is BORDER_FILL. The integer sum of 8-bit samples is divided once, so
+    the result is the correctly rounded mean. Reads only ``pix`` inside
+    those two strips and builds no patch; a block that is not inside the
+    frame is refused.
     """
-    b = REF_BORDER
+    if not (0 <= rect.x <= pix.shape[1] - rect.w and 0 <= rect.y <= pix.shape[0] - rect.h):
+        raise ValueError(f"rect {rect} outside frame {pix.shape}")
     x0, x1, y0, y1 = rect.x, rect.x + rect.w, rect.y, rect.y + rect.h
     total = count = 0
-    if _available(mask, y0 - b, y0, x0, x1):
+    if y0 >= REF_BORDER:
         total += sum(pix[y0 - 1, x0:x1].tolist())
         count += rect.w
-    if _available(mask, y0, y1, x0 - b, x0):
+    if x0 >= REF_BORDER:
         total += sum(pix[y0:y1, x0 - 1].tolist())
         count += rect.h
     return total / count if count else float(BORDER_FILL)
 
 
-def causal_patch(pix: np.ndarray, rect: Rect, encoded_mask: np.ndarray) -> CausalPatch:
+def causal_patch(pix: np.ndarray, rect: Rect) -> CausalPatch:
     """Extract a block and its causal reference strips.
 
     ``pix`` is the working picture (source pixels progressively replaced
-    by reconstructions); ``encoded_mask`` marks pixels that have been
-    reconstructed and may serve as references. Never reads pixels to the
-    right of or below the block's own rows and columns.
+    by reconstructions). Never reads pixels to the right of or below the
+    block's own rows and columns.
     """
-    if rect.x < 0 or rect.y < 0 or rect.x + rect.w > pix.shape[1] \
-            or rect.y + rect.h > pix.shape[0]:
+    if not (0 <= rect.x <= pix.shape[1] - rect.w and 0 <= rect.y <= pix.shape[0] - rect.h):
         raise ValueError(f"rect {rect} outside frame {pix.shape}")
     cu = pix[rect.y:rect.y + rect.h, rect.x:rect.x + rect.w].copy()
-    b = REF_BORDER
-    top = _grab(pix, encoded_mask, rect.y - b, rect.y, rect.x, rect.x + rect.w)
-    left = _grab(pix, encoded_mask, rect.y, rect.y + rect.h, rect.x - b, rect.x)
-    corner = _grab(pix, encoded_mask, rect.y - b, rect.y, rect.x - b, rect.x)
+    b, x, y = REF_BORDER, rect.x, rect.y
+    fill = lambda h, w: np.full((h, w), BORDER_FILL, dtype=np.uint8)
+    top = pix[y - b:y, x:x + rect.w].copy() if y >= b else fill(b, rect.w)
+    left = pix[y:y + rect.h, x - b:x].copy() if x >= b else fill(rect.h, b)
+    corner = pix[y - b:y, x - b:x].copy() if x >= b and y >= b else fill(b, b)
     return CausalPatch(cu=cu, top=top, left=left, corner=corner)

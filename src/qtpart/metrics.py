@@ -54,7 +54,7 @@ class RdCurve:
         by_qp = [points[qp] for qp in sorted(points)]
         rates = [float(r) for r, _ in by_qp]
         psnrs = [float(p) for _, p in by_qp]
-        if any(r <= 0 for r in rates):
+        if not all(r > 0 for r in rates):                # NaN included
             raise ValueError("rates must be positive")
         if any(not math.isfinite(p) for p in psnrs):
             raise ValueError("PSNR must be finite (lossless points not allowed)")

@@ -327,4 +327,8 @@ def load_model(path: str | Path) -> MlpModel:
         pos += a * b
         biases.append(flat[pos:pos + b].astype(dtype))
         pos += b
-    return MlpModel(weights=weights, biases=biases, meta=header.get("meta", {}))
+    meta = header.get("meta", {})
+    mask = meta.get("mask", []) if isinstance(meta, dict) else None
+    if not isinstance(mask, list) or not all(isinstance(g, str) for g in mask):
+        raise ModelError("model metadata must be an object whose mask lists group names")
+    return MlpModel(weights=weights, biases=biases, meta=meta)

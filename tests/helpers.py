@@ -126,9 +126,9 @@ def count_patch_calls(monkeypatch) -> list:
     rects it is called with, in call order."""
     calls, inner = [], codec.causal_patch
 
-    def counting(pix, rect, mask):
+    def counting(pix, rect):
         calls.append(rect)
-        return inner(pix, rect, mask)
+        return inner(pix, rect)
 
     monkeypatch.setattr(codec, "causal_patch", counting)
     return calls
@@ -136,7 +136,7 @@ def count_patch_calls(monkeypatch) -> list:
 
 def _encode_leaf(state: SearchState, rect: Rect, depth: int, cfg) -> float:
     block = state.work[rect.y:rect.y + rect.h, rect.x:rect.x + rect.w]
-    cost, recon = encode_ns(block, reference_dc(state.work, state.mask, rect), cfg)
+    cost, recon = encode_ns(block, reference_dc(state.work, rect), cfg)
     state.commit(rect, depth, recon, cost)
     return cost.j
 

@@ -341,6 +341,20 @@ def test_encode_impossible_model_is_model_error(work, tmp_path, capsys, layers):
     assert "impossible layer widths" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("meta", [["x"], {"mask": 5}, {"mask": None},
+                                  {"mask": "HOG"}, {"mask": ["HOG", 1]}])
+def test_encode_bad_model_metadata_is_model_error(work, tmp_path, capsys, meta):
+    model = init_model(hidden=(), out=1, seed=0)
+    model.meta = meta
+    mpath = tmp_path / "bad-meta.qtnn"
+    save_model(model, str(mpath))
+    rc = main(["encode", "--frame", work["c128"], "--model", str(mpath),
+               "--threshold", "1.0", "--out", str(tmp_path / "r.json")])
+    assert rc == 4
+    assert "metadata must be an object whose mask lists group names" \
+        in _one_error_line(capsys)
+
+
 # --------------------------------------------------------------------- sweep
 
 def test_sweep_artifacts(work, tmp_path, capsys):
@@ -450,6 +464,28 @@ def test_bdrate_bad_curve_is_data_error(tmp_path, capsys):
     assert "needs exactly the qps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("curve", [
+    [], None, "curve", {"22": 1000.0, "27": 780.0, "32": 590.0, "37": 410.0},
+    {"22": [1000.0], "27": [780.0], "32": [590.0], "37": [410.0]},
+    {"22": [1000.0, None], "27": [780.0, 42.5], "32": [590.0, 39.2], "37": [410.0, 36.1]},
+    {"22": {"rate": 1000.0}, "27": [780.0, 42.5], "32": [590.0, 39.2], "37": [410.0, 36.1]},
+    {"x": [1000.0, 45.0], "27": [780.0, 42.5], "32": [590.0, 39.2], "37": [410.0, 36.1]},
+])
+def test_bdrate_malformed_curve_file_is_data_error(tmp_path, capsys, curve):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(curve))
+    assert main(["bdrate", "--anchor", str(bad), "--test", str(bad)]) == 3
+    assert "qp -> [rate, psnr]" in _one_error_line(capsys)
+
+
+def test_bdrate_nan_rate_is_data_error(tmp_path, capsys):
+    curve = tmp_path / "nan.json"
+    curve.write_text(json.dumps({"22": [float("nan"), 45.0], "27": [780.0, 42.5],
+                                 "32": [590.0, 39.2], "37": [410.0, 36.1]}))
+    assert main(["bdrate", "--anchor", str(curve), "--test", str(curve)]) == 3
+    assert "rates must be positive" in _one_error_line(capsys)
+
+
 # ------------------------------------------------------------------- parser
 
 def test_parser_is_built_once_and_parses_like_a_fresh_one(work):
@@ -536,6 +572,29 @@ def test_missing_dataset_is_data_error(tmp_path, capsys):
                "--out", str(tmp_path / "m.qtnn")])
     assert rc == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [
+    ["encode", "--frame", "{dir}", "--out", "{tmp}/r.json"],
+    ["train", "reg", "--dataset", "{dir}", "--out", "{tmp}/m.qtnn"],
+    ["bdrate", "--anchor", "{curve}", "--test", "{dir}"],
+])
+def test_unreadable_input_path_is_data_error(tmp_path, capsys, command):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"22": [1000.0, 45.0], "27": [780.0, 42.5],
+                                 "32": [590.0, 39.2], "37": [410.0, 36.1]}))
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    argv = [a.format(dir=folder, tmp=tmp_path, curve=curve) for a in command]
+    assert main(argv) == 3
+    assert str(folder) in _one_error_line(capsys)
+
+
+def _one_error_line(capsys) -> str:
+    """The captured stderr, checked to be a single ``error:`` line."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 # -------------------------------------------------------------- entry point

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from qtpart import codec
 from qtpart.codec import (MODE_OVERHEAD_BITS, NS, QP_MAX, QT, TRANSFORM_SIZES,
                           CodecConfig, RdCost, SearchState, VisitInfo, dct2d,
                           encode_ns, exhaustive_search, lambda_of_qp, psnr_of_mse,
                           qstep_of_qp, qt_cost_table, split_signal_cost,
                           search, split_sizes)
-from qtpart.frame_io import LumaFrame, Rect, causal_patch, reference_dc
+from qtpart.frame_io import LumaFrame, Rect, causal_patch, reference_dc, tile_ctus
 
 from helpers import (bottom_up_qt_cost, chosen_leaves, count_patch_calls,
                      dyadic_tables, natural_frame, reference_causal_patch,
@@ -137,7 +138,7 @@ def _lone_block(pixels, qp, ctu):
     """A whole-frame block with no reconstructed neighbours."""
     state = SearchState(LumaFrame(pixels))
     cfg = CodecConfig(ctu=ctu, max_depth=2, qp=qp)
-    return state.work, reference_dc(state.work, state.mask, Rect(0, 0, ctu, ctu)), cfg
+    return state.work, reference_dc(state.work, Rect(0, 0, ctu, ctu)), cfg
 
 
 def test_flat_block_at_fill_value_costs_only_rate():
@@ -175,11 +176,11 @@ def test_dc_prediction_uses_reconstructed_neighbors():
     cfg = CodecConfig(ctu=32, max_depth=2, qp=32)
     for rect in (Rect(0, 0, 16, 16), Rect(16, 0, 16, 16), Rect(0, 16, 16, 16)):
         block = state.work[rect.y:rect.y + 16, rect.x:rect.x + 16]
-        cost, recon = encode_ns(block, reference_dc(state.work, state.mask, rect), cfg)
+        cost, recon = encode_ns(block, reference_dc(state.work, rect), cfg)
         state.commit(rect, 1, recon, cost)
-    patch = causal_patch(state.work, Rect(16, 16, 16, 16), state.mask)
+    patch = causal_patch(state.work, Rect(16, 16, 16, 16))
     assert (patch.top == 57).all() and (patch.left == 57).all()
-    dc = reference_dc(state.work, state.mask, Rect(16, 16, 16, 16))
+    dc = reference_dc(state.work, Rect(16, 16, 16, 16))
     assert dc == 57.0
     cost, recon = encode_ns(state.work[16:, 16:], dc, cfg)
     assert cost.dist == 0.0
@@ -197,16 +198,15 @@ def test_rate_decreases_with_coarser_quantization():
 
 
 def _oracle_cases():
-    """Seeded (pixels, mask, rect) cases: block sides 4-64 at an interior
-    position, on the frame's top and left edges, on its bottom-right
-    corner and two pixels in from the top-left corner; all four top/left
-    availability combinations, strips with holes and an unstructured
-    random mask; noise, flat 0 and flat 255 blocks under opposite
+    """Seeded (pixels, rect) cases: block sides 4-64 at an interior
+    position, on the frame's top and left edges, at its top-left corner
+    and on its bottom-right corner, so all four top/left availability
+    combinations occur; noise, flat 0 and flat 255 blocks under opposite
     references, so the reconstruction must clip."""
     rng = np.random.default_rng(77)
     side = 2 * 64 + 8
     for n in TRANSFORM_SIZES:
-        for x, y in ((64, 64), (0, 64), (64, 0), (2, 2), (side - n, side - n)):
+        for x, y in ((64, 64), (0, 64), (64, 0), (0, 0), (side - n, side - n)):
             rect = Rect(x, y, n, n)
             for content in ("noise", "zero", "full"):
                 pix = rng.integers(0, 256, (side, side)).astype(np.uint8)
@@ -214,26 +214,17 @@ def _oracle_cases():
                     v = 0 if content == "zero" else 255
                     pix[:] = 255 - v
                     pix[y:y + n, x:x + n] = v
-                for top, left, holes in ((0, 0, 0), (1, 0, 0), (0, 1, 0),
-                                         (1, 1, 0), (1, 1, 1), (0, 0, 1)):
-                    mask = np.zeros((side, side), bool)
-                    if top:
-                        mask[max(y - 4, 0):y, max(x - 4, 0):x + n] = True
-                    if left:
-                        mask[y:y + n, max(x - 4, 0):x] = True
-                    if holes and (top or left):
-                        mask &= rng.random((side, side)) > 0.05
-                    elif holes:
-                        mask = rng.random((side, side)) > 0.5
-                    yield pix, mask, rect
+                yield pix, rect
 
 
 def test_lean_codec_path_byte_identical_to_reference():
+    # the oracle's mask marks every pixel reconstructed, so its
+    # availability flags are the in-frame rule of frame_io
     cases = mismatches = 0
     flags, clipped, exponents, qps = set(), 0, set(), set()
-    for i, (pix, mask, rect) in enumerate(_oracle_cases()):
-        patch = causal_patch(pix, rect, mask)
-        ref_patch = reference_causal_patch(pix, rect, mask)
+    for i, (pix, rect) in enumerate(_oracle_cases()):
+        patch = causal_patch(pix, rect)
+        ref_patch = reference_causal_patch(pix, rect, np.ones(pix.shape, bool))
         for name in ("cu", "top", "left", "corner"):
             mismatches += getattr(patch, name).tobytes() \
                 != getattr(ref_patch, name).tobytes()
@@ -241,7 +232,7 @@ def test_lean_codec_path_byte_identical_to_reference():
         refs = [ref_patch.top[-1]] * ref_patch.top_available \
             + [ref_patch.left[:, -1]] * ref_patch.left_available
         ref_dc = float(np.concatenate(refs).mean()) if refs else 128.0
-        dc = reference_dc(pix, mask, rect)
+        dc = reference_dc(pix, rect)
         mismatches += dc != ref_dc
         block = pix[rect.y:rect.y + rect.h, rect.x:rect.x + rect.w]
         for qp in (0, 22, 51, i % (QP_MAX + 1)):
@@ -256,7 +247,7 @@ def test_lean_codec_path_byte_identical_to_reference():
             if qp == 0:
                 levels = np.rint(dct2d(ref_patch.cu - ref_dc) / qstep_of_qp(0))
                 exponents |= set(np.frexp(levels[levels != 0])[1].tolist())
-    assert cases == 5 * 5 * 3 * 6 * 4
+    assert cases == 5 * 5 * 3 * 4
     assert mismatches == 0
     assert flags == {(False, False), (True, False), (False, True), (True, True)}
     assert qps == set(range(QP_MAX + 1))
@@ -266,8 +257,7 @@ def test_lean_codec_path_byte_identical_to_reference():
 
 def test_causal_patch_strips_are_copies():
     pix = natural_frame(3, h=64, w=64).pixels.copy()
-    mask = np.ones(pix.shape, bool)
-    patch = causal_patch(pix, Rect(16, 16, 16, 16), mask)
+    patch = causal_patch(pix, Rect(16, 16, 16, 16))
     assert np.array_equal(patch.top, pix[12:16, 16:32])
     assert np.array_equal(patch.left, pix[16:32, 12:16])
     before = [a.copy() for a in (patch.cu, patch.top, patch.left, patch.corner)]
@@ -316,7 +306,7 @@ def test_visit_patch_is_built_once_on_first_read(monkeypatch):
     def visitor(visit):
         first = visit.patch
         assert visit.patch is first
-        fresh = causal_patch(state.work, visit.rect, state.mask)
+        fresh = causal_patch(state.work, visit.rect)
         for name in ("cu", "top", "left", "corner"):
             assert np.array_equal(getattr(first, name), getattr(fresh, name))
         seen.append(visit.rect)
@@ -329,7 +319,7 @@ def test_visit_patch_is_built_once_on_first_read(monkeypatch):
 def test_visit_with_explicit_patch_uses_it(monkeypatch):
     calls = count_patch_calls(monkeypatch)
     pix = natural_frame(14, h=32, w=32).pixels
-    patch = causal_patch(pix, Rect(0, 0, 32, 32), np.zeros((32, 32), bool))
+    patch = causal_patch(pix, Rect(0, 0, 32, 32))
     visit = VisitInfo(Rect(0, 0, 32, 32), 32, RdCost.compute(1.0, 1.0, 1.0),
                       None, None, None, patch=patch)
     assert visit.patch is patch and calls == []
@@ -479,3 +469,66 @@ def test_psnr_values():
     assert psnr_of_mse(1.0) == pytest.approx(48.1308036086791, abs=1e-10)
     with pytest.raises(ValueError, match="negative"):
         psnr_of_mse(-1.0)
+
+
+def test_in_frame_strips_are_reconstructed_at_every_visit():
+    # the frame_io rule uses a strip when it lies inside the frame; under
+    # the search order each strip lies wholly inside or wholly outside the
+    # frame, and every in-frame strip pixel is already committed
+    rng = np.random.default_rng(16)
+    runs = [(shape, ctu, depth) for shape in ((130, 140), (140, 130))
+            for ctu, depths in ((32, (1, 2, 3)), (64, (1, 2, 3, 4)))
+            for depth in depths]
+    visits = {False: 0, True: 0}
+    for i, ((h, w), ctu, depth) in enumerate(runs):
+        frame = natural_frame(40 + i, h=h, w=w)
+        cfg = CodecConfig(ctu=ctu, max_depth=depth, qp=(0, 22, 37, 51)[i % 4])
+        for pruned in (False, True):
+            state = SearchState(frame)
+
+            def check(visit):
+                r = visit.rect
+                for y0, y1, x0, x1 in ((r.y - 4, r.y, r.x, r.x + r.w),
+                                       (r.y, r.y + r.h, r.x - 4, r.x),
+                                       (r.y - 4, r.y, r.x - 4, r.x)):
+                    part = state.depth_map[max(y0, 0):y1, max(x0, 0):x1]
+                    if y0 < 0 or x0 < 0:
+                        assert part.size == 0, (r, y0, x0)
+                    else:
+                        assert part.shape == (y1 - y0, x1 - x0)
+                        assert (part >= 0).all(), (r, y0, x0)
+                visits[pruned] += 1
+
+            prune = (lambda visit: rng.random() < 0.3) if pruned else None
+            for rect in tile_ctus(frame, ctu):
+                search(rect, cfg, state, visitor=check, prune=prune)
+            assert state.mask[:h - h % ctu, :w - w % ctu].all()
+    # two shapes, each 16 CTUs of 32 and 4 of 64; 1 + 4 + ... visits per CTU
+    assert visits[False] == 2 * (16 * (5 + 21 + 85) + 4 * (5 + 21 + 85 + 341))
+    assert 0 < visits[True] < visits[False]
+
+
+@pytest.mark.parametrize("before, bad, message", [
+    ([(0, 0)], (0, 0), "already searched"),
+    ([], (64, 0), "before its left or upper neighbour"),
+    ([], (0, 64), "before its left or upper neighbour"),
+    ([(0, 0), (64, 0)], (64, 64), "before its left or upper neighbour"),
+    ([(0, 0), (0, 64)], (64, 64), "before its left or upper neighbour"),
+    ([], (-64, 0), "outside frame"),
+    ([(0, 0), (64, 0)], (128, 0), "outside frame"),
+], ids=["repeated", "right-first", "below-first", "no-left", "no-upper",
+        "left-of-frame", "right-of-frame"])
+def test_search_refuses_ctus_out_of_order_before_any_encode(monkeypatch, before,
+                                                            bad, message):
+    state = SearchState(natural_frame(17))
+    cfg = CodecConfig()
+    for x, y in before:
+        search(Rect(x, y, 64, 64), cfg, state)
+    encodes = []
+    monkeypatch.setattr(codec, "encode_ns",
+                        lambda *a: encodes.append(a) or encode_ns(*a))
+    depth_map, pixels = state.depth_map.copy(), state.pixels
+    with pytest.raises(ValueError, match=message):
+        search(Rect(*bad, 64, 64), cfg, state)
+    assert encodes == []
+    assert np.array_equal(state.depth_map, depth_map) and state.pixels == pixels

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from qtpart.codec import CodecConfig, SearchState, exhaustive_search
 from qtpart.frame_io import (BORDER_FILL, CTU_SIZES, FrameFormatError,
                              LumaFrame, Rect, causal_patch, load_frame,
-                             save_pgm, tile_ctus)
+                             reference_dc, save_pgm, tile_ctus)
 
 from helpers import natural_frame
 
@@ -118,8 +119,7 @@ def test_tile_ctus_rejects_bad_inputs():
 
 def test_patch_at_origin_is_all_fill():
     f = natural_frame(2, h=64, w=64)
-    mask = np.zeros((64, 64), bool)
-    p = causal_patch(f.pixels, Rect(0, 0, 16, 16), mask)
+    p = causal_patch(f.pixels, Rect(0, 0, 16, 16))
     assert np.array_equal(p.cu, f.pixels[:16, :16])
     for strip in (p.top, p.left, p.corner):
         assert (strip == BORDER_FILL).all()
@@ -128,26 +128,30 @@ def test_patch_at_origin_is_all_fill():
 
 
 def test_patch_reads_only_encoded_pixels():
-    f = natural_frame(3, h=64, w=64)
-    mask = np.zeros((64, 64), bool)
-    mask[:16, :] = True          # top row of blocks done
-    p = causal_patch(f.pixels, Rect(16, 16, 16, 16), mask)
-    assert np.array_equal(p.top, f.pixels[12:16, 16:32])
-    assert (p.left == BORDER_FILL).all()
-    mask[:, :16] = True          # left column done as well
-    p = causal_patch(f.pixels, Rect(16, 16, 16, 16), mask)
-    assert np.array_equal(p.top, f.pixels[12:16, 16:32])
-    assert np.array_equal(p.left, f.pixels[16:32, 12:16])
-    assert np.array_equal(p.corner, f.pixels[12:16, 12:16])
+    # the first block of CTU (64, 0), once CTU (0, 0) is searched: its
+    # in-frame strip holds committed reconstructions, not source pixels
+    f = natural_frame(3, h=64, w=128)
+    state = SearchState(f)
+    exhaustive_search(Rect(0, 0, 64, 64), CodecConfig(qp=37), state)
+    p = causal_patch(state.work, Rect(64, 0, 32, 32))
+    assert (state.depth_map[:32, 60:64] >= 0).all()
+    assert np.array_equal(p.left, state.work[:32, 60:64])
+    assert not np.array_equal(p.left, f.pixels[:32, 60:64])
+    assert (p.top == BORDER_FILL).all() and (p.corner == BORDER_FILL).all()
 
 
 def test_patch_partial_strip_is_unavailable():
+    # a strip that reaches past the frame edge is all fill, never the
+    # part of it that lies inside the frame
     f = natural_frame(4, h=64, w=64)
-    mask = np.zeros((64, 64), bool)
-    mask[:16, :24] = True        # only part of the row above is done
-    p = causal_patch(f.pixels, Rect(16, 16, 16, 16), mask)
-    assert np.array_equal(p.top[:, :8], f.pixels[12:16, 16:24])
-    assert (p.top[:, 8:] == BORDER_FILL).all()
+    p = causal_patch(f.pixels, Rect(16, 2, 16, 16))
+    assert (p.top == BORDER_FILL).all() and (p.corner == BORDER_FILL).all()
+    assert np.array_equal(p.left, f.pixels[2:18, 12:16])
+    assert reference_dc(f.pixels, Rect(16, 2, 16, 16)) == \
+        f.pixels[2:18, 15].mean()
+    p = causal_patch(f.pixels, Rect(2, 16, 16, 16))
+    assert (p.left == BORDER_FILL).all() and (p.corner == BORDER_FILL).all()
+    assert np.array_equal(p.top, f.pixels[12:16, 2:18])
 
 
 def test_patch_never_reads_right_or_below():
@@ -155,25 +159,36 @@ def test_patch_never_reads_right_or_below():
     probe = base.copy()
     probe[:, 32:] = 0            # poison everything right of the block
     probe[32:, :] = 0            # and below it
-    mask = np.ones((64, 64), bool)
-    a = causal_patch(base, Rect(16, 16, 16, 16), mask)
-    b = causal_patch(probe, Rect(16, 16, 16, 16), mask)
+    a = causal_patch(base, Rect(16, 16, 16, 16))
+    b = causal_patch(probe, Rect(16, 16, 16, 16))
     assert np.array_equal(a.cu, b.cu)
     assert np.array_equal(a.top, b.top)
     assert np.array_equal(a.left, b.left)
     assert np.array_equal(a.corner, b.corner)
 
 
-def test_patch_without_mask_has_no_references():
-    # an interior block with nothing reconstructed yet: every reference
-    # sample lies inside the frame but none may be used
-    f = natural_frame(6, h=32, w=32)
-    p = causal_patch(f.pixels, Rect(8, 8, 8, 8), np.zeros((32, 32), bool))
-    for strip in (p.top, p.left, p.corner):
-        assert (strip == BORDER_FILL).all()
+def test_patch_strip_availability_is_geometry():
+    # each strip is a copy when it lies inside the frame and all fill
+    # otherwise, whatever the pixels hold; the DC reads the same strips
+    pix = natural_frame(6, h=32, w=32).pixels
+    for x, y in ((8, 8), (0, 8), (8, 0), (24, 24)):
+        p = causal_patch(pix, Rect(x, y, 8, 8))
+        for strip, inside, src in ((p.top, y >= 4, pix[y - 4:y, x:x + 8]),
+                                   (p.left, x >= 4, pix[y:y + 8, x - 4:x]),
+                                   (p.corner, x >= 4 and y >= 4, pix[y - 4:y, x - 4:x])):
+            if inside:
+                assert np.array_equal(strip, src)
+            else:
+                assert (strip == BORDER_FILL).all()
+        refs = [pix[y - 1, x:x + 8]] * (y >= 4) + [pix[y:y + 8, x - 1]] * (x >= 4)
+        want = float(np.concatenate(refs).astype(np.int64).mean()) if refs else 128.0
+        assert reference_dc(pix, Rect(x, y, 8, 8)) == want
 
 
 def test_patch_rejects_out_of_frame_rect():
     f = natural_frame(7, h=32, w=32)
     with pytest.raises(ValueError, match="outside frame"):
-        causal_patch(f.pixels, Rect(24, 24, 16, 16), np.zeros((32, 32), bool))
+        causal_patch(f.pixels, Rect(24, 24, 16, 16))
+    for rect in (Rect(24, 8, 16, 16), Rect(8, 24, 16, 16), Rect(-4, 8, 8, 8)):
+        with pytest.raises(ValueError, match="outside frame"):
+            reference_dc(f.pixels, rect)
