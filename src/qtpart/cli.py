@@ -23,11 +23,12 @@ from .decision import ThresholdPolicy, encode_frame
 from .dqn import DqnHyper, train_dqn
 from .features import LAYOUT_HASH, describe_layout
 from .frame_io import load_frame
-from .metrics import ABLATION_CONFIGS, RdCurve, bd_rate, run_ablation, sweep
+from .metrics import (ABLATION_CONFIGS, EVAL_QPS, RdCurve, bd_rate,
+                      require_eval_qps, run_ablation, sweep)
 from .mlp import (DEFAULT_HIDDEN, VARIANT_SIZES, ModelError, TrainHyper,
                   load_model, save_model, train_regression)
 
-DEFAULT_QPS = "22,27,32,37"
+DEFAULT_QPS = ",".join(map(str, EVAL_QPS))
 JOBS_HELP = "accepted and ignored; collection runs serially"
 
 
@@ -182,11 +183,12 @@ def cmd_encode(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    require_eval_qps(_ints(args.qps))
     frames = _load_frames(args.frames, args.format, args.width, args.height)
     cfg = _codec_config(args)
     model = load_model(args.model)
     result = sweep(frames, cfg, model, tuple(_ints(args.active_sizes)),
-                   _floats(args.thresholds), qps=tuple(_ints(args.qps)))
+                   _floats(args.thresholds))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sweep.csv", list(result.rows[0]),
@@ -217,6 +219,7 @@ def cmd_bdrate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    require_eval_qps(_ints(args.qps))
     records = load_records(args.dataset)
     frames = _load_frames(args.frames, args.format, args.width, args.height)
     cfg = _codec_config(args)
@@ -224,8 +227,7 @@ def cmd_ablate(args) -> int:
     configs = args.configs.split(",") if args.configs else list(ABLATION_CONFIGS)
     rows = run_ablation(records, frames, cfg, _floats(args.thresholds),
                         configs=configs, hyper=hyper, seed=args.seed,
-                        active_sizes=tuple(_ints(args.active_sizes)),
-                        qps=tuple(_ints(args.qps)))
+                        active_sizes=tuple(_ints(args.active_sizes)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     bd_keys = ("bd_at_dc10", "bd_at_dc20")

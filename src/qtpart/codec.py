@@ -13,19 +13,20 @@ lambda-scaled signalling cost per split:
 
 Reconstructions are committed in causal order so every block sees its
 neighbours' chosen reconstructions, and a processed-pixel counter tallies
-the area of every NS encode performed.
+the area of every NS encode performed. The search only codes: callbacks
+get each visit's ``VisitInfo`` and read whatever else they need from its
+search state (``features.build_vector`` does).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .frame_io import (CTU_SIZES, CausalPatch, LumaFrame, Rect, causal_patch,
-                       reference_dc)
+from .frame_io import CTU_SIZES, LumaFrame, Rect, reference_dc
 
 QP_MIN, QP_MAX = 0, 51
 TRANSFORM_SIZES = (4, 8, 16, 32, 64)
@@ -77,22 +78,27 @@ class RdCost:
 
     rate: float
     dist: float
-    lam: float
     j: float
 
     @classmethod
     def compute(cls, rate: float, dist: float, lam: float) -> "RdCost":
         if rate < 0 or dist < 0:
             raise ValueError("rate and distortion must be non-negative")
-        return cls(rate=rate, dist=dist, lam=lam, j=dist + lam * rate)
+        return cls(rate=rate, dist=dist, j=dist + lam * rate)
 
 
 @dataclass(frozen=True)
 class CodecConfig:
+    """Search settings. ``lam``, ``step`` and ``split_cost`` (one split's
+    signalling cost) are resolved from ``qp`` once, and anew by ``at_qp``."""
+
     ctu: int = 64
     max_depth: int = 3
     qp: int = 32
     split_bits: float = 2.0
+    lam: float = field(init=False, compare=False, repr=False)
+    step: float = field(init=False, compare=False, repr=False)
+    split_cost: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.ctu not in CTU_SIZES:
@@ -101,10 +107,12 @@ class CodecConfig:
             raise ValueError("max_depth must be in [1, 4]")
         if self.ctu >> self.max_depth < 4:
             raise ValueError("max_depth would split below 4x4 blocks")
-        if not QP_MIN <= self.qp <= QP_MAX:
-            raise ValueError(f"qp {self.qp} outside [{QP_MIN}, {QP_MAX}]")
         if self.split_bits < 0:
             raise ValueError("split_bits must be non-negative")
+        lam = lambda_of_qp(self.qp)                 # refuses a qp out of range
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "step", qstep_of_qp(self.qp))
+        object.__setattr__(self, "split_cost", lam * self.split_bits)
 
     def at_qp(self, qp: int) -> "CodecConfig":
         return replace(self, qp=qp)
@@ -113,11 +121,6 @@ class CodecConfig:
 def split_sizes(cfg: CodecConfig) -> tuple[int, ...]:
     """Sides of the blocks the search can still split, largest first."""
     return tuple(cfg.ctu >> d for d in range(cfg.max_depth))
-
-
-def split_signal_cost(cfg: CodecConfig) -> float:
-    """Cost charged for signalling one quadtree split."""
-    return lambda_of_qp(cfg.qp) * cfg.split_bits
 
 
 def encode_ns(block: np.ndarray, dc: float, cfg: CodecConfig) -> tuple[RdCost, np.ndarray]:
@@ -139,7 +142,7 @@ def encode_ns(block: np.ndarray, dc: float, cfg: CodecConfig) -> tuple[RdCost, n
     """
     cu = block.astype(np.float64)
     coef = dct2d(cu - dc)
-    step = qstep_of_qp(cfg.qp)
+    step = cfg.step
     np.divide(coef, step, out=coef)
     levels = np.rint(coef, out=coef)
     exps = np.frexp(levels)[1]            # 2*(exp-1)+3 bits per nonzero level
@@ -154,8 +157,7 @@ def encode_ns(block: np.ndarray, dc: float, cfg: CodecConfig) -> tuple[RdCost, n
     np.subtract(cu, recon, out=cu)
     resid = cu.ravel()
     dist = float(np.dot(resid, resid))
-    return RdCost.compute(rate=rate, dist=dist, lam=lambda_of_qp(cfg.qp)), \
-        recon.astype(np.uint8)
+    return RdCost.compute(rate=rate, dist=dist, lam=cfg.lam), recon.astype(np.uint8)
 
 
 class SearchState:
@@ -197,34 +199,20 @@ class SearchState:
         self.jpp_map[ys, xs] = cost.j / rect.area
 
 
-class VisitInfo:
-    """Snapshot handed to search callbacks right after a block's NS encode.
+class VisitInfo(NamedTuple):
+    """What the search hands its callbacks right after a block's NS encode.
 
-    ``patch`` is the block's ``CausalPatch``. Unless one is given, it is
-    extracted from ``state`` on first read and kept, so a visit makes at
-    most one ``causal_patch`` call, and none when no callback reads
-    texture. Read it only inside the callback: callbacks run before any
+    ``parent`` is the parent's (NS cost, area), None at the CTU root.
+    Read ``state`` only inside the callback: callbacks run before any
     recursion or commit, and afterwards ``state`` holds reconstructions
     the block did not see when it was coded.
     """
 
-    __slots__ = ("rect", "qp", "ns_cost", "parent", "top", "left", "_patch", "_state")
-
-    def __init__(self, rect: Rect, qp: int, ns_cost: RdCost,
-                 parent: Optional[tuple[RdCost, int]],      # (parent NS cost, parent area)
-                 top: Optional[tuple[float, int]],          # (j per pixel, depth)
-                 left: Optional[tuple[float, int]],
-                 patch: Optional[CausalPatch] = None,
-                 state: Optional[SearchState] = None):
-        self.rect, self.qp, self.ns_cost = rect, qp, ns_cost
-        self.parent, self.top, self.left = parent, top, left
-        self._patch, self._state = patch, state
-
-    @property
-    def patch(self) -> CausalPatch:
-        if self._patch is None:
-            self._patch = causal_patch(self._state.work, self.rect)
-        return self._patch
+    rect: Rect
+    qp: int
+    ns_cost: RdCost
+    parent: Optional[tuple[RdCost, int]]
+    state: SearchState
 
 
 @dataclass
@@ -305,9 +293,7 @@ def _search_node(rect, depth, cfg, state, visitor, prune, parent) -> PartitionNo
 
     can_split = depth < cfg.max_depth
     if visitor is not None or (can_split and prune is not None):
-        visit = VisitInfo(rect, cfg.qp, ns_cost, parent,
-                          top=state.neighbor_at(rect.x, rect.y - 1),
-                          left=state.neighbor_at(rect.x - 1, rect.y), state=state)
+        visit = VisitInfo(rect, cfg.qp, ns_cost, parent, state)
         if visitor is not None:
             visitor(visit)
         if can_split and prune is not None and prune(visit):
@@ -325,7 +311,7 @@ def _search_node(rect, depth, cfg, state, visitor, prune, parent) -> PartitionNo
         kids.append(_search_node(sub, depth + 1, cfg, state, visitor, prune,
                                  (ns_cost, rect.area)))
     qt_j = kids[0].best_j + kids[1].best_j + kids[2].best_j + kids[3].best_j \
-        + split_signal_cost(cfg)
+        + cfg.split_cost
     if ns_cost.j <= qt_j:                                # tie favours no-split
         node = PartitionNode(rect, depth, ns_cost, qt_j, NS, kids)
         state.commit(rect, depth, recon, ns_cost)        # undo child commits

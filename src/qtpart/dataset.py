@@ -9,7 +9,9 @@ field of the kind. ``_FIELDS`` is the one statement of those fields,
 their order and their dtypes.
 
 Loading refuses containers whose layout hash does not match the current
-descriptor build, and any whose length does not match their count.
+descriptor build, any whose length does not match their count, and any
+item whose costs are not finite and positive (the signalling cost of a
+trajectory may be zero).
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .codec import (NS, QP_MAX, QP_MIN, QT, CodecConfig, SearchState,
-                    exhaustive_search, split_signal_cost, split_sizes)
+from .codec import (NS, QT, CodecConfig, SearchState, exhaustive_search,
+                    split_sizes)
 from .features import FEATURE_COUNT, LAYOUT_HASH, build_vector
 from .frame_io import LumaFrame, tile_ctus
 
@@ -37,6 +39,10 @@ class DatasetError(ValueError):
     """Bad dataset content or container."""
 
 
+def _positive(*costs) -> bool:
+    return all(0 < c < math.inf for c in costs)         # False for NaN
+
+
 @dataclass
 class CuRecord:
     features: np.ndarray          # (115,) float32
@@ -46,8 +52,8 @@ class CuRecord:
     qt_j_pp: float                # per-pixel split cost
 
     def __post_init__(self):
-        if self.ns_j_pp <= 0 or self.qt_j_pp <= 0:
-            raise DatasetError("record costs must be positive")
+        if not _positive(self.ns_j_pp, self.qt_j_pp):
+            raise DatasetError("record costs must be positive and finite")
 
     @property
     def optimal(self) -> str:
@@ -77,6 +83,11 @@ class Trajectory:
         self.child_qt_j_pp = np.asarray(self.child_qt_j_pp, dtype=np.float64)
         if self.child_features.shape != (4, 115):
             raise DatasetError("trajectory needs exactly 4 child descriptors")
+        if not (_positive(self.ns_j_pp, self.qt_j_pp, *self.child_ns_j_pp,
+                          *self.child_qt_j_pp)
+                and 0 <= self.delta_qt_pp < math.inf):
+            raise DatasetError("trajectory costs must be positive and finite, "
+                               "its signalling cost finite and non-negative")
         lhs = self.qt_j_pp * 1024.0
         rhs = float(np.minimum(self.child_ns_j_pp, self.child_qt_j_pp).sum() * 256.0) \
             + self.delta_qt_pp * 1024.0
@@ -104,11 +115,10 @@ def _validate_sizes(cfg: CodecConfig, sizes: Sequence[int]) -> tuple[int, ...]:
     return sizes
 
 
-def _walk_frame(frame: LumaFrame, qp: int, cfg: CodecConfig):
-    """Search every full CTU of a frame. Returns its nodes in preorder
-    (the visit order), each node's descriptor keyed by its rect, and the
-    config at ``qp``."""
-    cfg_qp = cfg.at_qp(qp)
+def _walk_frame(frame: LumaFrame, cfg: CodecConfig):
+    """Search every full CTU of a frame at ``cfg``. Returns its nodes in
+    preorder (the visit order) and each node's descriptor keyed by its
+    rect."""
     state = SearchState(frame)
     nodes, vecs = [], {}
 
@@ -116,8 +126,8 @@ def _walk_frame(frame: LumaFrame, qp: int, cfg: CodecConfig):
         vecs[visit.rect] = build_vector(visit)
 
     for rect in tile_ctus(frame, cfg.ctu):
-        nodes.extend(exhaustive_search(rect, cfg_qp, state, visitor=visitor).preorder())
-    return nodes, vecs, cfg_qp
+        nodes.extend(exhaustive_search(rect, cfg, state, visitor=visitor).preorder())
+    return nodes, vecs
 
 
 def _collect(frames: Sequence[LumaFrame], qps: Sequence[int], cfg: CodecConfig,
@@ -125,21 +135,18 @@ def _collect(frames: Sequence[LumaFrame], qps: Sequence[int], cfg: CodecConfig,
     """Search every frame at every qp, in (frame, qp) order, concatenate
     what ``emit(nodes, vecs, cfg_qp)`` returns for each search, then
     shuffle once with the given seed. Inputs, frame sizes included, are
-    checked before the first search."""
+    checked and the per-qp configs built before the first search."""
     if not frames:
         raise DatasetError("empty frame list")
-    qps = tuple(qps)
-    if not qps:
+    configs = [cfg.at_qp(qp) for qp in qps]          # refuses a qp out of range
+    if not configs:
         raise DatasetError("empty qp list")
-    for qp in qps:
-        if not QP_MIN <= qp <= QP_MAX:
-            raise DatasetError(f"qp {qp} outside [{QP_MIN}, {QP_MAX}]")
     for frame in frames:
         tile_ctus(frame, cfg.ctu)
     items = []
     for frame in frames:
-        for qp in qps:
-            items.extend(emit(*_walk_frame(frame, qp, cfg)))
+        for cfg_qp in configs:
+            items.extend(emit(*_walk_frame(frame, cfg_qp), cfg_qp))
     order = np.random.default_rng(seed).permutation(len(items))
     return [items[i] for i in order]
 
@@ -178,7 +185,7 @@ def collect_trajectories(frames: Sequence[LumaFrame], qps: Sequence[int],
 
     def emit(nodes, vecs, cfg_qp):
         out = []
-        delta_pp = split_signal_cost(cfg_qp) / 1024.0
+        delta_pp = cfg_qp.split_cost / 1024.0
         for node in nodes:
             if node.rect.w != 32 or not node.children:
                 continue

@@ -17,8 +17,9 @@ histogram bins are L1-normalized, co-occurrence entropy is rescaled by
 its 8-level maximum, correlation is mapped through (r + 1) / 2 and
 dissimilarity divided by its maximum level distance.
 
-The descriptor is built from the snapshot the coding-tree search takes
-of each visited block (``codec.VisitInfo``).
+The descriptor is built inside a search callback from its
+``codec.VisitInfo``: the NI slots read the committed leaves above and
+left of the block, the texture slots one ``causal_patch`` of the block.
 
 Every slot belongs to one of five ablation groups, read off its name:
 NI, PI and BI from the ``ni_``/``pi_``/``bi_`` prefix, HOG or GLCM for
@@ -38,7 +39,7 @@ import hashlib
 import numpy as np
 
 from .codec import VisitInfo
-from .frame_io import CausalPatch
+from .frame_io import CausalPatch, causal_patch
 
 FEATURE_COUNT = 115
 HOG_BINS = 8
@@ -234,22 +235,22 @@ def _regions(patch: CausalPatch) -> list[np.ndarray]:
 
 
 def build_vector(visit: VisitInfo) -> np.ndarray:
-    """Assemble the 115-entry descriptor of a block the search visits."""
+    """Assemble the 115-entry descriptor of a block the search visits;
+    call it inside the search callback."""
+    rect, state = visit.rect, visit.state
     v = np.zeros(FEATURE_COUNT, dtype=np.float64)
-    if visit.top is not None:
-        v[0] = visit.top[0]
-        v[2] = visit.top[1] / MAX_TREE_DEPTH
-    if visit.left is not None:
-        v[1] = visit.left[0]
-        v[3] = visit.left[1] / MAX_TREE_DEPTH
+    for k, (x, y) in enumerate(((rect.x, rect.y - 1), (rect.x - 1, rect.y))):
+        leaf = state.neighbor_at(x, y)               # top, then left
+        if leaf is not None:
+            v[k], v[k + 2] = leaf[0], leaf[1] / MAX_TREE_DEPTH
     if visit.parent is not None:
         cost, area = visit.parent
         v[4], v[5], v[6] = cost.j / area, cost.rate / area, cost.dist / area
-    v[7] = visit.rect.h / DIM_NORM
-    v[8] = visit.rect.w / DIM_NORM
+    v[7] = rect.h / DIM_NORM
+    v[8] = rect.w / DIM_NORM
     v[9] = visit.qp / QP_NORM
-    v[10] = visit.ns_cost.j / visit.rect.area
-    for r, region in enumerate(_regions(visit.patch)):
+    v[10] = visit.ns_cost.j / rect.area
+    for r, region in enumerate(_regions(causal_patch(state.work, rect))):
         base = _SI_BASE + r * _REGION_WIDTH
         v[base:base + HOG_BINS] = hog8(region)
         ent, ene, hom, corr, dis = glcm5(region).tolist()

@@ -5,7 +5,8 @@ Complexity is compared as the mean over qp of the relative drop in
 processed pixels. Rate curves are compared by fitting cubic polynomials
 of log-rate against PSNR and integrating their gap over the shared PSNR
 interval, reported as an equivalent rate change in percent (positive
-means the test spends more rate for equal quality).
+means the test spends more rate for equal quality). Sweeps and ablations
+encode every run at the four evaluation qps, ``EVAL_QPS``.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ ABLATION_CONFIGS = {
 }
 
 
-def _require_eval_qps(qps) -> None:
-    """Rate curves are fitted on exactly the evaluation qps."""
-    if sorted(qps) != sorted(EVAL_QPS):
+def require_eval_qps(given) -> None:
+    """Rate curves are fitted on exactly the evaluation qps, in any order."""
+    if sorted(given) != list(EVAL_QPS):
         raise ValueError(f"curve needs exactly the qps {EVAL_QPS}")
 
 
@@ -50,7 +51,7 @@ class RdCurve:
 
     @classmethod
     def from_qp_points(cls, points: Mapping[int, tuple]) -> "RdCurve":
-        _require_eval_qps(points)
+        require_eval_qps(points)
         by_qp = [points[qp] for qp in sorted(points)]
         rates = [float(r) for r, _ in by_qp]
         psnrs = [float(p) for _, p in by_qp]
@@ -108,11 +109,11 @@ def bd_rate(anchor: RdCurve, test: RdCurve) -> float:
 
 
 def _run_setting(frames: Sequence[LumaFrame], cfg: CodecConfig,
-                 policy: Optional[ThresholdPolicy], qps) -> dict[int, dict]:
-    """Encode all frames at every qp, exhaustively when ``policy`` is
-    None; returns per-qp pixels/rate/psnr."""
+                 policy: Optional[ThresholdPolicy]) -> dict[int, dict]:
+    """Encode all frames at every evaluation qp, exhaustively when
+    ``policy`` is None; returns per-qp pixels/rate/psnr."""
     out = {}
-    for qp in qps:
+    for qp in EVAL_QPS:
         cfg_qp = cfg.at_qp(qp)
         pixels, rate, sse, area = 0, 0.0, 0.0, 0
         for frame in frames:
@@ -138,10 +139,9 @@ class SweepResult:
     anchor: dict                  # per-qp pixels/rate/psnr
 
 
-def _check_grid(frames: Sequence[LumaFrame], thresholds: Sequence[float], qps,
+def _check_grid(frames: Sequence[LumaFrame], thresholds: Sequence[float],
                 active_sizes, cfg: CodecConfig) -> None:
-    """Refuse frames, a threshold grid, qp set or active sizes no sweep
-    can run."""
+    """Refuse frames, a threshold grid or active sizes no sweep can run."""
     if not frames:
         raise ValueError("empty frame list")
     for frame in frames:
@@ -150,7 +150,6 @@ def _check_grid(frames: Sequence[LumaFrame], thresholds: Sequence[float], qps,
         raise ValueError("empty threshold list")
     if not all(t > 0 for t in thresholds):
         raise ValueError("threshold must be positive")
-    _require_eval_qps(qps)
     check_active_sizes(active_sizes, cfg)
 
 
@@ -163,7 +162,7 @@ def _policies(model: MlpModel, thresholds: Sequence[float],
 
 
 def _sweep_against(anchor: dict, frames: Sequence[LumaFrame], cfg: CodecConfig,
-                   policies: Sequence[ThresholdPolicy], qps) -> SweepResult:
+                   policies: Sequence[ThresholdPolicy]) -> SweepResult:
     """One (delta_c, bd_rate) point per policy against the exhaustive
     ``anchor`` runs (``_run_setting`` with no policy) of the same frames."""
     anchor_curve = _curve_of(anchor)
@@ -171,7 +170,7 @@ def _sweep_against(anchor: dict, frames: Sequence[LumaFrame], cfg: CodecConfig,
     points, rows = [], []
     for policy in policies:
         t = policy.threshold
-        runs = _run_setting(frames, cfg, policy, qps)
+        runs = _run_setting(frames, cfg, policy)
         dc = delta_c(anchor_px, {qp: r["pixels"] for qp, r in runs.items()})
         bd = bd_rate(anchor_curve, _curve_of(runs))
         points.append(TradeoffPoint(threshold=t, delta_c=dc, bd_rate=bd))
@@ -185,19 +184,17 @@ def _sweep_against(anchor: dict, frames: Sequence[LumaFrame], cfg: CodecConfig,
 
 
 def sweep(frames: Sequence[LumaFrame], cfg: CodecConfig, model: MlpModel,
-          active_sizes: Sequence[int], thresholds: Sequence[float],
-          qps: Sequence[int] = EVAL_QPS) -> SweepResult:
+          active_sizes: Sequence[int], thresholds: Sequence[float]) -> SweepResult:
     """Measure the complexity/quality trade-off over a threshold grid.
 
-    The anchor is the exhaustive search on the same frames and qps; each
-    threshold yields one (delta_c, bd_rate) point. Every policy is built,
-    and so the model and the active sizes checked, and every frame
-    tiled, before the first encode.
+    The anchor is the exhaustive search on the same frames, at the
+    evaluation qps like every run; each threshold yields one (delta_c,
+    bd_rate) point. Every policy is built, and so the model and the
+    active sizes checked, and every frame tiled, before the first encode.
     """
-    _check_grid(frames, thresholds, qps, active_sizes, cfg)
+    _check_grid(frames, thresholds, active_sizes, cfg)
     policies = _policies(model, thresholds, active_sizes)
-    return _sweep_against(_run_setting(frames, cfg, None, qps), frames, cfg,
-                          policies, qps)
+    return _sweep_against(_run_setting(frames, cfg, None), frames, cfg, policies)
 
 
 def interpolate_bd_at(points: Sequence[TradeoffPoint],
@@ -219,17 +216,15 @@ def run_ablation(records: Sequence[CuRecord], frames: Sequence[LumaFrame],
                  cfg: CodecConfig, thresholds: Sequence[float],
                  configs: Sequence[str] = tuple(ABLATION_CONFIGS),
                  hyper: TrainHyper | None = None, seed: int = 0,
-                 active_sizes: Sequence[int] = (32,),
-                 qps: Sequence[int] = EVAL_QPS) -> list[dict]:
+                 active_sizes: Sequence[int] = (32,)) -> list[dict]:
     """Retrain the size-32 regression under each configuration, sweep it,
     and report bd_rate interpolated at 10% and 20% complexity drops.
 
-    Every config name, the frames, the threshold grid, the qps and the
-    active sizes are checked before the first model is trained. The
-    exhaustive anchor is encoded once and shared by every configuration's
-    sweep.
+    Every config name, the frames, the threshold grid and the active
+    sizes are checked before the first model is trained. The exhaustive
+    anchor is encoded once and shared by every configuration's sweep.
     """
-    _check_grid(frames, thresholds, qps, active_sizes, cfg)
+    _check_grid(frames, thresholds, active_sizes, cfg)
     for name in configs:
         if name not in ABLATION_CONFIGS:
             raise ValueError(f"unknown ablation config {name!r}")
@@ -240,8 +235,8 @@ def run_ablation(records: Sequence[CuRecord], frames: Sequence[LumaFrame],
                                     mask=groups, hidden=hidden)
         policies = _policies(model, thresholds, active_sizes)
         if anchor is None:       # once, after the first model passed the gate checks
-            anchor = _run_setting(frames, cfg, None, qps)
-        result = _sweep_against(anchor, frames, cfg, policies, qps)
+            anchor = _run_setting(frames, cfg, None)
+        result = _sweep_against(anchor, frames, cfg, policies)
         rows.append({"config": name,
                      "bd_at_dc10": interpolate_bd_at(result.points, 10.0),
                      "bd_at_dc20": interpolate_bd_at(result.points, 20.0)})

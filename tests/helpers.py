@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qtpart import codec
+from qtpart import features
 from qtpart.codec import (MODE_OVERHEAD_BITS, NS, RdCost, SearchState, dct2d,
-                          encode_ns, lambda_of_qp, qstep_of_qp, split_signal_cost)
+                          encode_ns, lambda_of_qp, qstep_of_qp)
 from qtpart.dqn import ACTION_NS, ACTION_QT, Transition, epsilon_at, select_action
 from qtpart.frame_io import BORDER_FILL, REF_BORDER, LumaFrame, Rect, reference_dc
 from qtpart.mlp import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, adam_init, adam_step,
@@ -122,15 +122,15 @@ def dyadic_tables(rng: np.random.Generator, depth: int = 3):
 
 
 def count_patch_calls(monkeypatch) -> list:
-    """Wrap the ``causal_patch`` the search uses; returns the list of
+    """Wrap the ``causal_patch`` the descriptor uses; returns the list of
     rects it is called with, in call order."""
-    calls, inner = [], codec.causal_patch
+    calls, inner = [], features.causal_patch
 
     def counting(pix, rect):
         calls.append(rect)
         return inner(pix, rect)
 
-    monkeypatch.setattr(codec, "causal_patch", counting)
+    monkeypatch.setattr(features, "causal_patch", counting)
     return calls
 
 
@@ -149,7 +149,7 @@ def enumerate_tree_costs(frame: LumaFrame, cfg) -> list[float]:
     """
     assert frame.width == 32 and frame.height == 32
     assert cfg.ctu == 32 and cfg.max_depth == 2
-    sc = split_signal_cost(cfg)
+    sc = lambda_of_qp(cfg.qp) * cfg.split_bits
     costs = []
 
     state = SearchState(frame)

@@ -378,6 +378,17 @@ def test_sweep_artifacts(work, tmp_path, capsys):
     assert (out / "config.json").exists()
 
 
+def test_sweep_qps_in_any_order_write_the_default_bytes(work, tmp_path, capsys):
+    def run(name, extra):
+        out = tmp_path / name
+        assert main(["sweep", "--frames", work["a64"], "--model", work["reg"],
+                     "--thresholds", "0.9,1.0,1e30", *extra, "--out", str(out)]) == 0
+        return [(out / f).read_bytes() for f in ("sweep.csv", "summary.json")]
+
+    assert cli.DEFAULT_QPS == "22,27,32,37"
+    assert run("permuted", ["--qps", "37,22,32,27"]) == run("default", [])
+
+
 @pytest.mark.parametrize("command", [
     ["sweep", "--model", "reg", "--thresholds", "1.0"],
     ["ablate", "--dataset", "dataset", "--thresholds", "1.0", "--configs", "none"],

@@ -3,17 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from qtpart import codec
+from qtpart import codec, features
 from qtpart.codec import (MODE_OVERHEAD_BITS, NS, QP_MAX, QT, TRANSFORM_SIZES,
-                          CodecConfig, RdCost, SearchState, VisitInfo, dct2d,
-                          encode_ns, exhaustive_search, lambda_of_qp, psnr_of_mse,
-                          qstep_of_qp, qt_cost_table, split_signal_cost,
-                          search, split_sizes)
+                          CodecConfig, RdCost, SearchState, dct2d, encode_ns,
+                          exhaustive_search, lambda_of_qp, psnr_of_mse,
+                          qstep_of_qp, qt_cost_table, search, split_sizes)
+from qtpart.features import build_vector
 from qtpart.frame_io import LumaFrame, Rect, causal_patch, reference_dc, tile_ctus
 
-from helpers import (bottom_up_qt_cost, chosen_leaves, count_patch_calls,
-                     dyadic_tables, natural_frame, reference_causal_patch,
-                     reference_encode_ns)
+from helpers import (bottom_up_qt_cost, chosen_leaves, dyadic_tables,
+                     natural_frame, reference_causal_patch, reference_encode_ns)
 
 
 # -- rate control laws --------------------------------------------------
@@ -90,8 +89,7 @@ def test_dct_rejects_bad_shapes():
 
 def test_rdcost_compute():
     c = RdCost.compute(rate=10.0, dist=3.0, lam=2.5)
-    assert c.j == 3.0 + 2.5 * 10.0
-    assert c.lam == 2.5
+    assert (c.rate, c.dist, c.j) == (10.0, 3.0, 3.0 + 2.5 * 10.0)
     with pytest.raises(ValueError, match="non-negative"):
         RdCost.compute(rate=-1.0, dist=0.0, lam=1.0)
 
@@ -128,7 +126,27 @@ def test_at_qp_keeps_other_fields():
 
 def test_split_signal_cost():
     cfg = CodecConfig(qp=27, split_bits=2.0)
-    assert split_signal_cost(cfg) == 18.24 * 2.0
+    assert cfg.split_cost == 18.24 * 2.0
+
+
+def test_config_resolves_its_qp_once():
+    for qp in range(QP_MAX + 1):
+        cfg = CodecConfig(qp=qp, split_bits=3.0)
+        assert (cfg.lam, cfg.step, cfg.split_cost) == (
+            lambda_of_qp(qp), qstep_of_qp(qp), lambda_of_qp(qp) * 3.0)
+        other = CodecConfig(qp=(qp + 17) % (QP_MAX + 1), split_bits=3.0).at_qp(qp)
+        assert other == cfg
+        assert (other.lam, other.step, other.split_cost) == (
+            cfg.lam, cfg.step, cfg.split_cost)
+    # derived fields are neither arguments nor shown in repr
+    assert "lam" not in repr(cfg) and "split_cost" not in repr(cfg)
+    with pytest.raises(TypeError):
+        CodecConfig(lam=1.0)
+    for qp in (-1, QP_MAX + 1, 99):
+        with pytest.raises(ValueError, match=rf"^qp {qp} outside \[0, 51\]$"):
+            CodecConfig(qp=qp)
+        with pytest.raises(ValueError, match=rf"^qp {qp} outside \[0, 51\]$"):
+            CodecConfig().at_qp(qp)
 
 
 # -- single-block encode --------------------------------------------------
@@ -159,8 +177,7 @@ def test_encode_ns_cost_identity_and_recon_range():
     before = block.copy()
     cost, recon = encode_ns(block, dc, cfg)
     assert np.array_equal(block, before)          # the view is never written
-    assert cost.j == cost.dist + cost.lam * cost.rate
-    assert cost.lam == lambda_of_qp(27)
+    assert cost.j == cost.dist + lambda_of_qp(27) * cost.rate
     assert recon.dtype == np.uint8
     # distortion is the SSE against the source block
     sse = float(np.sum((recon.astype(np.int64) - block.astype(np.int64)) ** 2))
@@ -298,31 +315,44 @@ def test_state_orig_is_the_frames_read_only_pixels():
 
 
 def test_visit_patch_is_built_once_on_first_read(monkeypatch):
-    calls = count_patch_calls(monkeypatch)
+    # the search builds no patch; each descriptor builds its block's patch
+    # once, from the search state its callback sees
     f = natural_frame(13, h=64, w=64)
     state = SearchState(f)
-    seen = []
+    reads, seen, inner = [], [], features.causal_patch
+
+    def recording(pix, rect):
+        reads.append((pix is state.work, rect))
+        return inner(pix, rect)
 
     def visitor(visit):
-        first = visit.patch
-        assert visit.patch is first
-        fresh = causal_patch(state.work, visit.rect)
-        for name in ("cu", "top", "left", "corner"):
-            assert np.array_equal(getattr(first, name), getattr(fresh, name))
+        assert len(reads) == len(seen)         # nothing built before the read
+        build_vector(visit)
         seen.append(visit.rect)
+        assert len(reads) == len(seen)
 
+    monkeypatch.setattr(features, "causal_patch", recording)
     exhaustive_search(Rect(0, 0, 64, 64), CodecConfig(), state, visitor=visitor)
     assert len(seen) == 85
-    assert calls == seen                       # the two reads made one call
+    assert reads == [(True, rect) for rect in seen]
+    exhaustive_search(Rect(0, 0, 64, 64), CodecConfig(), SearchState(f),
+                      visitor=lambda visit: None)
+    assert len(reads) == 85                    # a visit alone builds none
 
 
-def test_visit_with_explicit_patch_uses_it(monkeypatch):
-    calls = count_patch_calls(monkeypatch)
-    pix = natural_frame(14, h=32, w=32).pixels
-    patch = causal_patch(pix, Rect(0, 0, 32, 32))
-    visit = VisitInfo(Rect(0, 0, 32, 32), 32, RdCost.compute(1.0, 1.0, 1.0),
-                      None, None, None, patch=patch)
-    assert visit.patch is patch and calls == []
+def test_visit_is_five_plain_fields():
+    f = natural_frame(14, h=64, w=64)
+    state = SearchState(f)
+    visits = []
+    exhaustive_search(Rect(0, 0, 64, 64), CodecConfig(qp=27), state,
+                      visitor=visits.append)
+    root, first_child = visits[0], visits[1]
+    assert root._fields == ("rect", "qp", "ns_cost", "parent", "state")
+    assert (root.rect, root.qp, root.parent, root.state) == (
+        Rect(0, 0, 64, 64), 27, None, state)
+    assert first_child.parent == (root.ns_cost, 64 * 64)
+    with pytest.raises(AttributeError):
+        root.qp = 22
 
 
 def test_visited_blocks_still_hold_source_pixels():

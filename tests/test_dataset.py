@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from qtpart import dataset
-from qtpart.codec import NS, QT, CodecConfig, split_signal_cost
+from qtpart.cli import main
+from qtpart.codec import NS, QT, CodecConfig, lambda_of_qp
 from qtpart.dataset import (COLLECT_SIZES, CuRecord, DatasetError,
                             Trajectory, balance, balance_trajectories,
                             collect_records,
@@ -49,6 +50,73 @@ def _traj(seed=0, ns32=3.0, kns=(1.0, 2.0, 3.0, 4.0), kqt=(2.0, 1.0, 4.0, 3.0),
                       child_ns_j_pp=kns, child_qt_j_pp=kqt)
 
 
+BAD_COSTS = [float("nan"), float("inf"), -float("inf"), 0.0, -1.0]
+
+
+@pytest.mark.parametrize("bad", BAD_COSTS)
+@pytest.mark.parametrize("field", ["ns", "qt"])
+def test_record_refuses_non_finite_or_non_positive_cost(field, bad):
+    with pytest.raises(DatasetError, match="record costs must be positive and finite"):
+        _rec(**{field: bad})
+
+
+def _traj_fields(**changes) -> dict:
+    t = _traj()
+    fields = {name: getattr(t, name) for name in (
+        "state32", "ns_j_pp", "qt_j_pp", "delta_qt_pp", "child_features",
+        "child_ns_j_pp", "child_qt_j_pp")}
+    return {**fields, **changes}
+
+
+@pytest.mark.parametrize("bad", BAD_COSTS)
+@pytest.mark.parametrize("field", ["ns_j_pp", "qt_j_pp", "child_ns_j_pp",
+                                   "child_qt_j_pp", "delta_qt_pp"])
+def test_trajectory_refuses_non_finite_or_non_positive_cost(field, bad):
+    fields = _traj_fields()
+    if field.startswith("child_"):
+        value = fields[field].copy()
+        value[2] = bad
+    else:
+        value = bad
+    if field == "delta_qt_pp" and bad == 0.0:
+        Trajectory(**_traj_fields(delta_qt_pp=0.0, qt_j_pp=_traj(delta=0.0).qt_j_pp))
+        return                                 # a free split signal is allowed
+    with pytest.raises(DatasetError, match="trajectory costs must be positive and finite"):
+        Trajectory(**{**fields, field: value})
+
+
+def _poke_f8(path, offset: int, value: float) -> None:
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<d", data, offset, value)
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -2.0])
+def test_load_refuses_container_with_bad_cost(tmp_path, capsys, bad):
+    n, header, desc = 3, 27, 115 * 4
+    recs = tmp_path / "r.qtds"
+    save_records([_rec(seed=i) for i in range(n)], recs)
+    # ns_j_pp column: after the descriptors and the u16 size and qp columns
+    _poke_f8(recs, header + n * (desc + 2 + 2) + 8, bad)
+    with pytest.raises(DatasetError, match="record costs must be positive and finite"):
+        load_records(recs)
+    trajs = tmp_path / "t.qtds"
+    save_trajectories([_traj(seed=i) for i in range(n)], trajs)
+    # child_ns_j_pp column: after state32, three f8 columns and the children
+    _poke_f8(trajs, header + n * (desc + 3 * 8 + 4 * desc) + 8 * 5, bad)
+    with pytest.raises(DatasetError, match="trajectory costs must be positive and finite"):
+        load_trajectories(trajs)
+
+    capsys.readouterr()
+    for argv in (["train", "reg", "--dataset", str(recs)],
+                 ["train", "dqn", "--trajectories", str(trajs)]):
+        assert main(argv + ["--out", str(tmp_path / "m.qtnn")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "costs must be positive and finite" in err
+    assert not (tmp_path / "m.qtnn").exists()
+
+
 def test_trajectory_split_cost_identity_enforced():
     t = _traj()
     assert t.optimal in (NS, QT)
@@ -81,8 +149,8 @@ def test_collect_counts_per_size():
 
 def test_collect_walk_builds_one_patch_per_visit(monkeypatch):
     calls = count_patch_calls(monkeypatch)
-    nodes, vecs, _ = dataset._walk_frame(natural_frame(40, h=64, w=128), 27,
-                                         CodecConfig())
+    nodes, vecs = dataset._walk_frame(natural_frame(40, h=64, w=128),
+                                      CodecConfig(qp=27))
     assert len(nodes) == len(vecs) == 2 * 85
     assert calls == [node.rect for node in nodes] == list(vecs)
 
@@ -150,7 +218,7 @@ def test_collect_trajectories_counts_and_invariant():
     cfg = CodecConfig()
     trajs = collect_trajectories([frame], (22, 32), cfg, seed=0)
     assert len(trajs) == 2 * 4                 # 4 blocks of size 32 per qp
-    sc = split_signal_cost(cfg.at_qp(22))
+    sc = lambda_of_qp(22) * cfg.split_bits
     assert any(abs(t.delta_qt_pp - sc / 1024.0) < 1e-12 for t in trajs)
 
 

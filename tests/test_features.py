@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from qtpart import features
-from qtpart.codec import RdCost, VisitInfo
+from qtpart.codec import RdCost, SearchState, VisitInfo
 from qtpart.features import (FEATURE_COUNT, FEATURE_NAMES, GLCM_STAT_NAMES,
                              HOG_BINS, LAYOUT_HASH, MASK_GROUPS, REGION_NAMES,
                              build_vector, describe_layout, glcm5, hog8,
                              mask_groups, mask_indices)
-from qtpart.frame_io import CausalPatch, Rect
+from qtpart.frame_io import REF_BORDER, CausalPatch, LumaFrame, Rect
 
 from helpers import natural_frame, reference_glcm5, reference_hog8
 
@@ -258,19 +258,38 @@ def test_mask_indices_and_layout_read_one_table():
 # -- vector assembly -----------------------------------------------------------
 
 
-def _synthetic_visit(seed=30, size=32, qp=22):
+def _synthetic_patch(seed=30, size=32) -> CausalPatch:
     rng = np.random.default_rng(seed)
-    cu = rng.integers(0, 256, (size, size)).astype(np.uint8)
-    top = rng.integers(0, 256, (4, size)).astype(np.uint8)
-    left = rng.integers(0, 256, (size, 4)).astype(np.uint8)
-    corner = rng.integers(0, 256, (4, 4)).astype(np.uint8)
-    patch = CausalPatch(cu=cu, top=top, left=left, corner=corner)
+    b = REF_BORDER
+    return CausalPatch(cu=rng.integers(0, 256, (size, size)).astype(np.uint8),
+                       top=rng.integers(0, 256, (b, size)).astype(np.uint8),
+                       left=rng.integers(0, 256, (size, b)).astype(np.uint8),
+                       corner=rng.integers(0, 256, (b, b)).astype(np.uint8))
+
+
+def _synthetic_visit(seed=30, size=32, qp=22, committed=True):
+    """A visit at (64, 32) whose search state holds ``_synthetic_patch``
+    around the block on a noise frame. When ``committed``, the leaves
+    above (cost 2.5 per pixel, depth 1) and to the left (3.5, depth 2)
+    are committed; otherwise no pixel is."""
+    patch = _synthetic_patch(seed, size)
+    x, y, b = 64, 32, REF_BORDER
+    pix = np.random.default_rng(seed + 1000).integers(0, 256, (128, 128)).astype(np.uint8)
+    pix[y:y + size, x:x + size] = patch.cu
+    pix[y - b:y, x:x + size] = patch.top
+    pix[y:y + size, x - b:x] = patch.left
+    pix[y - b:y, x - b:x] = patch.corner
+    state = SearchState(LumaFrame(pix))
+    if committed:
+        state.depth_map[:y, :] = 1
+        state.jpp_map[:y, :] = 2.5
+        state.depth_map[y:, :x] = 2
+        state.jpp_map[y:, :x] = 3.5
     cost = RdCost.compute(rate=200.0, dist=1500.0, lam=5.0)
     # parent per pixel over its 64x64 area: j 4.0, rate 0.5, dist 2.0
     parent = RdCost.compute(rate=2048.0, dist=8192.0, lam=4.0)
-    return VisitInfo(rect=Rect(64, 32, size, size), qp=qp, patch=patch,
-                     ns_cost=cost, parent=(parent, 4096), top=(2.5, 1),
-                     left=(3.5, 2))
+    return VisitInfo(rect=Rect(x, y, size, size), qp=qp, ns_cost=cost,
+                     parent=(parent, 4096), state=state)
 
 
 def test_vector_scalar_slots():
@@ -285,18 +304,19 @@ def test_vector_scalar_slots():
 
 
 def test_vector_missing_neighbors_and_parent_are_zero():
-    visit = _synthetic_visit()
-    visit.top = None
-    visit.left = None
-    visit.parent = None
+    # the strips around the block hold pixels, but none is committed
+    visit = _synthetic_visit(committed=False)._replace(parent=None)
     v = build_vector(visit)
     assert np.all(v[:7] == 0.0)
+    # a committed neighbour fills the same slots the full visit does
+    full = build_vector(_synthetic_visit())
+    assert np.array_equal(v[7:], full[7:])
+    assert np.all(full[:7] != 0.0)
 
 
 def test_vector_texture_slots_match_direct_calls():
-    visit = _synthetic_visit(seed=31)
-    v = build_vector(visit).astype(np.float64)
-    patch = visit.patch
+    v = build_vector(_synthetic_visit(seed=31)).astype(np.float64)
+    patch = _synthetic_patch(seed=31)
     cu = patch.cu
     regions = {
         "cu": cu, "q0": cu[:16, :16], "q1": cu[:16, 16:],
