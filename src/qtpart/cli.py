@@ -219,7 +219,6 @@ def cmd_bdrate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    require_eval_qps(_ints(args.qps))
     records = load_records(args.dataset)
     frames = _load_frames(args.frames, args.format, args.width, args.height)
     cfg = _codec_config(args)
@@ -327,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     _add_frame_args(p, many=True)
     _add_codec_args(p)
-    p.add_argument("--qps", default=DEFAULT_QPS)
     p.add_argument("--thresholds", required=True)
     p.add_argument("--configs", default=None)
     p.add_argument("--epochs", type=int, default=10)

@@ -9,8 +9,9 @@ field of the kind. ``_FIELDS`` is the one statement of those fields,
 their order and their dtypes.
 
 Loading refuses containers whose layout hash does not match the current
-descriptor build, any whose length does not match their count, and any
-item whose costs are not finite and positive (the signalling cost of a
+descriptor build, any whose length does not match their count, any
+whose descriptor columns hold a value that is not finite, and any item
+whose costs are not finite and positive (the signalling cost of a
 trajectory may be zero).
 """
 
@@ -273,6 +274,7 @@ _FIELDS = {
                         ("child_features", "<f4", (4, FEATURE_COUNT)),
                         ("child_ns_j_pp", "<f8", (4,)), ("child_qt_j_pp", "<f8", (4,))],
 }
+_DESCRIPTOR_FIELDS = ("features", "state32", "child_features")
 _HEADER = struct.Struct("<4sHB16sI")    # magic, version, kind, layout hash, count
 
 
@@ -306,8 +308,10 @@ def _load(path: str | Path, kind: int) -> list[dict]:
         raise DatasetError(f"{state} dataset container: {len(data)} bytes, "
                            f"{n} items need {want}")
     columns, pos = [], _HEADER.size
-    for _, dtype, shape in fields:
+    for name, dtype, shape in fields:
         col = np.frombuffer(data, dtype, n * math.prod(shape), pos).reshape((n,) + shape)
+        if name in _DESCRIPTOR_FIELDS and not np.isfinite(col).all():
+            raise DatasetError(f"{name} column holds a value that is not finite")
         columns.append(list(col.copy()) if shape else col.tolist())
         pos += col.nbytes
     names = [name for name, _, _ in fields]

@@ -7,6 +7,15 @@ ratio. Rule: prune the split branch when ratio >= threshold. The block's
 own coding is never skipped, only the descent below it. A frame is
 encoded CTU by CTU over the full CTUs that ``frame_io.tile_ctus``
 returns; its remainders are neither coded nor counted.
+
+The gate looks each descriptor up in a memo keyed by
+``features.descriptor_key``, every input ``build_vector`` reads, and
+builds it only on a miss. One pass never repeats a key, so an encode
+gets a fresh memo per frame; the threshold passes of a sweep over one
+(frame, qp) share one (``metrics``), and every descriptor they would
+build from equal inputs is built once. Masked slots are zeroed on a copy,
+never in a shared entry. A memo holds at most passes x consultations
+entries, each about (N+4)^2 key bytes plus a 460 B descriptor.
 """
 
 from __future__ import annotations
@@ -17,7 +26,8 @@ import numpy as np
 
 from . import codec
 from .codec import CodecConfig, PartitionNode, Rect, SearchState, VisitInfo
-from .features import FEATURE_COUNT, LAYOUT_HASH, build_vector, mask_indices
+from .features import (FEATURE_COUNT, LAYOUT_HASH, build_vector, descriptor_key,
+                       mask_indices)
 from .frame_io import LumaFrame, tile_ctus
 from .mlp import MlpModel, ModelError, forward
 
@@ -76,17 +86,24 @@ def decide(prediction: np.ndarray, policy: ThresholdPolicy) -> str:
 
 
 def pruned_search(rect: Rect, cfg: CodecConfig, state: SearchState,
-                  policy: ThresholdPolicy) -> PartitionNode:
+                  policy: ThresholdPolicy, memo: dict) -> PartitionNode:
     """Quadtree search that consults the policy at active-size blocks.
 
     Identical to the exhaustive search except that a PruneQT verdict
     forces no-split without exploring the subtree; inactive sizes always
-    recurse normally.
+    recurse normally. ``memo`` maps ``descriptor_key`` to a read-only
+    descriptor. The model and the verdict run at every consultation, hit
+    or miss.
     """
     def hook(visit: VisitInfo) -> bool:
         if visit.rect.w not in policy.active_sizes:
             return False
-        vec = build_vector(visit)
+        key = descriptor_key(visit)
+        shared = memo.get(key)
+        if shared is None:
+            shared = memo[key] = build_vector(visit)
+            shared.flags.writeable = False
+        vec = shared.copy()
         vec[policy.zeroed] = 0.0
         pred = forward(policy.model, vec)
         return decide(pred, policy) == PRUNE_QT
@@ -125,10 +142,12 @@ class FrameRunResult:
 
 
 def encode_frame(frame: LumaFrame, cfg: CodecConfig,
-                 policy: ThresholdPolicy | None = None) -> FrameRunResult:
+                 policy: ThresholdPolicy | None = None,
+                 memo: dict | None = None) -> FrameRunResult:
     """Search every full CTU of a frame (``tile_ctus``) in raster order
     under one shared state. A frame that holds no full CTU is refused
-    before any search."""
+    before any search. Gated encodes given the same ``memo`` share the
+    descriptors they build; None gives this encode a fresh one."""
     if policy is not None:
         check_active_sizes(policy.active_sizes, cfg)
     rects = tile_ctus(frame, cfg.ctu)
@@ -136,7 +155,8 @@ def encode_frame(frame: LumaFrame, cfg: CodecConfig,
     if policy is None:
         trees = [codec.exhaustive_search(rect, cfg, state) for rect in rects]
     else:
-        trees = [pruned_search(rect, cfg, state, policy) for rect in rects]
+        memo = {} if memo is None else memo
+        trees = [pruned_search(rect, cfg, state, policy, memo) for rect in rects]
     last = rects[-1]
     return FrameRunResult(trees=trees, state=state,
                           covered=Rect(0, 0, last.x + last.w, last.y + last.h))

@@ -20,6 +20,12 @@ dissimilarity divided by its maximum level distance.
 The descriptor is built inside a search callback from its
 ``codec.VisitInfo``: the NI slots read the committed leaves above and
 left of the block, the texture slots one ``causal_patch`` of the block.
+``descriptor_key`` is a hashable tuple of every input ``build_vector``
+reads, so equal keys give byte-identical descriptors; the passes of a
+threshold sweep over one (frame, qp) share descriptors through it
+(``decision.pruned_search``). Their memo holds at most passes x
+consultations entries, each about (N+4)^2 key bytes plus a 460 B
+descriptor for an N x N block, and is freed after that (frame, qp).
 
 Every slot belongs to one of five ablation groups, read off its name:
 NI, PI and BI from the ``ni_``/``pi_``/``bi_`` prefix, HOG or GLCM for
@@ -27,8 +33,8 @@ the ``si_`` texture slots. An ablation mask is a list of group names in
 any case, e.g. ``["glcm", "NI"]``; a model file stores it in canonical
 order (``mask_groups``). Masks never change how a descriptor is built:
 every descriptor is built in full, then training zeroes the masked
-columns of its inputs and the gate the same slots of each descriptor it
-builds (``mask_indices``).
+columns of its inputs and the gate the same slots of a copy of each
+descriptor it uses (``mask_indices``).
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import hashlib
 import numpy as np
 
 from .codec import VisitInfo
-from .frame_io import CausalPatch, causal_patch
+from .frame_io import REF_BORDER, CausalPatch, causal_patch
 
 FEATURE_COUNT = 115
 HOG_BINS = 8
@@ -257,6 +263,26 @@ def build_vector(visit: VisitInfo) -> np.ndarray:
         v[base + HOG_BINS:base + _REGION_WIDTH] = (
             ent, ene, hom, (corr + 1.0) / 2.0, dis / (GLCM_LEVELS - 1.0))
     return v.astype(np.float32)
+
+
+def descriptor_key(visit: VisitInfo) -> tuple:
+    """Every input ``build_vector`` reads of a visit, as a hashable tuple.
+
+    The rect, the qp, the visit's own cost, the parent (cost, area), the
+    committed leaves above and to the left (``neighbor_at``), and the
+    ``state.work`` bytes of the block together with the top, left and
+    corner strips that ``causal_patch`` copies (a strip outside the
+    frame is BORDER_FILL, which the rect already decides). Equal keys
+    therefore give byte-identical descriptors. The pixel part holds at
+    most (N + REF_BORDER)^2 bytes for an N x N block.
+    """
+    rect, state = visit.rect, visit.state
+    x0 = rect.x - REF_BORDER if rect.x >= REF_BORDER else rect.x
+    y0 = rect.y - REF_BORDER if rect.y >= REF_BORDER else rect.y
+    pixels = state.work[y0:rect.y + rect.h, x0:rect.x + rect.w].tobytes()
+    return (rect, visit.qp, visit.ns_cost, visit.parent,
+            state.neighbor_at(rect.x, rect.y - 1), state.neighbor_at(rect.x - 1, rect.y),
+            pixels)
 
 
 def describe_layout() -> list[dict]:

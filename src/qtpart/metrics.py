@@ -6,7 +6,10 @@ processed pixels. Rate curves are compared by fitting cubic polynomials
 of log-rate against PSNR and integrating their gap over the shared PSNR
 interval, reported as an equivalent rate change in percent (positive
 means the test spends more rate for equal quality). Sweeps and ablations
-encode every run at the four evaluation qps, ``EVAL_QPS``.
+encode every run at the four evaluation qps, ``EVAL_QPS``. The threshold
+passes over one (frame, qp) run back to back and share the gate
+descriptors they build from equal inputs (``decision``), so a sweep
+builds each distinct descriptor once per (frame, qp).
 """
 
 from __future__ import annotations
@@ -108,23 +111,32 @@ def bd_rate(anchor: RdCurve, test: RdCurve) -> float:
     return float((10.0 ** avg_diff - 1.0) * 100.0)
 
 
-def _run_setting(frames: Sequence[LumaFrame], cfg: CodecConfig,
-                 policy: Optional[ThresholdPolicy]) -> dict[int, dict]:
-    """Encode all frames at every evaluation qp, exhaustively when
-    ``policy`` is None; returns per-qp pixels/rate/psnr."""
-    out = {}
+def _run_settings(frames: Sequence[LumaFrame], cfg: CodecConfig,
+                  policies: Sequence[Optional[ThresholdPolicy]]) -> list[dict[int, dict]]:
+    """Encode all frames at every evaluation qp under each policy (None:
+    exhaustively); returns one per-qp pixels/rate/psnr map per policy.
+
+    The loop runs qp, then frame, then policy, so the passes over one
+    (frame, qp) share one descriptor memo, dropped after them. Each
+    policy still sums over the frames in their order, so every figure is
+    the one a separate run of that policy gives.
+    """
+    runs = [{} for _ in policies]
     for qp in EVAL_QPS:
         cfg_qp = cfg.at_qp(qp)
-        pixels, rate, sse, area = 0, 0.0, 0.0, 0
+        sums = [[0, 0.0, 0.0, 0] for _ in policies]    # pixels, rate, sse, area
         for frame in frames:
-            res = encode_frame(frame, cfg_qp, policy)
-            pixels += res.pixels
-            rate += res.rate_bits(cfg_qp.split_bits)
-            sse += res.sse()
-            area += res.covered_area
-        out[qp] = {"pixels": pixels, "rate_bits": rate,
-                   "psnr_db": psnr_of_mse(sse / area)}
-    return out
+            memo = {}
+            for acc, policy in zip(sums, policies):
+                res = encode_frame(frame, cfg_qp, policy, memo)
+                acc[0] += res.pixels
+                acc[1] += res.rate_bits(cfg_qp.split_bits)
+                acc[2] += res.sse()
+                acc[3] += res.covered_area
+        for out, (pixels, rate, sse, area) in zip(runs, sums):
+            out[qp] = {"pixels": pixels, "rate_bits": rate,
+                       "psnr_db": psnr_of_mse(sse / area)}
+    return runs
 
 
 def _curve_of(runs: dict[int, dict]) -> RdCurve:
@@ -164,13 +176,12 @@ def _policies(model: MlpModel, thresholds: Sequence[float],
 def _sweep_against(anchor: dict, frames: Sequence[LumaFrame], cfg: CodecConfig,
                    policies: Sequence[ThresholdPolicy]) -> SweepResult:
     """One (delta_c, bd_rate) point per policy against the exhaustive
-    ``anchor`` runs (``_run_setting`` with no policy) of the same frames."""
+    ``anchor`` runs (``_run_settings`` with no policy) of the same frames."""
     anchor_curve = _curve_of(anchor)
     anchor_px = {qp: r["pixels"] for qp, r in anchor.items()}
     points, rows = [], []
-    for policy in policies:
+    for policy, runs in zip(policies, _run_settings(frames, cfg, policies)):
         t = policy.threshold
-        runs = _run_setting(frames, cfg, policy)
         dc = delta_c(anchor_px, {qp: r["pixels"] for qp, r in runs.items()})
         bd = bd_rate(anchor_curve, _curve_of(runs))
         points.append(TradeoffPoint(threshold=t, delta_c=dc, bd_rate=bd))
@@ -194,7 +205,7 @@ def sweep(frames: Sequence[LumaFrame], cfg: CodecConfig, model: MlpModel,
     """
     _check_grid(frames, thresholds, active_sizes, cfg)
     policies = _policies(model, thresholds, active_sizes)
-    return _sweep_against(_run_setting(frames, cfg, None), frames, cfg, policies)
+    return _sweep_against(_run_settings(frames, cfg, [None])[0], frames, cfg, policies)
 
 
 def interpolate_bd_at(points: Sequence[TradeoffPoint],
@@ -235,7 +246,7 @@ def run_ablation(records: Sequence[CuRecord], frames: Sequence[LumaFrame],
                                     mask=groups, hidden=hidden)
         policies = _policies(model, thresholds, active_sizes)
         if anchor is None:       # once, after the first model passed the gate checks
-            anchor = _run_setting(frames, cfg, None)
+            anchor = _run_settings(frames, cfg, [None])[0]
         result = _sweep_against(anchor, frames, cfg, policies)
         rows.append({"config": name,
                      "bd_at_dc10": interpolate_bd_at(result.points, 10.0),

@@ -395,16 +395,20 @@ def test_sweep_qps_in_any_order_write_the_default_bytes(work, tmp_path, capsys):
 ])
 def test_bad_qp_set_fails_before_any_work(work, tmp_path, capsys, monkeypatch,
                                           command):
+    # ablate always encodes at EVAL_QPS and has no --qps to restate them
+    rc, msg = {"sweep": (3, "needs exactly the qps"),
+               "ablate": (2, "unrecognized arguments: --qps 22,27")}[command[0]]
+
     def must_not_run(*args, **kwargs):
         raise AssertionError("expensive work ran before the qp check")
 
     monkeypatch.setattr(metrics, "encode_frame", must_not_run)
     monkeypatch.setattr(metrics, "train_regression", must_not_run)
     argv = [work.get(a, a) for a in command]     # artifact names -> fixture paths
-    rc = main(argv + ["--frames", work["a64"], "--qps", "22,27",
-                      "--out", str(tmp_path / "out")])
-    assert rc == 3
-    assert "needs exactly the qps" in capsys.readouterr().err
+    assert main(argv + ["--frames", work["a64"], "--qps", "22,27",
+                        "--out", str(tmp_path / "out")]) == rc
+    assert msg in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [

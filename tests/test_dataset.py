@@ -117,6 +117,41 @@ def test_load_refuses_container_with_bad_cost(tmp_path, capsys, bad):
     assert not (tmp_path / "m.qtnn").exists()
 
 
+def _poke_f4(path, offset: int, value: float) -> None:
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<f", data, offset, value)
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["features", "state32", "child_features"])
+def test_load_refuses_non_finite_descriptor(tmp_path, capsys, field, bad):
+    n, header, desc = 3, 27, 115 * 4
+    if field == "features":
+        path, save, load = tmp_path / "r.qtds", save_records, load_records
+        save([_rec(seed=i) for i in range(n)], path)
+        offset = header + desc + 5 * 4                   # item 1, slot 5
+        argv = ["train", "reg", "--dataset", str(path)]
+    else:
+        path, save, load = tmp_path / "t.qtds", save_trajectories, load_trajectories
+        save([_traj(seed=i) for i in range(n)], path)
+        if field == "state32":
+            offset = header + 2 * desc + 7 * 4           # item 2, slot 7
+        else:   # after state32 and three f8 columns: item 1, child 3, slot 100
+            offset = header + n * (desc + 3 * 8) + (4 + 3) * desc + 100 * 4
+        argv = ["train", "dqn", "--trajectories", str(path)]
+    _poke_f4(path, offset, bad)
+    with pytest.raises(DatasetError, match=f"{field} column holds a value that is not finite"):
+        load(path)
+
+    capsys.readouterr()
+    assert main(argv + ["--out", str(tmp_path / "m.qtnn")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "not finite" in err
+    assert not (tmp_path / "m.qtnn").exists()
+
+
 def test_trajectory_split_cost_identity_enforced():
     t = _traj()
     assert t.optimal in (NS, QT)

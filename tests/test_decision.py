@@ -121,15 +121,21 @@ def test_huge_threshold_reproduces_exhaustive_search(tiny_model):
     assert gated.pixels == base.pixels
 
 
-def test_gate_zeroes_the_model_mask_before_predicting():
-    # the model sees only HOG slots, and HOG is masked: with those slots
-    # zeroed its prediction is 0 and the gate explores every block; an
-    # unzeroed histogram would predict far above the threshold
+def hog_model(mask):
+    """A net that sees only HOG slots, each weighted 1e6."""
     m = init_model(hidden=(), out=1, seed=0)
     m.weights[0][:] = 0.0
     m.weights[0][["_hog_" in n for n in FEATURE_NAMES], 0] = 1e6
     m.biases[0][:] = 0.0
-    m.meta["mask"] = ["HOG"]
+    m.meta["mask"] = list(mask)
+    return m
+
+
+def test_gate_zeroes_the_model_mask_before_predicting():
+    # the model sees only HOG slots, and HOG is masked: with those slots
+    # zeroed its prediction is 0 and the gate explores every block; an
+    # unzeroed histogram would predict far above the threshold
+    m = hog_model(["HOG"])
     frame = natural_frame(8)
     cfg = CodecConfig()
     pol = ThresholdPolicy(m, threshold=1.0, active_sizes=(32, 16))
@@ -137,6 +143,22 @@ def test_gate_zeroes_the_model_mask_before_predicting():
     base = encode_frame(frame, cfg)
     assert gated.pixels == base.pixels
     assert [t.to_dict() for t in gated.trees] == [t.to_dict() for t in base.trees]
+
+
+def test_masked_pass_leaves_a_shared_memo_intact():
+    # the masked pass zeroes HOG on a copy: an unmasked pass over the same
+    # memo still sees every histogram and prunes as a fresh run does
+    frame, cfg = natural_frame(8), CodecConfig()
+    masked = ThresholdPolicy(hog_model(["HOG"]), threshold=1.0, active_sizes=(32, 16))
+    full = ThresholdPolicy(hog_model([]), threshold=1.0, active_sizes=(32, 16))
+    memo = {}
+    encode_frame(frame, cfg, masked, memo)
+    assert len(memo) == 4 * (4 + 16)            # every 32 and 16 of four CTUs
+    assert not any(v.flags.writeable for v in memo.values())
+    shared = encode_frame(frame, cfg, full, memo)
+    fresh = encode_frame(frame, cfg, full)
+    assert shared.pixels == fresh.pixels == 4 * 2 * CTU_AREA
+    assert [t.to_dict() for t in shared.trees] == [t.to_dict() for t in fresh.trees]
 
 
 def test_always_prune_at_32_halves_processing():

@@ -7,8 +7,8 @@ from qtpart import features
 from qtpart.codec import RdCost, SearchState, VisitInfo
 from qtpart.features import (FEATURE_COUNT, FEATURE_NAMES, GLCM_STAT_NAMES,
                              HOG_BINS, LAYOUT_HASH, MASK_GROUPS, REGION_NAMES,
-                             build_vector, describe_layout, glcm5, hog8,
-                             mask_groups, mask_indices)
+                             build_vector, describe_layout, descriptor_key,
+                             glcm5, hog8, mask_groups, mask_indices)
 from qtpart.frame_io import REF_BORDER, CausalPatch, LumaFrame, Rect
 
 from helpers import natural_frame, reference_glcm5, reference_hog8
@@ -342,6 +342,82 @@ def test_vector_si_entries_stay_in_unit_interval():
         v = build_vector(_synthetic_visit(seed=int(seed)))
         si = v[11:]
         assert si.min() >= 0.0 and si.max() <= 1.0
+
+
+# -- descriptor key ------------------------------------------------------------
+
+
+def _flip(y, x):
+    def change(visit):
+        visit.state.work[y, x] ^= 1
+        return visit
+    return change
+
+
+def _leaf(y, x, jpp=None, depth=None):
+    def change(visit):
+        if jpp is not None:
+            visit.state.jpp_map[y, x] = jpp
+        if depth is not None:
+            visit.state.depth_map[y, x] = depth
+        return visit
+    return change
+
+
+# the synthetic block sits at (x, y) = (64, 32), 32x32
+_KEY_INPUTS = {
+    "top-strip-pixel": _flip(32 - REF_BORDER, 64 + 31),
+    "left-strip-pixel": _flip(32 + 31, 64 - 1),
+    "corner-pixel": _flip(32 - 1, 64 - REF_BORDER),
+    "block-pixel": _flip(32 + 17, 64 + 5),
+    "top-leaf-cost": _leaf(31, 64, jpp=2.75),
+    "top-leaf-depth": _leaf(31, 64, depth=3),
+    "left-leaf-cost": _leaf(32, 63, jpp=3.25),
+    "left-leaf-depth": _leaf(32, 63, depth=1),
+    "parent-cost": lambda v: v._replace(
+        parent=(RdCost.compute(rate=2048.0, dist=8193.0, lam=4.0), 4096)),
+    "own-cost": lambda v: v._replace(ns_cost=RdCost.compute(rate=201.0, dist=1500.0,
+                                                            lam=5.0)),
+    "qp": lambda v: v._replace(qp=27),
+}
+
+
+@pytest.mark.parametrize("change", list(_KEY_INPUTS.values()), ids=list(_KEY_INPUTS))
+def test_descriptor_key_changes_with_every_input(change):
+    key = descriptor_key(_synthetic_visit())
+    assert hash(descriptor_key(_synthetic_visit())) == hash(key)
+    assert descriptor_key(change(_synthetic_visit())) != key
+
+
+def test_descriptor_key_ignores_what_build_vector_does_not_read():
+    x, y, b, n = 64, 32, REF_BORDER, 32
+    visit, other = _synthetic_visit(), _synthetic_visit()
+    work = other.state.work
+    work[y - b - 1, x:x + n] ^= 1          # row above the top strip
+    work[y:y + n, x - b - 1] ^= 1          # column left of the left strip
+    work[y - 1, x + n] ^= 1                # right of the top strip
+    work[y:y + n, x + n:] ^= 1             # right of the block
+    work[y + n:, :] ^= 1                   # below the block
+    other.state.jpp_map[y - 1, x + 1] = 9.0          # leaves beside the two read
+    other.state.depth_map[y + 1, x - 1] = 0
+    other.state.pixels += 4096
+    assert not np.array_equal(visit.state.work, work)
+    assert descriptor_key(other) == descriptor_key(visit)
+    assert build_vector(other).tobytes() == build_vector(visit).tobytes()
+
+
+def test_descriptor_key_at_the_frame_edge_reads_only_the_block():
+    # at (0, 0) causal_patch fills every strip, so only the block counts
+    pix = np.random.default_rng(5).integers(0, 256, (64, 64)).astype(np.uint8)
+    state = SearchState(LumaFrame(pix))
+    cost = RdCost.compute(rate=100.0, dist=900.0, lam=5.0)
+    visit = VisitInfo(rect=Rect(0, 0, 16, 16), qp=32, ns_cost=cost, parent=None,
+                      state=state)
+    key = descriptor_key(visit)
+    assert key[-1] == pix[:16, :16].tobytes()
+    state.work[16:, :] ^= 1
+    state.work[:, 16:] ^= 1
+    assert descriptor_key(visit) == key
 
 
 def test_glcm_stat_names_order():

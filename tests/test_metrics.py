@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qtpart import metrics
+from qtpart import decision, metrics
 from qtpart.codec import CodecConfig
 from qtpart.features import LAYOUT_HASH
 from qtpart.metrics import (ABLATION_CONFIGS, EVAL_QPS, RdCurve, TradeoffPoint,
@@ -203,6 +203,35 @@ def test_sweep_explores_where_no_split_prediction_is_nonpositive(sweep_frames):
     assert [p.delta_c for p in res.points] == [0.0, 0.0, 0.0]
 
 
+def test_never_pruning_passes_build_each_descriptor_once(sweep_frames, tiny_model,
+                                                         monkeypatch):
+    calls = {"build_vector": 0, "forward": 0}
+
+    def counting(name):
+        fn = getattr(decision, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(decision, name, counting(name))
+    res = sweep(sweep_frames, CodecConfig(), tiny_model, (32,), (1e29, 1e30))
+    # one 64x64 CTU per frame: four 32x32 consultations per pass
+    consultations = len(sweep_frames) * len(EVAL_QPS) * 4
+    assert calls == {"build_vector": consultations, "forward": 2 * consultations}
+    assert [p.delta_c for p in res.points] == [0.0, 0.0]
+
+
+def test_sweep_rows_equal_one_sweep_per_threshold(sweep_frames, tiny_model):
+    thresholds = (0.9, 1.0, 1.1, 1e30)
+    together = sweep(sweep_frames, CodecConfig(), tiny_model, (32,), thresholds)
+    for row, t in zip(together.rows, thresholds):
+        alone = sweep(sweep_frames, CodecConfig(), tiny_model, (32,), (t,))
+        assert repr(alone.rows) == repr([row])
+
+
 # ---------------------------------------------------------------- ablation
 
 def test_ablation_unknown_config(records32, sweep_frames):
@@ -251,9 +280,9 @@ def test_ablation_encodes_the_anchor_once(records32, sweep_frames, monkeypatch):
     calls = []
     encode = metrics.encode_frame
 
-    def counting(frame, cfg, policy):
+    def counting(frame, cfg, policy, memo=None):
         calls.append(policy is None)
-        return encode(frame, cfg, policy)
+        return encode(frame, cfg, policy, memo)
 
     monkeypatch.setattr(metrics, "encode_frame", counting)
     hyper = TrainHyper(lr=1e-4, batch=128, epochs=2)

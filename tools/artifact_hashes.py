@@ -115,6 +115,17 @@ def steps(out: Path) -> list[tuple[str, list[str]]]:
         ("ablate", ["ablate", "--dataset", o("n32.qtds"), "--frames", f["held"],
                     "--thresholds", "0.8,1.0,1.2,1e30", "--epochs", "3", "--batch", "64",
                     "--lr", "3e-4", "--seed", "2", "--out", o("ablate")]),
+        # two frames: per-qp sums run over frames, passes share descriptors
+        ("sweep_two_frames", ["sweep", "--frames", f["held"], f["odd"],
+                              "--model", o("n32.qtnn"),
+                              "--thresholds", "0.8,1.0,1.2,1e30",
+                              "--out", o("sweep_two_frames")]),
+        ("ablate_two_frames", ["ablate", "--dataset", o("n32.qtds"),
+                               "--frames", f["held"], f["odd"],
+                               "--thresholds", "0.8,1.0,1.2,1e30",
+                               "--configs", "none,wo_hog", "--epochs", "3",
+                               "--batch", "64", "--lr", "3e-4", "--seed", "2",
+                               "--out", o("ablate_two_frames")]),
     ]
 
 
