@@ -142,6 +142,8 @@ def _collect(frames: Sequence[LumaFrame], qps: Sequence[int], cfg: CodecConfig,
     configs = [cfg.at_qp(qp) for qp in qps]          # refuses a qp out of range
     if not configs:
         raise DatasetError("empty qp list")
+    if len({c.qp for c in configs}) < len(configs):
+        raise DatasetError(f"repeated qp in {[c.qp for c in configs]}")
     for frame in frames:
         tile_ctus(frame, cfg.ctu)
     items = []

@@ -11,11 +11,11 @@ returns; its remainders are neither coded nor counted.
 The gate looks each descriptor up in a memo keyed by
 ``features.descriptor_key``, every input ``build_vector`` reads, and
 builds it only on a miss. One pass never repeats a key, so an encode
-gets a fresh memo per frame; the threshold passes of a sweep over one
-(frame, qp) share one (``metrics``), and every descriptor they would
-build from equal inputs is built once. Masked slots are zeroed on a copy,
-never in a shared entry. A memo holds at most passes x consultations
-entries, each about (N+4)^2 key bytes plus a 460 B descriptor.
+gets a fresh memo per frame. Masked slots are zeroed on a copy, never in
+a shared entry, so one memo per (frame, qp) serves every gated pass of
+every threshold and model of a sweep or ablation (``metrics``), building
+each distinct descriptor once. It holds at most models x thresholds x
+consultations entries, each about (N+4)^2 key bytes plus a 460 B descriptor.
 """
 
 from __future__ import annotations

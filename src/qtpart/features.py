@@ -21,11 +21,11 @@ The descriptor is built inside a search callback from its
 ``codec.VisitInfo``: the NI slots read the committed leaves above and
 left of the block, the texture slots one ``causal_patch`` of the block.
 ``descriptor_key`` is a hashable tuple of every input ``build_vector``
-reads, so equal keys give byte-identical descriptors; the passes of a
-threshold sweep over one (frame, qp) share descriptors through it
-(``decision.pruned_search``). Their memo holds at most passes x
-consultations entries, each about (N+4)^2 key bytes plus a 460 B
-descriptor for an N x N block, and is freed after that (frame, qp).
+reads, so equal keys give byte-identical descriptors; one memo per
+(frame, qp) serves every gated pass of every threshold and model of a
+sweep or ablation (``decision.pruned_search``). It holds at most models x
+thresholds x consultations entries, each about (N+4)^2 key bytes plus a
+460 B descriptor for an N x N block, and is freed after that (frame, qp).
 
 Every slot belongs to one of five ablation groups, read off its name:
 NI, PI and BI from the ``ni_``/``pi_``/``bi_`` prefix, HOG or GLCM for

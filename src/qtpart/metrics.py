@@ -6,10 +6,11 @@ processed pixels. Rate curves are compared by fitting cubic polynomials
 of log-rate against PSNR and integrating their gap over the shared PSNR
 interval, reported as an equivalent rate change in percent (positive
 means the test spends more rate for equal quality). Sweeps and ablations
-encode every run at the four evaluation qps, ``EVAL_QPS``. The threshold
-passes over one (frame, qp) run back to back and share the gate
-descriptors they build from equal inputs (``decision``), so a sweep
-builds each distinct descriptor once per (frame, qp).
+encode every run at the four evaluation qps, ``EVAL_QPS``. An ablation
+is a sweep of several models: every gated pass over one (frame, qp), of
+every threshold and every model, runs back to back with the others and
+shares one descriptor memo (``decision``), so each distinct descriptor
+is built once per (frame, qp).
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ class RdCurve:
         by_qp = [points[qp] for qp in sorted(points)]
         rates = [float(r) for r, _ in by_qp]
         psnrs = [float(p) for _, p in by_qp]
-        if not all(r > 0 for r in rates):                # NaN included
-            raise ValueError("rates must be positive")
+        if not all(0 < r < math.inf for r in rates):     # NaN included
+            raise ValueError("rates must be positive and finite")
         if any(not math.isfinite(p) for p in psnrs):
             raise ValueError("PSNR must be finite (lossless points not allowed)")
         if any(a <= b for a, b in zip(rates[:-1], rates[1:])):
@@ -165,33 +166,34 @@ def _check_grid(frames: Sequence[LumaFrame], thresholds: Sequence[float],
     check_active_sizes(active_sizes, cfg)
 
 
-def _policies(model: MlpModel, thresholds: Sequence[float],
-              active_sizes: Sequence[int]) -> list[ThresholdPolicy]:
-    """One gate per threshold, in increasing order; building them checks
-    the model."""
-    return [ThresholdPolicy(model=model, threshold=t, active_sizes=active_sizes)
-            for t in sorted(thresholds)]
-
-
-def _sweep_against(anchor: dict, frames: Sequence[LumaFrame], cfg: CodecConfig,
-                   policies: Sequence[ThresholdPolicy]) -> SweepResult:
-    """One (delta_c, bd_rate) point per policy against the exhaustive
-    ``anchor`` runs (``_run_settings`` with no policy) of the same frames."""
+def _sweep_models(frames: Sequence[LumaFrame], cfg: CodecConfig,
+                  models: Sequence[MlpModel], active_sizes: Sequence[int],
+                  thresholds: Sequence[float]) -> list[SweepResult]:
+    """One sweep per model against one shared exhaustive anchor. Every gate
+    (model x threshold, thresholds increasing) is built, and so every model
+    and the active sizes checked, before the one ``_run_settings`` call that
+    encodes the anchor and every gated pass: one memo per (frame, qp)
+    serves every gated pass of every model."""
+    n = len(thresholds)
+    policies = [ThresholdPolicy(model=m, threshold=t, active_sizes=active_sizes)
+                for m in models for t in sorted(thresholds)]
+    anchor, *runs = _run_settings(frames, cfg, [None, *policies])
     anchor_curve = _curve_of(anchor)
     anchor_px = {qp: r["pixels"] for qp, r in anchor.items()}
     points, rows = [], []
-    for policy, runs in zip(policies, _run_settings(frames, cfg, policies)):
+    for policy, run in zip(policies, runs):
         t = policy.threshold
-        dc = delta_c(anchor_px, {qp: r["pixels"] for qp, r in runs.items()})
-        bd = bd_rate(anchor_curve, _curve_of(runs))
+        dc = delta_c(anchor_px, {qp: r["pixels"] for qp, r in run.items()})
+        bd = bd_rate(anchor_curve, _curve_of(run))
         points.append(TradeoffPoint(threshold=t, delta_c=dc, bd_rate=bd))
         row = {"threshold": t, "delta_c_pct": dc, "bd_rate_pct": bd}
-        for qp in sorted(runs):
-            row[f"rate_bits_q{qp}"] = runs[qp]["rate_bits"]
-            row[f"psnr_db_q{qp}"] = runs[qp]["psnr_db"]
-            row[f"pixels_q{qp}"] = runs[qp]["pixels"]
+        for qp in sorted(run):
+            row[f"rate_bits_q{qp}"] = run[qp]["rate_bits"]
+            row[f"psnr_db_q{qp}"] = run[qp]["psnr_db"]
+            row[f"pixels_q{qp}"] = run[qp]["pixels"]
         rows.append(row)
-    return SweepResult(points=points, rows=rows, anchor=anchor)
+    return [SweepResult(points=points[i:i + n], rows=rows[i:i + n], anchor=anchor)
+            for i in range(0, len(runs), n)]
 
 
 def sweep(frames: Sequence[LumaFrame], cfg: CodecConfig, model: MlpModel,
@@ -204,8 +206,7 @@ def sweep(frames: Sequence[LumaFrame], cfg: CodecConfig, model: MlpModel,
     active sizes checked, and every frame tiled, before the first encode.
     """
     _check_grid(frames, thresholds, active_sizes, cfg)
-    policies = _policies(model, thresholds, active_sizes)
-    return _sweep_against(_run_settings(frames, cfg, [None])[0], frames, cfg, policies)
+    return _sweep_models(frames, cfg, [model], active_sizes, thresholds)[0]
 
 
 def interpolate_bd_at(points: Sequence[TradeoffPoint],
@@ -232,23 +233,19 @@ def run_ablation(records: Sequence[CuRecord], frames: Sequence[LumaFrame],
     and report bd_rate interpolated at 10% and 20% complexity drops.
 
     Every config name, the frames, the threshold grid and the active
-    sizes are checked before the first model is trained. The exhaustive
-    anchor is encoded once and shared by every configuration's sweep.
+    sizes are checked before the first model is trained, and every
+    config's model is trained before the first encode. One sweep of all
+    the models shares the exhaustive anchor and the descriptor memos.
     """
     _check_grid(frames, thresholds, active_sizes, cfg)
     for name in configs:
         if name not in ABLATION_CONFIGS:
             raise ValueError(f"unknown ablation config {name!r}")
-    rows, anchor = [], None
-    for name in configs:
-        groups, hidden = ABLATION_CONFIGS[name]
-        model, _ = train_regression(records, "N32", hyper=hyper, seed=seed,
-                                    mask=groups, hidden=hidden)
-        policies = _policies(model, thresholds, active_sizes)
-        if anchor is None:       # once, after the first model passed the gate checks
-            anchor = _run_settings(frames, cfg, [None])[0]
-        result = _sweep_against(anchor, frames, cfg, policies)
-        rows.append({"config": name,
-                     "bd_at_dc10": interpolate_bd_at(result.points, 10.0),
-                     "bd_at_dc20": interpolate_bd_at(result.points, 20.0)})
-    return rows
+    models = [train_regression(records, "N32", hyper=hyper, seed=seed,
+                               mask=ABLATION_CONFIGS[name][0],
+                               hidden=ABLATION_CONFIGS[name][1])[0] for name in configs]
+    results = _sweep_models(frames, cfg, models, active_sizes, thresholds)
+    return [{"config": name,
+             "bd_at_dc10": interpolate_bd_at(result.points, 10.0),
+             "bd_at_dc20": interpolate_bd_at(result.points, 20.0)}
+            for name, result in zip(configs, results)]

@@ -93,7 +93,8 @@ def test_dataset_trajectories_artifacts(work):
     ("a64", "22,27,32,99", "qp 99 outside [0, 51]"),
     ("a64", "", "empty qp list"),
     ("small", "22", "48x32 frame holds no full 64x64 CTU"),
-], ids=["qp-out-of-range", "empty-qps", "no-full-ctu"])
+    ("a64", "22,27,22", "repeated qp in [22, 27, 22]"),
+], ids=["qp-out-of-range", "empty-qps", "no-full-ctu", "repeated-qp"])
 def test_bad_collection_input_fails_before_any_work(work, tmp_path, capsys,
                                                     monkeypatch, subcommand,
                                                     frame, qps, msg):
@@ -107,7 +108,8 @@ def test_bad_collection_input_fails_before_any_work(work, tmp_path, capsys,
     rc = main(["dataset", subcommand, "--frames", frames[frame], "--qps", qps,
                "--out", str(tmp_path / "out.qtds")])
     assert rc == 3
-    assert msg in capsys.readouterr().err
+    assert msg in _one_error_line(capsys)
+    assert not list(tmp_path.glob("out.qtds*"))          # no container, no config
 
 
 def test_jobs_is_accepted_and_ignored(work, tmp_path, capsys):
@@ -494,11 +496,12 @@ def test_bdrate_malformed_curve_file_is_data_error(tmp_path, capsys, curve):
 
 
 def test_bdrate_nan_rate_is_data_error(tmp_path, capsys):
-    curve = tmp_path / "nan.json"
-    curve.write_text(json.dumps({"22": [float("nan"), 45.0], "27": [780.0, 42.5],
-                                 "32": [590.0, 39.2], "37": [410.0, 36.1]}))
-    assert main(["bdrate", "--anchor", str(curve), "--test", str(curve)]) == 3
-    assert "rates must be positive" in _one_error_line(capsys)
+    curve = tmp_path / "bad.json"
+    for rate in ("NaN", "1e309"):                    # 1e309 parses to inf
+        curve.write_text(f'{{"22": [{rate}, 45.0], "27": [780.0, 42.5], '
+                         '"32": [590.0, 39.2], "37": [410.0, 36.1]}')
+        assert main(["bdrate", "--anchor", str(curve), "--test", str(curve)]) == 3
+        assert "rates must be positive and finite" in _one_error_line(capsys)
 
 
 # ------------------------------------------------------------------- parser

@@ -9,7 +9,7 @@ from qtpart.features import LAYOUT_HASH
 from qtpart.metrics import (ABLATION_CONFIGS, EVAL_QPS, RdCurve, TradeoffPoint,
                             bd_rate, delta_c, interpolate_bd_at, run_ablation,
                             sweep)
-from qtpart.mlp import TrainHyper, init_model, train_regression
+from qtpart.mlp import ModelError, TrainHyper, init_model, train_regression
 
 from helpers import natural_frame
 
@@ -80,9 +80,10 @@ def test_curve_requires_eval_qps():
 
 
 def test_curve_rejects_nonpositive_rate():
-    bad = {**ANCHOR_PTS, 37: (0.0, 36.1)}
-    with pytest.raises(ValueError, match="rates must be positive"):
-        curve(bad)
+    for rate in (0.0, float("inf")):
+        bad = {**ANCHOR_PTS, 37: (rate, 36.1)}
+        with pytest.raises(ValueError, match="rates must be positive and finite"):
+            curve(bad)
 
 
 def test_curve_rejects_infinite_psnr():
@@ -300,6 +301,52 @@ def test_ablation_encodes_the_anchor_once(records32, sweep_frames, monkeypatch):
         points = sweep(sweep_frames, CodecConfig(), model, (32,), thresholds).points
         assert row["bd_at_dc10"] == interpolate_bd_at(points, 10.0)
         assert row["bd_at_dc20"] == interpolate_bd_at(points, 20.0)
+
+
+def test_ablation_builds_each_distinct_descriptor_once(records32, sweep_frames,
+                                                       monkeypatch):
+    built, keys = [], []
+    build, key_of = decision.build_vector, decision.descriptor_key
+
+    def counting_build(visit):
+        built.append(1)
+        return build(visit)
+
+    def recording_key(visit):
+        keys.append(key_of(visit))
+        return keys[-1]
+
+    monkeypatch.setattr(decision, "build_vector", counting_build)
+    monkeypatch.setattr(decision, "descriptor_key", recording_key)
+    run_ablation(records32, sweep_frames[:1], CodecConfig(), (0.9, 1.1),
+                 configs=("none", "wo_hog", "wo_glcm"),
+                 hyper=TrainHyper(lr=1e-4, batch=128, epochs=2), seed=1)
+    assert len(keys) > len(set(keys))                # the passes did share keys
+    assert len(built) == len(set(keys))
+
+
+def test_ablation_checks_every_model_before_any_encode(records32, sweep_frames,
+                                                       monkeypatch):
+    trained = []
+    train = metrics.train_regression
+
+    def foreign_second(*args, **kwargs):
+        model, history = train(*args, **kwargs)
+        trained.append(model)
+        if len(trained) == 2:
+            model.meta["layout_hash"] = "foreign"
+        return model, history
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a frame was encoded before every model was checked")
+
+    monkeypatch.setattr(metrics, "train_regression", foreign_second)
+    monkeypatch.setattr(metrics, "encode_frame", must_not_run)
+    with pytest.raises(ModelError, match="different feature layout"):
+        run_ablation(records32, sweep_frames[:1], CodecConfig(), (0.9, 1.1),
+                     configs=("none", "wo_hog"),
+                     hyper=TrainHyper(lr=1e-4, batch=128, epochs=2), seed=1)
+    assert len(trained) == 2
 
 
 def test_ablation_rows(records32, sweep_frames):
