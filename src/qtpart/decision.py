@@ -11,10 +11,10 @@ returns; its remainders are neither coded nor counted.
 The gate looks each descriptor up in a memo keyed by
 ``features.descriptor_key``, every input ``build_vector`` reads, and
 builds it only on a miss. One pass never repeats a key, so an encode
-gets a fresh memo per frame. Masked slots are zeroed on a copy, never in
-a shared entry, so one memo per (frame, qp) serves every gated pass of
-every threshold and model of a sweep or ablation (``metrics``), building
-each distinct descriptor once. It holds at most models x thresholds x
+gets a fresh memo per frame. Every model reads the raw, read-only entries
+as they are, so one memo per (frame, qp) serves every gated pass of every
+threshold and model of a sweep or ablation (``metrics``), building each
+distinct descriptor once. It holds at most models x thresholds x
 consultations entries, each about (N+4)^2 key bytes plus a 460 B descriptor.
 """
 
@@ -26,8 +26,7 @@ import numpy as np
 
 from . import codec
 from .codec import CodecConfig, PartitionNode, Rect, SearchState, VisitInfo
-from .features import (FEATURE_COUNT, LAYOUT_HASH, build_vector, descriptor_key,
-                       mask_indices)
+from .features import FEATURE_COUNT, LAYOUT_HASH, build_vector, descriptor_key
 from .frame_io import LumaFrame, tile_ctus
 from .mlp import MlpModel, ModelError, forward
 
@@ -54,9 +53,6 @@ class ThresholdPolicy:
                              f"is not the descriptor size {FEATURE_COUNT}")
         if self.model.out_dim not in (1, 2):
             raise ModelError(f"model must have 1 or 2 outputs, got {self.model.out_dim}")
-        # descriptor slots the model was trained with zeroed; the gate
-        # zeroes them the same way
-        self.zeroed = mask_indices(self.model.meta.get("mask", []))
 
 
 def check_active_sizes(active_sizes, cfg: CodecConfig) -> None:
@@ -99,14 +95,11 @@ def pruned_search(rect: Rect, cfg: CodecConfig, state: SearchState,
         if visit.rect.w not in policy.active_sizes:
             return False
         key = descriptor_key(visit)
-        shared = memo.get(key)
-        if shared is None:
-            shared = memo[key] = build_vector(visit)
-            shared.flags.writeable = False
-        vec = shared.copy()
-        vec[policy.zeroed] = 0.0
-        pred = forward(policy.model, vec)
-        return decide(pred, policy) == PRUNE_QT
+        vec = memo.get(key)
+        if vec is None:
+            vec = memo[key] = build_vector(visit)
+            vec.flags.writeable = False
+        return decide(forward(policy.model, vec), policy) == PRUNE_QT
 
     return codec.search(rect, cfg, state, prune=hook)
 

@@ -21,20 +21,15 @@ The descriptor is built inside a search callback from its
 ``codec.VisitInfo``: the NI slots read the committed leaves above and
 left of the block, the texture slots one ``causal_patch`` of the block.
 ``descriptor_key`` is a hashable tuple of every input ``build_vector``
-reads, so equal keys give byte-identical descriptors; one memo per
-(frame, qp) serves every gated pass of every threshold and model of a
-sweep or ablation (``decision.pruned_search``). It holds at most models x
-thresholds x consultations entries, each about (N+4)^2 key bytes plus a
-460 B descriptor for an N x N block, and is freed after that (frame, qp).
+reads, so equal keys give byte-identical descriptors; the gate's memo is
+keyed by it (``decision``).
 
 Every slot belongs to one of five ablation groups, read off its name:
 NI, PI and BI from the ``ni_``/``pi_``/``bi_`` prefix, HOG or GLCM for
 the ``si_`` texture slots. An ablation mask is a list of group names in
 any case, e.g. ``["glcm", "NI"]``; a model file stores it in canonical
-order (``mask_groups``). Masks never change how a descriptor is built:
-every descriptor is built in full, then training zeroes the masked
-columns of its inputs and the gate the same slots of a copy of each
-descriptor it uses (``mask_indices``).
+order (``mask_groups``). A mask never changes how a descriptor is built:
+a masked model's first layer has zero rows at its slots (``mask_indices``).
 """
 
 from __future__ import annotations

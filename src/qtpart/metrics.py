@@ -9,8 +9,7 @@ means the test spends more rate for equal quality). Sweeps and ablations
 encode every run at the four evaluation qps, ``EVAL_QPS``. An ablation
 is a sweep of several models: every gated pass over one (frame, qp), of
 every threshold and every model, runs back to back with the others and
-shares one descriptor memo (``decision``), so each distinct descriptor
-is built once per (frame, qp).
+shares one descriptor memo (``decision``).
 """
 
 from __future__ import annotations
@@ -163,6 +162,8 @@ def _check_grid(frames: Sequence[LumaFrame], thresholds: Sequence[float],
         raise ValueError("empty threshold list")
     if not all(t > 0 for t in thresholds):
         raise ValueError("threshold must be positive")
+    if len(set(thresholds)) < len(thresholds):
+        raise ValueError(f"repeated threshold in {list(thresholds)}")
     check_active_sizes(active_sizes, cfg)
 
 
@@ -172,8 +173,7 @@ def _sweep_models(frames: Sequence[LumaFrame], cfg: CodecConfig,
     """One sweep per model against one shared exhaustive anchor. Every gate
     (model x threshold, thresholds increasing) is built, and so every model
     and the active sizes checked, before the one ``_run_settings`` call that
-    encodes the anchor and every gated pass: one memo per (frame, qp)
-    serves every gated pass of every model."""
+    encodes the anchor and every gated pass."""
     n = len(thresholds)
     policies = [ThresholdPolicy(model=m, threshold=t, active_sizes=active_sizes)
                 for m in models for t in sorted(thresholds)]
@@ -241,6 +241,8 @@ def run_ablation(records: Sequence[CuRecord], frames: Sequence[LumaFrame],
     for name in configs:
         if name not in ABLATION_CONFIGS:
             raise ValueError(f"unknown ablation config {name!r}")
+    if len(set(configs)) < len(configs):
+        raise ValueError(f"repeated ablation config in {list(configs)}")
     models = [train_regression(records, "N32", hyper=hyper, seed=seed,
                                mask=ABLATION_CONFIGS[name][0],
                                hidden=ABLATION_CONFIGS[name][1])[0] for name in configs]

@@ -246,8 +246,8 @@ def train_regression(records: Sequence[CuRecord], variant: str,
     """Train a cost-regression model on balanced records.
 
     Returns (model, per-epoch mean training loss). The dataset's block
-    sizes must be exactly the variant's sizes. ``mask`` names the
-    descriptor groups zeroed in every input (see ``features.mask_groups``).
+    sizes must be exactly the variant's sizes. The ``mask`` groups' input
+    columns and first-layer rows are zeroed, so those rows get no gradient.
     """
     hyper = hyper or TrainHyper()
     groups = mask_groups(mask)
@@ -261,11 +261,13 @@ def train_regression(records: Sequence[CuRecord], variant: str,
             f"dataset has {sorted(present)}")
     out = 1 if len(sizes) == 1 else 2
     X, y, norm = normalize_targets(records)
-    X[:, mask_indices(groups)] = 0.0
+    masked = mask_indices(groups)
+    X[:, masked] = 0.0
 
     root = np.random.SeedSequence(seed)
     init_seq, shuffle_seq = root.spawn(2)
     model = init_model(hidden=hidden, out=out, seed=init_seq)
+    model.weights[0][masked] = 0.0
     rng = np.random.default_rng(shuffle_seq)
     adam = adam_init(model, lr=hyper.lr)
 
@@ -301,6 +303,7 @@ def save_model(model: MlpModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> MlpModel:
+    """Read a model container; the first-layer rows its ``mask`` names load as zero."""
     data = Path(path).read_bytes()
     if len(data) < 8 or data[:4] != MODEL_MAGIC:
         raise ModelError("bad model magic")
@@ -331,4 +334,11 @@ def load_model(path: str | Path) -> MlpModel:
     mask = meta.get("mask", []) if isinstance(meta, dict) else None
     if not isinstance(mask, list) or not all(isinstance(g, str) for g in mask):
         raise ModelError("model metadata must be an object whose mask lists group names")
+    if mask:
+        if layers[0] != FEATURE_COUNT:
+            raise ModelError(f"a masked model needs {FEATURE_COUNT} inputs, not {layers[0]}")
+        try:
+            weights[0][mask_indices(mask)] = 0.0
+        except ValueError as exc:
+            raise ModelError(str(exc)) from None
     return MlpModel(weights=weights, biases=biases, meta=meta)

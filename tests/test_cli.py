@@ -291,10 +291,26 @@ def test_nan_threshold_fails_before_any_search(work, tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+def test_sweep_repeated_threshold_fails_before_any_search(work, tmp_path, capsys,
+                                                         monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a search ran before the threshold check")
+
+    monkeypatch.setattr(codec, "search", must_not_run)
+    out = tmp_path / "out"
+    rc = main(["sweep", "--frames", work["a64"], "--model", work["reg"],
+               "--thresholds", "0.9,1,1.0", "--out", str(out)])
+    assert rc == 3
+    assert _one_error_line(capsys) == "error: repeated threshold in [0.9, 1.0, 1.0]\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra, message", [
     (["--configs", "none,bogus", "--thresholds", "1.0"], "unknown ablation config"),
     (["--configs", "none", "--thresholds", ","], "empty threshold list"),
     (["--configs", "none", "--thresholds", "1.0,nan"], "threshold must be positive"),
+    (["--configs", "none,none", "--thresholds", "1.0"], "repeated ablation config"),
+    (["--configs", "none", "--thresholds", "1,1.0"], "repeated threshold in [1.0, 1.0]"),
 ])
 def test_ablate_bad_input_fails_before_training(work, tmp_path, capsys, monkeypatch,
                                                extra, message):
@@ -355,6 +371,25 @@ def test_encode_bad_model_metadata_is_model_error(work, tmp_path, capsys, meta):
     assert rc == 4
     assert "metadata must be an object whose mask lists group names" \
         in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["encode", "sweep"])
+@pytest.mark.parametrize("width, mask, message", [
+    (115, ["FOO"], "unknown feature groups ['FOO']"),
+    (114, ["HOG"], "a masked model needs 115 inputs, not 114"),
+], ids=["unknown-group", "narrow-input"])
+def test_bad_model_mask_is_model_error(work, tmp_path, capsys, command, width, mask,
+                                       message):
+    model = init_model(hidden=(), out=1, seed=0)
+    model.weights[0] = model.weights[0][:width]
+    model.meta["mask"] = mask
+    mpath = tmp_path / "bad-mask.qtnn"
+    save_model(model, str(mpath))
+    argv = {"encode": ["encode", "--frame", work["c128"], "--threshold", "1.0"],
+            "sweep": ["sweep", "--frames", work["a64"], "--thresholds", "1.0"]}[command]
+    rc = main(argv + ["--model", str(mpath), "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert _one_error_line(capsys) == f"error: {message}\n"
 
 
 # --------------------------------------------------------------------- sweep

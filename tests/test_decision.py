@@ -10,7 +10,8 @@ from qtpart.decision import (EXPLORE, PRUNE_QT, ThresholdPolicy, decide,
 from qtpart.features import (FEATURE_COUNT, FEATURE_NAMES, LAYOUT_HASH,
                              mask_indices)
 from qtpart.frame_io import LumaFrame, Rect
-from qtpart.mlp import MlpModel, ModelError, init_model
+from qtpart.mlp import (MlpModel, ModelError, forward, init_model, load_model,
+                        save_model)
 
 from helpers import count_patch_calls, natural_frame
 
@@ -75,14 +76,15 @@ def test_policy_normalizes_sizes():
     assert pol.active_sizes == (16, 32)
 
 
-def test_policy_reads_mask_from_meta():
-    m = ratio_model(1.0)
-    m.meta["mask"] = ["HOG", "GLCM"]
-    pol = ThresholdPolicy(m, threshold=1.0)
-    assert np.array_equal(pol.zeroed, mask_indices(["hog", "glcm"]))
-    m.meta["mask"] = ["HOG", "DC"]
-    with pytest.raises(ValueError, match="unknown feature groups"):
-        ThresholdPolicy(m, threshold=1.0)
+def test_loaded_mask_lives_in_the_first_layer(tmp_path):
+    # the policy keeps no mask of its own: the loaded model's masked rows
+    # are zero, its meta mask is provenance, and an unknown group is refused
+    m = hog_model(["HOG", "GLCM"], tmp_path)
+    assert m.meta["mask"] == ["HOG", "GLCM"]
+    assert not m.weights[0][mask_indices(["hog", "glcm"])].any()
+    assert hog_model([], tmp_path).weights[0][mask_indices(["hog"])].all()
+    with pytest.raises(ModelError, match="unknown feature groups"):
+        hog_model(["HOG", "DC"], tmp_path)
 
 
 # -------------------------------------------------------------- pruned search
@@ -121,36 +123,46 @@ def test_huge_threshold_reproduces_exhaustive_search(tiny_model):
     assert gated.pixels == base.pixels
 
 
-def hog_model(mask):
-    """A net that sees only HOG slots, each weighted 1e6."""
+def hog_model(mask, tmp_path):
+    """A net that sees only HOG slots, each weighted 1e6, written with
+    ``mask`` in its metadata and its HOG rows unzeroed, then loaded."""
     m = init_model(hidden=(), out=1, seed=0)
     m.weights[0][:] = 0.0
     m.weights[0][["_hog_" in n for n in FEATURE_NAMES], 0] = 1e6
     m.biases[0][:] = 0.0
     m.meta["mask"] = list(mask)
-    return m
+    path = tmp_path / ("hog-" + "-".join(mask) + ".qtnn")
+    save_model(m, path)
+    return load_model(path)
 
 
-def test_gate_zeroes_the_model_mask_before_predicting():
-    # the model sees only HOG slots, and HOG is masked: with those slots
-    # zeroed its prediction is 0 and the gate explores every block; an
-    # unzeroed histogram would predict far above the threshold
-    m = hog_model(["HOG"])
+def test_masked_model_gates_raw_descriptors(tmp_path):
+    # the model sees only HOG slots, and HOG is masked: its HOG rows load
+    # as zero, so it predicts 0 from the raw descriptors the memo holds and
+    # the gate explores every block; an unmasked model would predict far
+    # above the threshold from the same entries
+    m = hog_model(["HOG"], tmp_path)
     frame = natural_frame(8)
     cfg = CodecConfig()
-    pol = ThresholdPolicy(m, threshold=1.0, active_sizes=(32, 16))
-    gated = encode_frame(frame, cfg, policy=pol)
+    memo = {}
+    gated = encode_frame(frame, cfg, ThresholdPolicy(m, threshold=1.0,
+                                                     active_sizes=(32, 16)), memo)
     base = encode_frame(frame, cfg)
     assert gated.pixels == base.pixels
     assert [t.to_dict() for t in gated.trees] == [t.to_dict() for t in base.trees]
+    raw = np.stack(list(memo.values()))
+    assert raw[:, mask_indices(["hog"])].any()
+    assert not forward(m, raw).any()
+    assert (forward(hog_model([], tmp_path), raw) >= 1.0).any()
 
 
-def test_masked_pass_leaves_a_shared_memo_intact():
-    # the masked pass zeroes HOG on a copy: an unmasked pass over the same
-    # memo still sees every histogram and prunes as a fresh run does
+def test_masked_pass_leaves_a_shared_memo_intact(tmp_path):
+    # the masked pass reads each entry as it is: an unmasked pass over the
+    # same memo still sees every histogram and prunes as a fresh run does
     frame, cfg = natural_frame(8), CodecConfig()
-    masked = ThresholdPolicy(hog_model(["HOG"]), threshold=1.0, active_sizes=(32, 16))
-    full = ThresholdPolicy(hog_model([]), threshold=1.0, active_sizes=(32, 16))
+    masked = ThresholdPolicy(hog_model(["HOG"], tmp_path), threshold=1.0,
+                             active_sizes=(32, 16))
+    full = ThresholdPolicy(hog_model([], tmp_path), threshold=1.0, active_sizes=(32, 16))
     memo = {}
     encode_frame(frame, cfg, masked, memo)
     assert len(memo) == 4 * (4 + 16)            # every 32 and 16 of four CTUs
@@ -159,6 +171,31 @@ def test_masked_pass_leaves_a_shared_memo_intact():
     fresh = encode_frame(frame, cfg, full)
     assert shared.pixels == fresh.pixels == 4 * 2 * CTU_AREA
     assert [t.to_dict() for t in shared.trees] == [t.to_dict() for t in fresh.trees]
+
+
+def test_file_with_unzeroed_mask_rows_gates_to_exhaustive_trees(tmp_path):
+    # a file written before masks lived in the first layer keeps random
+    # rows at its masked slots; it loads with those rows zero, so a model
+    # whose only signal sits there explores every block
+    m = init_model(hidden=(16,), out=1, seed=5)
+    hog = mask_indices(["HOG"])
+    m.weights[0][~hog] = 0.0
+    m.weights[0][hog] = np.abs(m.weights[0][hog]) * 1e3
+    m.weights[1][:] = 1.0
+    m.biases[1][:] = 0.5
+    m.meta["mask"] = ["HOG"]
+    save_model(m, tmp_path / "old.qtnn")
+    loaded = load_model(tmp_path / "old.qtnn")
+    assert m.weights[0][hog].all() and not loaded.weights[0][hog].any()
+    frame, cfg = natural_frame(8), CodecConfig()
+    memo = {}
+    pol = ThresholdPolicy(loaded, threshold=1.0, active_sizes=(32, 16))
+    gated = encode_frame(frame, cfg, pol, memo)
+    base = encode_frame(frame, cfg)
+    assert [t.to_dict() for t in gated.trees] == [t.to_dict() for t in base.trees]
+    assert gated.pixels == base.pixels
+    # the rows as written would have pruned
+    assert (forward(m, np.stack(list(memo.values()))) >= 1.0).any()
 
 
 def test_always_prune_at_32_halves_processing():

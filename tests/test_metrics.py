@@ -246,6 +246,8 @@ def test_ablation_unknown_config(records32, sweep_frames):
     (("none",), (), "empty threshold list"),
     (("none",), (1.0, float("nan")), "threshold must be positive"),
     (("none",), (0.0,), "threshold must be positive"),
+    (("none", "wo_hog", "none"), (1.0,), "repeated ablation config"),
+    (("none",), (1.0, 0.8, 1.0), r"repeated threshold in \[1.0, 0.8, 1.0\]"),
 ])
 def test_ablation_checks_inputs_before_training(records32, sweep_frames, monkeypatch,
                                                 configs, thresholds, message):

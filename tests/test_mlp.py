@@ -310,6 +310,8 @@ def test_train_records_mask_in_meta(records32):
     model, _ = train_regression(records32, "N32", hyper, seed=12,
                                 mask=["glcm", "Hog"])
     assert model.meta["mask"] == ["HOG", "GLCM"]
+    # the masked rows start at zero and get no gradient
+    assert not model.weights[0][mask_indices(["hog", "glcm"])].any()
     # an unknown group is refused before anything else is checked
     with pytest.raises(ValueError, match="unknown feature groups"):
         train_regression(records32, "N64", hyper, mask=["HOG", "DC"])
@@ -384,6 +386,34 @@ def test_load_rejects_corrupt_model(tmp_path):
         load_model(p)
 
 
+def test_load_zeroes_masked_rows_and_keeps_the_rest(tmp_path):
+    # a file whose masked rows are not zero loads with them zeroed; every
+    # other parameter and the metadata come back as written
+    model = init_model(hidden=(8,), out=1, seed=4)
+    model.meta["mask"] = ["HOG"]
+    save_model(model, tmp_path / "m.qtnn")
+    back = load_model(tmp_path / "m.qtnn")
+    rows = mask_indices(["HOG"])
+    assert model.weights[0][rows].all() and not back.weights[0][rows].any()
+    assert np.array_equal(back.weights[0][~rows], model.weights[0][~rows])
+    for a, b in zip(back.weights[1:] + back.biases, model.weights[1:] + model.biases):
+        assert np.array_equal(a, b)
+    assert back.meta == model.meta
+
+
+@pytest.mark.parametrize("width, mask, message", [
+    (115, ["HOG", "FOO"], r"unknown feature groups \['FOO'\]"),
+    (114, ["HOG"], "a masked model needs 115 inputs, not 114"),
+], ids=["unknown-group", "narrow-input"])
+def test_load_rejects_a_bad_mask(tmp_path, width, mask, message):
+    model = MlpModel(weights=[np.ones((width, 1), np.float32)],
+                     biases=[np.zeros(1, np.float32)],
+                     meta={"layout_hash": LAYOUT_HASH, "mask": mask})
+    save_model(model, tmp_path / "m.qtnn")
+    with pytest.raises(ModelError, match=message):
+        load_model(tmp_path / "m.qtnn")
+
+
 @pytest.mark.parametrize("layers", [[115], [115, 0, 1]])
 def test_load_rejects_impossible_layers(tmp_path, layers):
     # no input-only model exists, and a zero-width layer would leave the
@@ -394,18 +424,22 @@ def test_load_rejects_impossible_layers(tmp_path, layers):
         load_model(p)
 
 
-def test_masked_columns_do_not_affect_inference(records32):
-    # a model trained with masked groups is always fed vectors whose
-    # masked slots are zero, so flipping those inputs must not matter
+def test_masked_columns_do_not_affect_inference(records32, tmp_path):
+    # the first-layer rows of the masked slots are zero, so whatever those
+    # slots hold, a model gives the output of the zeroed input bit for bit,
+    # trained in memory and after a save/load round trip
     mask = ["NI", "PI"]
     model, _ = train_regression(records32, "N32",
                                 TrainHyper(lr=1e-4, batch=128, epochs=1),
                                 seed=16, mask=mask)
+    save_model(model, tmp_path / "m.qtnn")
     zeroed = mask_indices(mask)
     rng = np.random.default_rng(3)
-    x = rng.random(115).astype(np.float32)
-    x[zeroed] = 0.0
-    base = forward(model, x)
-    # inference contract: masked slots arrive as zeros; the training-time
-    # zeroing makes the model's data-driven signal independent of them
-    assert np.isfinite(base).all()
+    x = rng.random((8, 115)).astype(np.float32)
+    x[:, zeroed] = 0.0
+    raw = x.copy()
+    raw[:, zeroed] = rng.normal(0.0, 1e3, (8, int(zeroed.sum())))
+    for m in (model, load_model(tmp_path / "m.qtnn")):
+        assert np.array_equal(forward(m, raw), forward(m, x))
+        for r, z in zip(raw, x):
+            assert np.array_equal(forward(m, r), forward(m, z))

@@ -93,6 +93,12 @@ def steps(out: Path) -> list[tuple[str, list[str]]]:
                           "--variant", "N32_16", "--mask", "hog", "--epochs", "6",
                           "--batch", "64", "--lr", "3e-4", "--seed", "2",
                           "--out", o("n32_16.qtnn")]),
+        # the mask whose rows move a one-output model's predictions most;
+        # at threshold 0.7 its gate prunes some 32x32 blocks and explores the rest
+        ("train_n32_nipibi", ["train", "reg", "--dataset", o("n32.qtds"),
+                              "--mask", "ni,pi,bi", "--epochs", "6", "--batch", "64",
+                              "--lr", "3e-4", "--seed", "2",
+                              "--out", o("n32_nipibi.qtnn")]),
         ("train_dqn", ["train", "dqn", "--trajectories", o("q.traj.qtds"),
                        "--steps", "300", "--batch", "32", "--lr", "1e-3",
                        "--hidden", "64,32", "--seed", "3", "--out", o("q.qtnn")]),
@@ -107,6 +113,10 @@ def steps(out: Path) -> list[tuple[str, list[str]]]:
                          "--model", o("n32_16.qtnn"), "--threshold", "1.0",
                          "--active-sizes", "32,16", "--tree", o("gate_n32_16.tree.json"),
                          "--out", o("gate_n32_16.json")]),
+        ("gate_n32_nipibi", ["encode", "--frame", f["held"], "--qp", "27",
+                             "--model", o("n32_nipibi.qtnn"), "--threshold", "0.7",
+                             "--tree", o("gate_n32_nipibi.tree.json"),
+                             "--out", o("gate_n32_nipibi.json")]),
         ("sweep", ["sweep", "--frames", f["held"], "--model", o("n32.qtnn"),
                    "--thresholds", "0.8,1.0,1.2,1e30", "--out", o("sweep")]),
         ("sweep_permuted", ["sweep", "--frames", f["held"], "--model", o("n32.qtnn"),
