@@ -15,7 +15,7 @@ Reconstructions are committed in causal order so every block sees its
 neighbours' chosen reconstructions, and a processed-pixel counter tallies
 the area of every NS encode performed. The search only codes: callbacks
 get each visit's ``VisitInfo`` and read whatever else they need from its
-search state (``features.build_vector`` does).
+search state (``features.descriptor_key`` does).
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ class SearchState:
 class VisitInfo(NamedTuple):
     """What the search hands its callbacks right after a block's NS encode.
 
-    ``parent`` is the parent's (NS cost, area), None at the CTU root.
+    ``parent`` is the parent's NS cost, None at the CTU root.
     Read ``state`` only inside the callback: callbacks run before any
     recursion or commit, and afterwards ``state`` holds reconstructions
     the block did not see when it was coded.
@@ -211,7 +211,7 @@ class VisitInfo(NamedTuple):
     rect: Rect
     qp: int
     ns_cost: RdCost
-    parent: Optional[tuple[RdCost, int]]
+    parent: Optional[RdCost]
     state: SearchState
 
 
@@ -308,8 +308,7 @@ def _search_node(rect, depth, cfg, state, visitor, prune, parent) -> PartitionNo
     kids = []
     for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):     # raster order
         sub = Rect(rect.x + dx * half, rect.y + dy * half, half, half)
-        kids.append(_search_node(sub, depth + 1, cfg, state, visitor, prune,
-                                 (ns_cost, rect.area)))
+        kids.append(_search_node(sub, depth + 1, cfg, state, visitor, prune, ns_cost))
     qt_j = kids[0].best_j + kids[1].best_j + kids[2].best_j + kids[3].best_j \
         + cfg.split_cost
     if ns_cost.j <= qt_j:                                # tie favours no-split

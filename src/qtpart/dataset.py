@@ -27,7 +27,7 @@ import numpy as np
 
 from .codec import (NS, QT, CodecConfig, SearchState, exhaustive_search,
                     split_sizes)
-from .features import FEATURE_COUNT, LAYOUT_HASH, build_vector
+from .features import FEATURE_COUNT, LAYOUT_HASH, build_vector, descriptor_key
 from .frame_io import LumaFrame, tile_ctus
 
 MAGIC = b"QTDS"
@@ -124,7 +124,7 @@ def _walk_frame(frame: LumaFrame, cfg: CodecConfig):
     nodes, vecs = [], {}
 
     def visitor(visit):
-        vecs[visit.rect] = build_vector(visit)
+        vecs[visit.rect] = build_vector(descriptor_key(visit))
 
     for rect in tile_ctus(frame, cfg.ctu):
         nodes.extend(exhaustive_search(rect, cfg, state, visitor=visitor).preorder())

@@ -8,14 +8,15 @@ own coding is never skipped, only the descent below it. A frame is
 encoded CTU by CTU over the full CTUs that ``frame_io.tile_ctus``
 returns; its remainders are neither coded nor counted.
 
-The gate looks each descriptor up in a memo keyed by
-``features.descriptor_key``, every input ``build_vector`` reads, and
-builds it only on a miss. One pass never repeats a key, so an encode
-gets a fresh memo per frame. Every model reads the raw, read-only entries
-as they are, so one memo per (frame, qp) serves every gated pass of every
-threshold and model of a sweep or ablation (``metrics``), building each
-distinct descriptor once. It holds at most models x thresholds x
-consultations entries, each about (N+4)^2 key bytes plus a 460 B descriptor.
+The gate computes each consultation's ``features.descriptor_key``, the
+descriptor's whole input, looks it up in a memo and builds the
+descriptor from the key only on a miss. One pass never repeats a key, so
+an encode gets a fresh memo per frame. Every model reads the raw,
+read-only entries as they are, so one memo per (frame, qp) serves every
+gated pass of every threshold and model of a sweep or ablation
+(``metrics``), building each distinct descriptor once. It holds at most
+models x thresholds x consultations entries, each exactly (N+4)^2 key
+bytes plus a 460 B descriptor.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def pruned_search(rect: Rect, cfg: CodecConfig, state: SearchState,
 
     Identical to the exhaustive search except that a PruneQT verdict
     forces no-split without exploring the subtree; inactive sizes always
-    recurse normally. ``memo`` maps ``descriptor_key`` to a read-only
+    recurse normally. ``memo`` maps a ``descriptor_key`` to its read-only
     descriptor. The model and the verdict run at every consultation, hit
     or miss.
     """
@@ -97,7 +98,7 @@ def pruned_search(rect: Rect, cfg: CodecConfig, state: SearchState,
         key = descriptor_key(visit)
         vec = memo.get(key)
         if vec is None:
-            vec = memo[key] = build_vector(visit)
+            vec = memo[key] = build_vector(key)
             vec.flags.writeable = False
         return decide(forward(policy.model, vec), policy) == PRUNE_QT
 

@@ -17,12 +17,12 @@ histogram bins are L1-normalized, co-occurrence entropy is rescaled by
 its 8-level maximum, correlation is mapped through (r + 1) / 2 and
 dissimilarity divided by its maximum level distance.
 
-The descriptor is built inside a search callback from its
-``codec.VisitInfo``: the NI slots read the committed leaves above and
-left of the block, the texture slots one ``causal_patch`` of the block.
-``descriptor_key`` is a hashable tuple of every input ``build_vector``
-reads, so equal keys give byte-identical descriptors; the gate's memo is
-keyed by it (``decision``).
+A descriptor is a pure function of its ``DescriptorKey``, which
+``descriptor_key`` reads off a ``codec.VisitInfo`` inside the search
+callback: the NI slots come from the committed leaves above and left of
+the block, the texture slots from one ``causal_patch`` window of the
+block. Equal keys therefore give byte-identical descriptors; the gate's
+memo is keyed by them (``decision``).
 
 Every slot belongs to one of five ablation groups, read off its name:
 NI, PI and BI from the ``ni_``/``pi_``/``bi_`` prefix, HOG or GLCM for
@@ -36,11 +36,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
+from typing import NamedTuple
 
 import numpy as np
 
-from .codec import VisitInfo
-from .frame_io import REF_BORDER, CausalPatch, causal_patch
+from .codec import RdCost, VisitInfo
+from .frame_io import REF_BORDER, Rect, causal_patch
 
 FEATURE_COUNT = 115
 HOG_BINS = 8
@@ -226,58 +227,60 @@ def mask_indices(names) -> np.ndarray:
     return np.array([g in groups for g in _SLOT_GROUPS])
 
 
-def _regions(patch: CausalPatch) -> list[np.ndarray]:
-    cu = patch.cu
-    h2, w2 = cu.shape[0] // 2, cu.shape[1] // 2
-    lshape = np.concatenate([patch.corner, patch.top, patch.left.T], axis=1)
+class DescriptorKey(NamedTuple):
+    """A descriptor's whole input: the visit's fields, the committed leaves
+    above and left of the block, and its (N+4)^2 ``causal_patch`` bytes."""
+
+    rect: Rect
+    qp: int
+    ns_cost: RdCost
+    parent: RdCost | None
+    top_leaf: tuple[float, int] | None
+    left_leaf: tuple[float, int] | None
+    window: bytes
+
+
+def descriptor_key(visit: VisitInfo) -> DescriptorKey:
+    """The key of a visit's descriptor; call it inside the search callback."""
+    rect, state = visit.rect, visit.state
+    return DescriptorKey(rect, visit.qp, visit.ns_cost, visit.parent,
+                         state.neighbor_at(rect.x, rect.y - 1),
+                         state.neighbor_at(rect.x - 1, rect.y),
+                         causal_patch(state.work, rect).tobytes())
+
+
+def _regions(key: DescriptorKey) -> list[np.ndarray]:
+    b, h, w = REF_BORDER, key.rect.h, key.rect.w
+    win = np.frombuffer(key.window, dtype=np.uint8).reshape(h + b, w + b)
+    cu, top, left = win[b:, b:], win[:b, b:], win[b:, :b]
+    h2, w2 = h // 2, w // 2
     return [cu,
             cu[:h2, :w2], cu[:h2, w2:], cu[h2:, :w2], cu[h2:, w2:],
-            patch.top, patch.left, lshape]
+            top, left, np.concatenate([win[:b], left.T], axis=1)]
 
 
-def build_vector(visit: VisitInfo) -> np.ndarray:
-    """Assemble the 115-entry descriptor of a block the search visits;
-    call it inside the search callback."""
-    rect, state = visit.rect, visit.state
+def build_vector(key: DescriptorKey) -> np.ndarray:
+    """Assemble the 115-entry descriptor of a block from its key."""
+    rect = key.rect
     v = np.zeros(FEATURE_COUNT, dtype=np.float64)
-    for k, (x, y) in enumerate(((rect.x, rect.y - 1), (rect.x - 1, rect.y))):
-        leaf = state.neighbor_at(x, y)               # top, then left
+    for k, leaf in enumerate((key.top_leaf, key.left_leaf)):
         if leaf is not None:
             v[k], v[k + 2] = leaf[0], leaf[1] / MAX_TREE_DEPTH
-    if visit.parent is not None:
-        cost, area = visit.parent
-        v[4], v[5], v[6] = cost.j / area, cost.rate / area, cost.dist / area
+    parent = key.parent
+    if parent is not None:
+        area = 4 * rect.area                         # a child is a quarter of it
+        v[4], v[5], v[6] = parent.j / area, parent.rate / area, parent.dist / area
     v[7] = rect.h / DIM_NORM
     v[8] = rect.w / DIM_NORM
-    v[9] = visit.qp / QP_NORM
-    v[10] = visit.ns_cost.j / rect.area
-    for r, region in enumerate(_regions(causal_patch(state.work, rect))):
+    v[9] = key.qp / QP_NORM
+    v[10] = key.ns_cost.j / rect.area
+    for r, region in enumerate(_regions(key)):
         base = _SI_BASE + r * _REGION_WIDTH
         v[base:base + HOG_BINS] = hog8(region)
         ent, ene, hom, corr, dis = glcm5(region).tolist()
         v[base + HOG_BINS:base + _REGION_WIDTH] = (
             ent, ene, hom, (corr + 1.0) / 2.0, dis / (GLCM_LEVELS - 1.0))
     return v.astype(np.float32)
-
-
-def descriptor_key(visit: VisitInfo) -> tuple:
-    """Every input ``build_vector`` reads of a visit, as a hashable tuple.
-
-    The rect, the qp, the visit's own cost, the parent (cost, area), the
-    committed leaves above and to the left (``neighbor_at``), and the
-    ``state.work`` bytes of the block together with the top, left and
-    corner strips that ``causal_patch`` copies (a strip outside the
-    frame is BORDER_FILL, which the rect already decides). Equal keys
-    therefore give byte-identical descriptors. The pixel part holds at
-    most (N + REF_BORDER)^2 bytes for an N x N block.
-    """
-    rect, state = visit.rect, visit.state
-    x0 = rect.x - REF_BORDER if rect.x >= REF_BORDER else rect.x
-    y0 = rect.y - REF_BORDER if rect.y >= REF_BORDER else rect.y
-    pixels = state.work[y0:rect.y + rect.h, x0:rect.x + rect.w].tobytes()
-    return (rect, visit.qp, visit.ns_cost, visit.parent,
-            state.neighbor_at(rect.x, rect.y - 1), state.neighbor_at(rect.x - 1, rect.y),
-            pixels)
 
 
 def describe_layout() -> list[dict]:

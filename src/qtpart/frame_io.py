@@ -68,23 +68,6 @@ class LumaFrame:
         return isinstance(other, LumaFrame) and np.array_equal(self._pix, other._pix)
 
 
-@dataclass
-class CausalPatch:
-    """A block with its causal reference strips.
-
-    ``cu`` is the h x w block itself. ``top`` holds the REF_BORDER rows
-    directly above, ``left`` the REF_BORDER columns directly to the left
-    and ``corner`` the square where the two strips meet. A strip that
-    reaches outside the frame is BORDER_FILL as a whole; one inside it is
-    copied from the working picture.
-    """
-
-    cu: np.ndarray
-    top: np.ndarray
-    left: np.ndarray
-    corner: np.ndarray
-
-
 def load_frame(path: str | Path, fmt: str = "pgm8",
                width: int | None = None, height: int | None = None) -> LumaFrame:
     """Read a frame from disk.
@@ -196,19 +179,25 @@ def reference_dc(pix: np.ndarray, rect: Rect) -> float:
     return total / count if count else float(BORDER_FILL)
 
 
-def causal_patch(pix: np.ndarray, rect: Rect) -> CausalPatch:
-    """Extract a block and its causal reference strips.
+def causal_patch(pix: np.ndarray, rect: Rect) -> np.ndarray:
+    """Copy a block and its causal reference strips as one window.
 
     ``pix`` is the working picture (source pixels progressively replaced
-    by reconstructions). Never reads pixels to the right of or below the
-    block's own rows and columns.
+    by reconstructions). The (h + REF_BORDER) x (w + REF_BORDER) window
+    holds the block at its bottom right, the top strip above it, the left
+    strip beside it and their corner. A strip that reaches outside the
+    frame is BORDER_FILL as a whole, the corner unless both strips are
+    inside. Never reads right of or below the block.
     """
     if not (0 <= rect.x <= pix.shape[1] - rect.w and 0 <= rect.y <= pix.shape[0] - rect.h):
         raise ValueError(f"rect {rect} outside frame {pix.shape}")
-    cu = pix[rect.y:rect.y + rect.h, rect.x:rect.x + rect.w].copy()
-    b, x, y = REF_BORDER, rect.x, rect.y
-    fill = lambda h, w: np.full((h, w), BORDER_FILL, dtype=np.uint8)
-    top = pix[y - b:y, x:x + rect.w].copy() if y >= b else fill(b, rect.w)
-    left = pix[y:y + rect.h, x - b:x].copy() if x >= b else fill(rect.h, b)
-    corner = pix[y - b:y, x - b:x].copy() if x >= b and y >= b else fill(b, b)
-    return CausalPatch(cu=cu, top=top, left=left, corner=corner)
+    b, x, y, x1, y1 = REF_BORDER, rect.x, rect.y, rect.x + rect.w, rect.y + rect.h
+    if x >= b and y >= b:
+        return pix[y - b:y1, x - b:x1].copy()
+    win = np.full((rect.h + b, rect.w + b), BORDER_FILL, dtype=np.uint8)
+    win[b:, b:] = pix[y:y1, x:x1]
+    if y >= b:
+        win[:b, b:] = pix[y - b:y, x:x1]
+    if x >= b:
+        win[b:, :b] = pix[y:y1, x - b:x]
+    return win

@@ -303,7 +303,8 @@ def save_model(model: MlpModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> MlpModel:
-    """Read a model container; the first-layer rows its ``mask`` names load as zero."""
+    """Read a model container; the first-layer rows its ``mask`` names load
+    as zero. A blob that holds NaN or inf is refused."""
     data = Path(path).read_bytes()
     if len(data) < 8 or data[:4] != MODEL_MAGIC:
         raise ModelError("bad model magic")
@@ -324,6 +325,8 @@ def load_model(path: str | Path) -> MlpModel:
     if len(blob) != expected * dtype.itemsize:
         raise ModelError("parameter blob size does not match header")
     flat = np.frombuffer(blob, dtype=code)
+    if not np.isfinite(flat).all():
+        raise ModelError("model parameters hold NaN or inf")
     weights, biases, pos = [], [], 0
     for a, b in zip(layers[:-1], layers[1:]):
         weights.append(flat[pos:pos + a * b].reshape(a, b).astype(dtype))

@@ -233,10 +233,19 @@ def _reference_grab(pix, mask, y0, y1, x0, x1):
     return out, inside and bool(avail.all())
 
 
+def window_parts(win) -> dict:
+    """The block, top strip, left strip and corner of a
+    ``frame_io.causal_patch`` window, as views."""
+    b = REF_BORDER
+    return {"cu": win[b:, b:], "top": win[:b, b:], "left": win[b:, :b],
+            "corner": win[:b, :b]}
+
+
 @dataclass
 class ReferencePatch:
-    """A ``frame_io.CausalPatch`` plus the strip availability flags that
-    the reference DC reads."""
+    """The block and the three strips a ``frame_io.causal_patch`` window
+    holds, as separate arrays, plus the strip availability flags that the
+    reference DC reads."""
 
     cu: np.ndarray
     top: np.ndarray

@@ -21,7 +21,7 @@ from qtpart.dataset import Trajectory, balance, collect_records
 from qtpart.decision import ThresholdPolicy, encode_frame
 from qtpart.dqn import ACTION_NS, ACTION_QT, DqnHyper, Transition, \
     bellman_target, train_dqn
-from qtpart.features import FEATURE_COUNT, build_vector, glcm5, hog8
+from qtpart.features import FEATURE_COUNT, build_vector, descriptor_key, glcm5, hog8
 from qtpart.frame_io import save_pgm, tile_ctus
 from qtpart.metrics import RdCurve, bd_rate, delta_c, sweep
 from qtpart.mlp import (TrainHyper, forward, init_model, loss_and_grads,
@@ -264,7 +264,7 @@ def test_criterion_09_texture_descriptor_properties():
             for rect in tile_ctus(frame, cfg.ctu):
                 exhaustive_search(
                     rect, cfg, state,
-                    visitor=lambda v: vectors.append(build_vector(v)))
+                    visitor=lambda v: vectors.append(build_vector(descriptor_key(v))))
     assert len(vectors) >= 2000
     si = np.stack(vectors)[:, SI_START:]
     assert (si >= 0.0).all() and (si <= 1.0).all()

@@ -373,17 +373,43 @@ def test_encode_bad_model_metadata_is_model_error(work, tmp_path, capsys, meta):
         in _one_error_line(capsys)
 
 
+def _masked(width, mask):
+    def spoil(model):
+        model.weights[0] = model.weights[0][:width]
+        model.meta["mask"] = mask
+    return spoil
+
+
+def _first(part, value):
+    def spoil(model):
+        getattr(model, part)[0][0] = value
+    return spoil
+
+
+NON_FINITE = "model parameters hold NaN or inf"
+
+
 @pytest.mark.parametrize("command", ["encode", "sweep"])
-@pytest.mark.parametrize("width, mask, message", [
-    (115, ["FOO"], "unknown feature groups ['FOO']"),
-    (114, ["HOG"], "a masked model needs 115 inputs, not 114"),
-], ids=["unknown-group", "narrow-input"])
-def test_bad_model_mask_is_model_error(work, tmp_path, capsys, command, width, mask,
-                                       message):
+@pytest.mark.parametrize("spoil, message", [
+    (_masked(115, ["FOO"]), "unknown feature groups ['FOO']"),
+    (_masked(114, ["HOG"]), "a masked model needs 115 inputs, not 114"),
+    (_first("weights", np.nan), NON_FINITE),
+    (_first("weights", np.inf), NON_FINITE),
+    (_first("biases", np.nan), NON_FINITE),
+    (_first("biases", -np.inf), NON_FINITE),
+], ids=["unknown-group", "narrow-input", "nan-weight", "inf-weight", "nan-bias",
+        "inf-bias"])
+def test_bad_model_mask_is_model_error(work, tmp_path, capsys, monkeypatch, command,
+                                       spoil, message):
+    # a bad mask or a non-finite parameter is refused before any search
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a search ran before the model was refused")
+
+    monkeypatch.setattr(cli, "encode_frame", must_not_run)
+    monkeypatch.setattr(metrics, "encode_frame", must_not_run)
     model = init_model(hidden=(), out=1, seed=0)
-    model.weights[0] = model.weights[0][:width]
-    model.meta["mask"] = mask
-    mpath = tmp_path / "bad-mask.qtnn"
+    spoil(model)
+    mpath = tmp_path / "bad-model.qtnn"
     save_model(model, str(mpath))
     argv = {"encode": ["encode", "--frame", work["c128"], "--threshold", "1.0"],
             "sweep": ["sweep", "--frames", work["a64"], "--thresholds", "1.0"]}[command]

@@ -8,11 +8,12 @@ from qtpart.codec import (MODE_OVERHEAD_BITS, NS, QP_MAX, QT, TRANSFORM_SIZES,
                           CodecConfig, RdCost, SearchState, dct2d, encode_ns,
                           exhaustive_search, lambda_of_qp, psnr_of_mse,
                           qstep_of_qp, qt_cost_table, search, split_sizes)
-from qtpart.features import build_vector
+from qtpart.features import build_vector, descriptor_key
 from qtpart.frame_io import LumaFrame, Rect, causal_patch, reference_dc, tile_ctus
 
 from helpers import (bottom_up_qt_cost, chosen_leaves, dyadic_tables,
-                     natural_frame, reference_causal_patch, reference_encode_ns)
+                     natural_frame, reference_causal_patch, reference_encode_ns,
+                     window_parts)
 
 
 # -- rate control laws --------------------------------------------------
@@ -195,8 +196,8 @@ def test_dc_prediction_uses_reconstructed_neighbors():
         block = state.work[rect.y:rect.y + 16, rect.x:rect.x + 16]
         cost, recon = encode_ns(block, reference_dc(state.work, rect), cfg)
         state.commit(rect, 1, recon, cost)
-    patch = causal_patch(state.work, Rect(16, 16, 16, 16))
-    assert (patch.top == 57).all() and (patch.left == 57).all()
+    patch = window_parts(causal_patch(state.work, Rect(16, 16, 16, 16)))
+    assert (patch["top"] == 57).all() and (patch["left"] == 57).all()
     dc = reference_dc(state.work, Rect(16, 16, 16, 16))
     assert dc == 57.0
     cost, recon = encode_ns(state.work[16:, 16:], dc, cfg)
@@ -240,11 +241,10 @@ def test_lean_codec_path_byte_identical_to_reference():
     cases = mismatches = 0
     flags, clipped, exponents, qps = set(), 0, set(), set()
     for i, (pix, rect) in enumerate(_oracle_cases()):
-        patch = causal_patch(pix, rect)
+        patch = window_parts(causal_patch(pix, rect))
         ref_patch = reference_causal_patch(pix, rect, np.ones(pix.shape, bool))
         for name in ("cu", "top", "left", "corner"):
-            mismatches += getattr(patch, name).tobytes() \
-                != getattr(ref_patch, name).tobytes()
+            mismatches += patch[name].tobytes() != getattr(ref_patch, name).tobytes()
         flags.add((ref_patch.top_available, ref_patch.left_available))
         refs = [ref_patch.top[-1]] * ref_patch.top_available \
             + [ref_patch.left[:, -1]] * ref_patch.left_available
@@ -273,14 +273,16 @@ def test_lean_codec_path_byte_identical_to_reference():
 
 
 def test_causal_patch_strips_are_copies():
-    pix = natural_frame(3, h=64, w=64).pixels.copy()
-    patch = causal_patch(pix, Rect(16, 16, 16, 16))
-    assert np.array_equal(patch.top, pix[12:16, 16:32])
-    assert np.array_equal(patch.left, pix[16:32, 12:16])
-    before = [a.copy() for a in (patch.cu, patch.top, patch.left, patch.corner)]
-    pix[:] = 255 - pix
-    after = (patch.cu, patch.top, patch.left, patch.corner)
-    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+    # inside the frame and at its left edge, where the left strip is fill
+    for x, y in ((16, 16), (0, 16)):
+        pix = natural_frame(3, h=64, w=64).pixels.copy()
+        win = causal_patch(pix, Rect(x, y, 16, 16))
+        patch = window_parts(win)
+        assert np.array_equal(patch["cu"], pix[y:y + 16, x:x + 16])
+        assert np.array_equal(patch["top"], pix[y - 4:y, x:x + 16])
+        before = win.copy()
+        pix[:] = 255 - pix
+        assert np.array_equal(win, before)
 
 
 # -- search state ---------------------------------------------------------
@@ -315,8 +317,8 @@ def test_state_orig_is_the_frames_read_only_pixels():
 
 
 def test_visit_patch_is_built_once_on_first_read(monkeypatch):
-    # the search builds no patch; each descriptor builds its block's patch
-    # once, from the search state its callback sees
+    # the search builds no patch; each descriptor key copies its block's
+    # window once, from the search state its callback sees
     f = natural_frame(13, h=64, w=64)
     state = SearchState(f)
     reads, seen, inner = [], [], features.causal_patch
@@ -327,7 +329,7 @@ def test_visit_patch_is_built_once_on_first_read(monkeypatch):
 
     def visitor(visit):
         assert len(reads) == len(seen)         # nothing built before the read
-        build_vector(visit)
+        build_vector(descriptor_key(visit))
         seen.append(visit.rect)
         assert len(reads) == len(seen)
 
@@ -350,7 +352,7 @@ def test_visit_is_five_plain_fields():
     assert root._fields == ("rect", "qp", "ns_cost", "parent", "state")
     assert (root.rect, root.qp, root.parent, root.state) == (
         Rect(0, 0, 64, 64), 27, None, state)
-    assert first_child.parent == (root.ns_cost, 64 * 64)
+    assert first_child.parent == root.ns_cost
     with pytest.raises(AttributeError):
         root.qp = 22
 

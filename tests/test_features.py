@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from qtpart import features
-from qtpart.codec import RdCost, SearchState, VisitInfo
+from qtpart.codec import CodecConfig, RdCost, SearchState, VisitInfo, exhaustive_search
 from qtpart.features import (FEATURE_COUNT, FEATURE_NAMES, GLCM_STAT_NAMES,
                              HOG_BINS, LAYOUT_HASH, MASK_GROUPS, REGION_NAMES,
-                             build_vector, describe_layout, descriptor_key,
-                             glcm5, hog8, mask_groups, mask_indices)
-from qtpart.frame_io import REF_BORDER, CausalPatch, LumaFrame, Rect
+                             DescriptorKey, build_vector, describe_layout,
+                             descriptor_key, glcm5, hog8, mask_groups, mask_indices)
+from qtpart.frame_io import BORDER_FILL, REF_BORDER, LumaFrame, Rect, causal_patch, tile_ctus
 
-from helpers import natural_frame, reference_glcm5, reference_hog8
+from helpers import natural_frame, reference_glcm5, reference_hog8, window_parts
 
 
 # -- layout ---------------------------------------------------------------
@@ -258,27 +258,20 @@ def test_mask_indices_and_layout_read_one_table():
 # -- vector assembly -----------------------------------------------------------
 
 
-def _synthetic_patch(seed=30, size=32) -> CausalPatch:
+def _synthetic_window(seed=30, size=32) -> np.ndarray:
+    """A noise causal window: a size x size block with its strips."""
     rng = np.random.default_rng(seed)
-    b = REF_BORDER
-    return CausalPatch(cu=rng.integers(0, 256, (size, size)).astype(np.uint8),
-                       top=rng.integers(0, 256, (b, size)).astype(np.uint8),
-                       left=rng.integers(0, 256, (size, b)).astype(np.uint8),
-                       corner=rng.integers(0, 256, (b, b)).astype(np.uint8))
+    return rng.integers(0, 256, (size + REF_BORDER, size + REF_BORDER)).astype(np.uint8)
 
 
 def _synthetic_visit(seed=30, size=32, qp=22, committed=True):
-    """A visit at (64, 32) whose search state holds ``_synthetic_patch``
+    """A visit at (64, 32) whose search state holds ``_synthetic_window``
     around the block on a noise frame. When ``committed``, the leaves
     above (cost 2.5 per pixel, depth 1) and to the left (3.5, depth 2)
     are committed; otherwise no pixel is."""
-    patch = _synthetic_patch(seed, size)
     x, y, b = 64, 32, REF_BORDER
     pix = np.random.default_rng(seed + 1000).integers(0, 256, (128, 128)).astype(np.uint8)
-    pix[y:y + size, x:x + size] = patch.cu
-    pix[y - b:y, x:x + size] = patch.top
-    pix[y:y + size, x - b:x] = patch.left
-    pix[y - b:y, x - b:x] = patch.corner
+    pix[y - b:y + size, x - b:x + size] = _synthetic_window(seed, size)
     state = SearchState(LumaFrame(pix))
     if committed:
         state.depth_map[:y, :] = 1
@@ -289,11 +282,15 @@ def _synthetic_visit(seed=30, size=32, qp=22, committed=True):
     # parent per pixel over its 64x64 area: j 4.0, rate 0.5, dist 2.0
     parent = RdCost.compute(rate=2048.0, dist=8192.0, lam=4.0)
     return VisitInfo(rect=Rect(x, y, size, size), qp=qp, ns_cost=cost,
-                     parent=(parent, 4096), state=state)
+                     parent=parent, state=state)
+
+
+def _vector(visit):
+    return build_vector(descriptor_key(visit))
 
 
 def test_vector_scalar_slots():
-    v = build_vector(_synthetic_visit())
+    v = _vector(_synthetic_visit())
     assert v.dtype == np.float32 and v.shape == (FEATURE_COUNT,)
     assert v[0] == 2.5 and v[2] == pytest.approx(1 / 4)
     assert v[1] == 3.5 and v[3] == pytest.approx(2 / 4)
@@ -306,23 +303,23 @@ def test_vector_scalar_slots():
 def test_vector_missing_neighbors_and_parent_are_zero():
     # the strips around the block hold pixels, but none is committed
     visit = _synthetic_visit(committed=False)._replace(parent=None)
-    v = build_vector(visit)
+    v = _vector(visit)
     assert np.all(v[:7] == 0.0)
     # a committed neighbour fills the same slots the full visit does
-    full = build_vector(_synthetic_visit())
+    full = _vector(_synthetic_visit())
     assert np.array_equal(v[7:], full[7:])
     assert np.all(full[:7] != 0.0)
 
 
 def test_vector_texture_slots_match_direct_calls():
-    v = build_vector(_synthetic_visit(seed=31)).astype(np.float64)
-    patch = _synthetic_patch(seed=31)
-    cu = patch.cu
+    v = _vector(_synthetic_visit(seed=31)).astype(np.float64)
+    patch = window_parts(_synthetic_window(seed=31))
+    cu = patch["cu"]
     regions = {
         "cu": cu, "q0": cu[:16, :16], "q1": cu[:16, 16:],
         "q2": cu[16:, :16], "q3": cu[16:, 16:],
-        "top": patch.top, "left": patch.left,
-        "lshape": np.hstack([patch.corner, patch.top, patch.left.T]),
+        "top": patch["top"], "left": patch["left"],
+        "lshape": np.hstack([patch["corner"], patch["top"], patch["left"].T]),
     }
     assert tuple(regions) == REGION_NAMES
     for r, name in enumerate(REGION_NAMES):
@@ -339,7 +336,7 @@ def test_vector_texture_slots_match_direct_calls():
 def test_vector_si_entries_stay_in_unit_interval():
     rng = np.random.default_rng(33)
     for seed in rng.integers(0, 10_000, 40):
-        v = build_vector(_synthetic_visit(seed=int(seed)))
+        v = _vector(_synthetic_visit(seed=int(seed)))
         si = v[11:]
         assert si.min() >= 0.0 and si.max() <= 1.0
 
@@ -375,7 +372,7 @@ _KEY_INPUTS = {
     "left-leaf-cost": _leaf(32, 63, jpp=3.25),
     "left-leaf-depth": _leaf(32, 63, depth=1),
     "parent-cost": lambda v: v._replace(
-        parent=(RdCost.compute(rate=2048.0, dist=8193.0, lam=4.0), 4096)),
+        parent=RdCost.compute(rate=2048.0, dist=8193.0, lam=4.0)),
     "own-cost": lambda v: v._replace(ns_cost=RdCost.compute(rate=201.0, dist=1500.0,
                                                             lam=5.0)),
     "qp": lambda v: v._replace(qp=27),
@@ -403,7 +400,7 @@ def test_descriptor_key_ignores_what_build_vector_does_not_read():
     other.state.pixels += 4096
     assert not np.array_equal(visit.state.work, work)
     assert descriptor_key(other) == descriptor_key(visit)
-    assert build_vector(other).tobytes() == build_vector(visit).tobytes()
+    assert _vector(other).tobytes() == _vector(visit).tobytes()
 
 
 def test_descriptor_key_at_the_frame_edge_reads_only_the_block():
@@ -414,10 +411,48 @@ def test_descriptor_key_at_the_frame_edge_reads_only_the_block():
     visit = VisitInfo(rect=Rect(0, 0, 16, 16), qp=32, ns_cost=cost, parent=None,
                       state=state)
     key = descriptor_key(visit)
-    assert key[-1] == pix[:16, :16].tobytes()
+    assert len(key.window) == (16 + REF_BORDER) ** 2
+    win = window_parts(np.frombuffer(key.window, np.uint8).reshape(20, 20))
+    assert win["cu"].tobytes() == pix[:16, :16].tobytes()
+    assert all((win[strip] == BORDER_FILL).all() for strip in ("top", "left", "corner"))
     state.work[16:, :] ^= 1
     state.work[:, 16:] ^= 1
     assert descriptor_key(visit) == key
+
+
+def test_descriptor_key_is_the_visit_plus_leaves_and_window():
+    visit = _synthetic_visit()
+    key = descriptor_key(visit)
+    assert DescriptorKey._fields == ("rect", "qp", "ns_cost", "parent", "top_leaf",
+                                     "left_leaf", "window")
+    assert key[:4] == visit[:4]
+    assert (key.top_leaf, key.left_leaf) == ((2.5, 1), (3.5, 2))
+    assert key.window == causal_patch(visit.state.work, visit.rect).tobytes()
+
+
+def test_keys_built_after_the_search_give_the_callback_vectors(monkeypatch):
+    # a key snapshots everything its descriptor reads: built once the
+    # search has committed over the pixels it copied, and with no
+    # causal_patch to call, it gives the bytes the callback built
+    frame = natural_frame(15, h=64, w=128)
+    cfg = CodecConfig(qp=27)
+    state = SearchState(frame)
+    keys, inside = [], []
+
+    def visitor(visit):
+        keys.append(descriptor_key(visit))
+        inside.append(build_vector(keys[-1]).tobytes())
+
+    for rect in tile_ctus(frame, cfg.ctu):
+        exhaustive_search(rect, cfg, state, visitor=visitor)
+    assert len(keys) == 2 * 85
+    assert any(k.window != causal_patch(state.work, k.rect).tobytes() for k in keys)
+
+    def no_patch(pix, rect):
+        raise AssertionError("build_vector read the search state")
+
+    monkeypatch.setattr(features, "causal_patch", no_patch)
+    assert [build_vector(k).tobytes() for k in keys] == inside
 
 
 def test_glcm_stat_names_order():

@@ -6,7 +6,7 @@ from qtpart.frame_io import (BORDER_FILL, CTU_SIZES, FrameFormatError,
                              LumaFrame, Rect, causal_patch, load_frame,
                              reference_dc, save_pgm, tile_ctus)
 
-from helpers import natural_frame
+from helpers import natural_frame, reference_causal_patch, window_parts
 
 
 def test_rect_area():
@@ -119,12 +119,14 @@ def test_tile_ctus_rejects_bad_inputs():
 
 def test_patch_at_origin_is_all_fill():
     f = natural_frame(2, h=64, w=64)
-    p = causal_patch(f.pixels, Rect(0, 0, 16, 16))
-    assert np.array_equal(p.cu, f.pixels[:16, :16])
-    for strip in (p.top, p.left, p.corner):
-        assert (strip == BORDER_FILL).all()
-    assert p.top.shape == (4, 16) and p.left.shape == (16, 4)
-    assert p.corner.shape == (4, 4)
+    win = causal_patch(f.pixels, Rect(0, 0, 16, 16))
+    assert win.shape == (20, 20) and win.dtype == np.uint8
+    p = window_parts(win)
+    assert np.array_equal(p["cu"], f.pixels[:16, :16])
+    for strip in ("top", "left", "corner"):
+        assert (p[strip] == BORDER_FILL).all()
+    assert p["top"].shape == (4, 16) and p["left"].shape == (16, 4)
+    assert p["corner"].shape == (4, 4)
 
 
 def test_patch_reads_only_encoded_pixels():
@@ -133,25 +135,25 @@ def test_patch_reads_only_encoded_pixels():
     f = natural_frame(3, h=64, w=128)
     state = SearchState(f)
     exhaustive_search(Rect(0, 0, 64, 64), CodecConfig(qp=37), state)
-    p = causal_patch(state.work, Rect(64, 0, 32, 32))
+    p = window_parts(causal_patch(state.work, Rect(64, 0, 32, 32)))
     assert (state.depth_map[:32, 60:64] >= 0).all()
-    assert np.array_equal(p.left, state.work[:32, 60:64])
-    assert not np.array_equal(p.left, f.pixels[:32, 60:64])
-    assert (p.top == BORDER_FILL).all() and (p.corner == BORDER_FILL).all()
+    assert np.array_equal(p["left"], state.work[:32, 60:64])
+    assert not np.array_equal(p["left"], f.pixels[:32, 60:64])
+    assert (p["top"] == BORDER_FILL).all() and (p["corner"] == BORDER_FILL).all()
 
 
 def test_patch_partial_strip_is_unavailable():
     # a strip that reaches past the frame edge is all fill, never the
     # part of it that lies inside the frame
     f = natural_frame(4, h=64, w=64)
-    p = causal_patch(f.pixels, Rect(16, 2, 16, 16))
-    assert (p.top == BORDER_FILL).all() and (p.corner == BORDER_FILL).all()
-    assert np.array_equal(p.left, f.pixels[2:18, 12:16])
+    p = window_parts(causal_patch(f.pixels, Rect(16, 2, 16, 16)))
+    assert (p["top"] == BORDER_FILL).all() and (p["corner"] == BORDER_FILL).all()
+    assert np.array_equal(p["left"], f.pixels[2:18, 12:16])
     assert reference_dc(f.pixels, Rect(16, 2, 16, 16)) == \
         f.pixels[2:18, 15].mean()
-    p = causal_patch(f.pixels, Rect(2, 16, 16, 16))
-    assert (p.left == BORDER_FILL).all() and (p.corner == BORDER_FILL).all()
-    assert np.array_equal(p.top, f.pixels[12:16, 2:18])
+    p = window_parts(causal_patch(f.pixels, Rect(2, 16, 16, 16)))
+    assert (p["left"] == BORDER_FILL).all() and (p["corner"] == BORDER_FILL).all()
+    assert np.array_equal(p["top"], f.pixels[12:16, 2:18])
 
 
 def test_patch_never_reads_right_or_below():
@@ -161,10 +163,29 @@ def test_patch_never_reads_right_or_below():
     probe[32:, :] = 0            # and below it
     a = causal_patch(base, Rect(16, 16, 16, 16))
     b = causal_patch(probe, Rect(16, 16, 16, 16))
-    assert np.array_equal(a.cu, b.cu)
-    assert np.array_equal(a.top, b.top)
-    assert np.array_equal(a.left, b.left)
-    assert np.array_equal(a.corner, b.corner)
+    assert np.array_equal(a, b)
+
+
+def test_patch_inside_the_frame_is_one_slice():
+    pix = natural_frame(5, h=64, w=64).pixels
+    win = causal_patch(pix, Rect(16, 8, 16, 16))
+    assert np.array_equal(win, pix[4:24, 12:32])
+    assert win.flags.c_contiguous and not np.shares_memory(win, pix)
+
+
+@pytest.mark.parametrize("x, y", [(8, 0), (0, 8), (0, 0), (8, 8)],
+                         ids=["top-out", "left-out", "both-out", "both-in"])
+def test_patch_equals_reference_strips(x, y):
+    # the reference copies each strip on its own, fill-then-scatter; with
+    # every pixel marked reconstructed and each strip wholly inside or
+    # wholly outside the frame, its flags are the in-frame rule
+    pix = natural_frame(12, h=32, w=32).pixels
+    rect = Rect(x, y, 8, 8)
+    p = window_parts(causal_patch(pix, rect))
+    ref = reference_causal_patch(pix, rect, np.ones(pix.shape, bool))
+    assert (ref.top_available, ref.left_available) == (y >= 4, x >= 4)
+    for name in ("cu", "top", "left", "corner"):
+        assert p[name].tobytes() == getattr(ref, name).tobytes(), name
 
 
 def test_patch_strip_availability_is_geometry():
@@ -172,10 +193,11 @@ def test_patch_strip_availability_is_geometry():
     # otherwise, whatever the pixels hold; the DC reads the same strips
     pix = natural_frame(6, h=32, w=32).pixels
     for x, y in ((8, 8), (0, 8), (8, 0), (24, 24)):
-        p = causal_patch(pix, Rect(x, y, 8, 8))
-        for strip, inside, src in ((p.top, y >= 4, pix[y - 4:y, x:x + 8]),
-                                   (p.left, x >= 4, pix[y:y + 8, x - 4:x]),
-                                   (p.corner, x >= 4 and y >= 4, pix[y - 4:y, x - 4:x])):
+        p = window_parts(causal_patch(pix, Rect(x, y, 8, 8)))
+        for strip, inside, src in ((p["top"], y >= 4, pix[y - 4:y, x:x + 8]),
+                                   (p["left"], x >= 4, pix[y:y + 8, x - 4:x]),
+                                   (p["corner"], x >= 4 and y >= 4,
+                                    pix[y - 4:y, x - 4:x])):
             if inside:
                 assert np.array_equal(strip, src)
             else:

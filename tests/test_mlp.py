@@ -385,6 +385,17 @@ def test_load_rejects_corrupt_model(tmp_path):
     with pytest.raises(ModelError, match="unsupported parameter dtype"):
         load_model(p)
 
+    # NaN and inf in a weight and in a bias: a NaN prediction never
+    # reaches the threshold, so such a model would silently gate nothing
+    first_bias = 115 * 4 * 4
+    for offset, value in ((0, np.nan), (4, np.inf), (first_bias, np.nan),
+                          (len(good) - 8 - hlen - 4, -np.inf)):
+        blob = bytearray(good[8 + hlen:])
+        struct.pack_into("<f", blob, offset, value)
+        p.write_bytes(good[:8 + hlen] + bytes(blob))
+        with pytest.raises(ModelError, match="model parameters hold NaN or inf"):
+            load_model(p)
+
 
 def test_load_zeroes_masked_rows_and_keeps_the_rest(tmp_path):
     # a file whose masked rows are not zero loads with them zeroed; every

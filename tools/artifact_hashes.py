@@ -130,6 +130,12 @@ def steps(out: Path) -> list[tuple[str, list[str]]]:
                               "--model", o("n32.qtnn"),
                               "--thresholds", "0.8,1.0,1.2,1e30",
                               "--out", o("sweep_two_frames")]),
+        # a two-output model gated at 32 and 16: memo hits on 16x16 windows
+        # and the ratio of the two predicted costs
+        ("sweep_n32_16", ["sweep", "--frames", f["held"], f["odd"],
+                          "--model", o("n32_16.qtnn"), "--active-sizes", "32,16",
+                          "--thresholds", "0.8,1.0,1.2,1e30",
+                          "--out", o("sweep_n32_16")]),
         ("ablate_two_frames", ["ablate", "--dataset", o("n32.qtds"),
                                "--frames", f["held"], f["odd"],
                                "--thresholds", "0.8,1.0,1.2,1e30",
