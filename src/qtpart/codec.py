@@ -168,8 +168,10 @@ class SearchState:
     reconstructions, which ``search``'s CTU order makes the in-frame
     references. ``depth_map`` and ``jpp_map`` record the depth (-1 until
     committed) and per-pixel cost of the committed leaf covering each
-    pixel, for neighbour summaries. ``pixels`` counts the area of every
-    NS encode performed.
+    pixel, for neighbour summaries; ``depth_map >= 0`` marks the committed
+    pixels. Reference availability does not read it: a strip is available
+    when it lies inside the frame (``frame_io.causal_patch``). ``pixels``
+    counts the area of every NS encode performed.
     """
 
     def __init__(self, frame: LumaFrame):
@@ -186,11 +188,6 @@ class SearchState:
         if self.depth_map[y, x] < 0:
             return None
         return float(self.jpp_map[y, x]), int(self.depth_map[y, x])
-
-    @property
-    def mask(self) -> np.ndarray:
-        """Committed pixels, derived from ``depth_map``; a fresh array."""
-        return self.depth_map >= 0
 
     def commit(self, rect: Rect, depth: int, recon: np.ndarray, cost: RdCost) -> None:
         ys, xs = slice(rect.y, rect.y + rect.h), slice(rect.x, rect.x + rect.w)

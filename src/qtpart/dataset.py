@@ -135,8 +135,9 @@ def _collect(frames: Sequence[LumaFrame], qps: Sequence[int], cfg: CodecConfig,
              seed: int, emit: Callable) -> list:
     """Search every frame at every qp, in (frame, qp) order, concatenate
     what ``emit(nodes, vecs, cfg_qp)`` returns for each search, then
-    shuffle once with the given seed. Inputs, frame sizes included, are
-    checked and the per-qp configs built before the first search."""
+    shuffle once with the given seed. Inputs, frame sizes and the seed
+    included, are checked and the per-qp configs built before the first
+    search."""
     if not frames:
         raise DatasetError("empty frame list")
     configs = [cfg.at_qp(qp) for qp in qps]          # refuses a qp out of range
@@ -144,6 +145,8 @@ def _collect(frames: Sequence[LumaFrame], qps: Sequence[int], cfg: CodecConfig,
         raise DatasetError("empty qp list")
     if len({c.qp for c in configs}) < len(configs):
         raise DatasetError(f"repeated qp in {[c.qp for c in configs]}")
+    if seed < 0:
+        raise DatasetError(f"seed {seed} is negative")
     for frame in frames:
         tile_ctus(frame, cfg.ctu)
     items = []

@@ -1,19 +1,18 @@
 """Two-depth value learning for split decisions.
 
 One network with two outputs scores the no-split (0) and split (1)
-actions of a block descriptor. Training replays 32x32 trajectories: the
-split target of a 32x32 transition bootstraps from its four 16x16
-children (signalling charge plus the sum of the children's cheaper
-action values), while no-split actions and child-level transitions train
-on their measured costs directly. All costs are whole-block values
-scaled by one median taken over the training set, which makes the
-bootstrap an exact sum. Gradients flow only through the taken action's
-output.
+actions of a block descriptor. Training replays 32x32 trajectories.
 
 Training fills two tables indexed by (trajectory, slot), slot 0 the
 32x32 block and slots 1-4 its children: the descriptors and the scaled
 (no-split, split) costs. A replay entry is the integer code
-``(trajectory * 5 + slot) * 2 + action`` into them.
+``(trajectory * 5 + slot) * 2 + action`` into them. An entry's target is
+its stored cost, except a 32x32 split's: ``bootstrap_targets`` sums the
+signalling charge and the children's cheaper action values, for all such
+entries of a batch in one forward. All costs are whole-block values
+scaled by one median taken over the training set, which makes the
+bootstrap an exact sum. Gradients flow only through the taken action's
+output.
 """
 
 from __future__ import annotations
@@ -33,35 +32,6 @@ from .mlp import (DEFAULT_HIDDEN, MlpModel, ModelError, adam_init, adam_step,
 ACTION_NS, ACTION_QT = 0, 1
 AREA_32, AREA_16 = 32 * 32, 16 * 16
 EPS_START, EPS_END = 1.0, 0.05                   # exploration schedule ends
-
-
-@dataclass
-class Transition:
-    """One decision in scalar form, as ``bellman_target`` scores it.
-
-    ``next_states`` holds the four child descriptors of a split action;
-    a no-split action observes nothing below. ``terminal`` marks
-    child-level transitions, whose stored reward is the target for either
-    action because the search does not descend further.
-    """
-
-    state: np.ndarray             # (115,) float32
-    action: int
-    reward: float                 # scaled cost of the taken action
-    next_states: Optional[np.ndarray] = None    # (4, 115) float32
-    delta_qt: float = 0.0         # scaled split signalling charge
-    terminal: bool = False
-
-    def __post_init__(self):
-        if self.action not in (ACTION_NS, ACTION_QT):
-            raise ValueError(f"unknown action {self.action}")
-        if self.action == ACTION_NS or self.terminal:
-            if self.next_states is not None:
-                raise ValueError("only a non-terminal split action observes children")
-        else:
-            self.next_states = np.asarray(self.next_states, dtype=np.float32)
-            if self.next_states.shape[0] != 4:
-                raise ValueError("split transition requires exactly 4 child states")
 
 
 class ReplayMemory:
@@ -129,8 +99,8 @@ def select_action(model: MlpModel, state: np.ndarray, eps: float,
     return ACTION_NS if q[ACTION_NS] <= q[ACTION_QT] else ACTION_QT
 
 
-def _bootstrap(delta: np.ndarray, children: np.ndarray,
-               model: MlpModel) -> np.ndarray:
+def bootstrap_targets(delta: np.ndarray, children: np.ndarray,
+                      model: MlpModel) -> np.ndarray:
     """Split targets of k rows: each row's signalling charge plus the sum
     over its four children (k, 4, 115) of the cheaper action value, from
     one forward over all the children in row order."""
@@ -139,18 +109,6 @@ def _bootstrap(delta: np.ndarray, children: np.ndarray,
     best = np.minimum(q[:, ACTION_NS], q[:, ACTION_QT]).reshape(len(delta), 4)
     # fsum keeps each 4-term sum exactly rounded and order-independent
     return np.array([float(d) + math.fsum(b) for d, b in zip(delta, best)])
-
-
-def bellman_target(t: Transition, model: MlpModel) -> float:
-    """Training target of one transition.
-
-    No-split actions and terminal (child-level) transitions return their
-    stored reward; a split action returns the signalling charge plus the
-    sum over its four children of the cheaper action value.
-    """
-    if t.next_states is None or t.terminal:
-        return float(t.reward)
-    return float(_bootstrap(np.array([t.delta_qt]), t.next_states[None], model)[0])
 
 
 def _scaled_costs(trajs: Sequence[Trajectory]):
@@ -176,10 +134,10 @@ def train_dqn(trajs: Sequence[Trajectory], hyper: DqnHyper | None = None,
     Each step takes one trajectory (reshuffled once per pass), picks an
     epsilon-greedy action at the 32x32 level, stores its replay code (a
     split also stores both actions of its four children, which train on
-    their true costs), then fits a sampled batch against bellman targets with
-    gradients only through the taken actions. Returns the model and a
-    (step, mean TD error, epsilon) diagnostics list; a model whose
-    parameters blew up is refused (ModelError).
+    their true costs), then fits a sampled batch against its stored costs
+    and bootstrap targets with gradients only through the taken actions.
+    Returns the model and a (step, mean TD error, epsilon) diagnostics
+    list; a model whose parameters blew up is refused (ModelError).
     """
     hyper = hyper or DqnHyper()
     if not trajs:
@@ -217,8 +175,8 @@ def train_dqn(trajs: Sequence[Trajectory], hyper: DqnHyper | None = None,
         targets = costs[traj, slot, actions]
         boot = np.flatnonzero((slot == 0) & (actions == ACTION_QT))
         if boot.size:
-            targets[boot] = _bootstrap(delta[traj[boot]], states[traj[boot], 1:],
-                                       model)
+            targets[boot] = bootstrap_targets(delta[traj[boot]],
+                                              states[traj[boot], 1:], model)
         out, acts = forward_cached(model, states[traj, slot])
         rows = np.arange(len(codes))
         td = out[rows, actions].astype(np.float64) - targets

@@ -81,8 +81,10 @@ def load_frame(path: str | Path, fmt: str = "pgm8",
     if fmt == "pgm8":
         return _parse_pgm(data)
     if fmt == "rawy":
-        if not width or not height:
+        if width is None or height is None:
             raise FrameFormatError("rawy format needs explicit width and height")
+        if width <= 0 or height <= 0:
+            raise FrameFormatError(f"non-positive rawy dimensions {width}x{height}")
         if len(data) != width * height:
             raise FrameFormatError(
                 f"rawy size mismatch: {len(data)} bytes for {width}x{height}")

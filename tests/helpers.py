@@ -16,7 +16,7 @@ import numpy as np
 from qtpart import features
 from qtpart.codec import (MODE_OVERHEAD_BITS, NS, RdCost, SearchState, dct2d,
                           encode_ns, lambda_of_qp, qstep_of_qp)
-from qtpart.dqn import ACTION_NS, ACTION_QT, Transition, epsilon_at, select_action
+from qtpart.dqn import ACTION_NS, ACTION_QT, epsilon_at, select_action
 from qtpart.frame_io import BORDER_FILL, REF_BORDER, LumaFrame, Rect, reference_dc
 from qtpart.mlp import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, adam_init, adam_step,
                         backward, forward, forward_cached, init_model)
@@ -218,19 +218,12 @@ def reference_glcm5(region) -> np.ndarray:
     return np.array([entropy, energy, homog, corr, dissim])
 
 
-def _reference_grab(pix, mask, y0, y1, x0, x1):
-    h, w = y1 - y0, x1 - x0
-    out = np.full((h, w), BORDER_FILL, dtype=np.uint8)
-    iy0, iy1 = max(y0, 0), min(y1, pix.shape[0])
-    ix0, ix1 = max(x0, 0), min(x1, pix.shape[1])
-    if iy1 <= iy0 or ix1 <= ix0:
-        return out, False
-    inside = iy0 == y0 and iy1 == y1 and ix0 == x0 and ix1 == x1
-    sub = pix[iy0:iy1, ix0:ix1]
-    avail = mask[iy0:iy1, ix0:ix1]
-    view = out[iy0 - y0:iy1 - y0, ix0 - x0:ix1 - x0]
-    view[avail] = sub[avail]
-    return out, inside and bool(avail.all())
+def _reference_grab(pix, y0, y1, x0, x1):
+    """The strip pix[y0:y1, x0:x1] and True when it lies inside the frame,
+    else a BORDER_FILL strip of its shape and False."""
+    if y0 >= 0 and x0 >= 0 and y1 <= pix.shape[0] and x1 <= pix.shape[1]:
+        return pix[y0:y1, x0:x1].copy(), True
+    return np.full((y1 - y0, x1 - x0), BORDER_FILL, dtype=np.uint8), False
 
 
 def window_parts(win) -> dict:
@@ -255,17 +248,17 @@ class ReferencePatch:
     left_available: bool
 
 
-def reference_causal_patch(pix, rect: Rect, encoded_mask) -> ReferencePatch:
-    """Fill-then-scatter strip extraction: the original formulation of
-    ``frame_io.causal_patch``, kept as its byte-identity oracle."""
+def reference_causal_patch(pix, rect: Rect) -> ReferencePatch:
+    """Strip-by-strip extraction under the geometry rule: each of the top
+    strip, the left strip and their corner is copied whole when it lies
+    inside the frame and is BORDER_FILL whole otherwise. Kept as the
+    byte-identity oracle of ``frame_io.causal_patch``, which builds the
+    three strips as one window."""
     cu = pix[rect.y:rect.y + rect.h, rect.x:rect.x + rect.w].copy()
     b = REF_BORDER
-    top, top_ok = _reference_grab(pix, encoded_mask, rect.y - b, rect.y,
-                                  rect.x, rect.x + rect.w)
-    left, left_ok = _reference_grab(pix, encoded_mask, rect.y, rect.y + rect.h,
-                                    rect.x - b, rect.x)
-    corner, _ = _reference_grab(pix, encoded_mask, rect.y - b, rect.y,
-                                rect.x - b, rect.x)
+    top, top_ok = _reference_grab(pix, rect.y - b, rect.y, rect.x, rect.x + rect.w)
+    left, left_ok = _reference_grab(pix, rect.y, rect.y + rect.h, rect.x - b, rect.x)
+    corner, _ = _reference_grab(pix, rect.y - b, rect.y, rect.x - b, rect.x)
     return ReferencePatch(cu=cu, top=top, left=left, corner=corner,
                           top_available=top_ok, left_available=left_ok)
 
@@ -343,9 +336,11 @@ def write_header_only_model(path, layers):
 
 
 def reference_train_dqn(trajs, hyper, seed=0):
-    """Replay of ``Transition`` objects in a list ring, targets from the
-    stacked batch objects: the original formulation of ``dqn.train_dqn``,
-    kept as its byte-identity oracle. Returns (model, diagnostics)."""
+    """Replay of (state, action, stored cost, children, charge) tuples in
+    a list ring, the children and charge set only on a 32x32 split, whose
+    target bootstraps from them: the original formulation of
+    ``dqn.train_dqn``, kept as its byte-identity oracle. Returns (model,
+    diagnostics)."""
     ns32 = np.array([t.ns_j_pp for t in trajs]) * 1024
     qt32 = np.array([t.qt_j_pp for t in trajs]) * 1024
     delta = np.array([t.delta_qt_pp for t in trajs]) * 1024
@@ -370,16 +365,13 @@ def reference_train_dqn(trajs, hyper, seed=0):
         t = trajs[i]
         eps = epsilon_at(step, hyper)
         if select_action(model, t.state32, eps, act_rng) == ACTION_NS:
-            new = [Transition(t.state32, ACTION_NS, float(ns32[i]),
-                              delta_qt=float(delta[i]))]
+            new = [(t.state32, ACTION_NS, float(ns32[i]), None, None)]
         else:
-            new = [Transition(t.state32, ACTION_QT, float(qt32[i]),
-                              next_states=t.child_features, delta_qt=float(delta[i]))]
+            new = [(t.state32, ACTION_QT, float(qt32[i]), t.child_features,
+                    float(delta[i]))]
             for j in range(4):
-                new += [Transition(t.child_features[j], ACTION_NS, float(kns[i, j]),
-                                   terminal=True),
-                        Transition(t.child_features[j], ACTION_QT, float(kqt[i, j]),
-                                   terminal=True)]
+                new += [(t.child_features[j], ACTION_NS, float(kns[i, j]), None, None),
+                        (t.child_features[j], ACTION_QT, float(kqt[i, j]), None, None)]
         for tr in new:
             if len(ring) < hyper.capacity:
                 ring.append(tr)
@@ -389,22 +381,21 @@ def reference_train_dqn(trajs, hyper, seed=0):
 
         pick = mem_rng.choice(len(ring), size=min(hyper.batch, len(ring)),
                               replace=False)
-        batch = [ring[k] for k in pick]
-        targets = np.array([b.reward for b in batch], dtype=np.float64)
-        boot = [k for k, b in enumerate(batch)
-                if b.next_states is not None and not b.terminal]
+        states, actions, costs, children, charges = zip(*(ring[k] for k in pick))
+        targets = np.array(costs, dtype=np.float64)
+        boot = [k for k, kids in enumerate(children) if kids is not None]
         if boot:
-            kids = np.concatenate([batch[k].next_states for k in boot], axis=0)
+            kids = np.concatenate([children[k] for k in boot], axis=0)
             q = np.asarray(forward(model, kids), dtype=np.float64)
             best = np.minimum(q[:, ACTION_NS], q[:, ACTION_QT]).reshape(len(boot), 4)
             for row, k in enumerate(boot):
-                targets[k] = float(batch[k].delta_qt) + math.fsum(best[row])
-        actions = np.array([b.action for b in batch])
-        out, cache = forward_cached(model, np.stack([b.state for b in batch]))
-        rows = np.arange(len(batch))
+                targets[k] = charges[k] + math.fsum(best[row])
+        actions = np.array(actions)
+        out, cache = forward_cached(model, np.stack(states))
+        rows = np.arange(len(actions))
         td = out[rows, actions].astype(np.float64) - targets
         dout = np.zeros_like(out)
-        dout[rows, actions] = (2.0 / len(batch)) * td.astype(model.dtype)
+        dout[rows, actions] = (2.0 / len(actions)) * td.astype(model.dtype)
         adam_step(model, backward(model, cache, dout), adam)
         diagnostics.append((step, float(np.mean(np.abs(td))), eps))
     return model, diagnostics

@@ -19,8 +19,7 @@ from qtpart.codec import (CodecConfig, Rect, SearchState, exhaustive_search,
                           qt_cost_table)
 from qtpart.dataset import Trajectory, balance, collect_records
 from qtpart.decision import ThresholdPolicy, encode_frame
-from qtpart.dqn import ACTION_NS, ACTION_QT, DqnHyper, Transition, \
-    bellman_target, train_dqn
+from qtpart.dqn import ACTION_NS, ACTION_QT, DqnHyper, bootstrap_targets, train_dqn
 from qtpart.features import FEATURE_COUNT, build_vector, descriptor_key, glcm5, hog8
 from qtpart.frame_io import save_pgm, tile_ctus
 from qtpart.metrics import RdCurve, bd_rate, delta_c, sweep
@@ -51,7 +50,7 @@ def test_criterion_01_unreachable_gate_reproduces_exhaustive(tiny_model):
                    [t.best_j for t in base.trees]
             assert gated.pixels == base.pixels
             assert np.array_equal(gated.state.work, base.state.work)
-            assert np.array_equal(gated.state.mask, base.state.mask)
+            assert np.array_equal(gated.state.depth_map, base.state.depth_map)
     assert time.monotonic() - t0 < 60.0
 
 
@@ -191,10 +190,8 @@ def test_criterion_06_bootstrap_target_arithmetic_is_exact():
         w[i, ACTION_QT] = v + 0.5
     model.weights[0] = w
     model.biases[0] = np.zeros(2)
-    t = Transition(np.zeros(FEATURE_COUNT, dtype=np.float32), ACTION_QT, 0.0,
-                   next_states=np.eye(FEATURE_COUNT, dtype=np.float32)[:4],
-                   delta_qt=0.05)
-    assert bellman_target(t, model) == 1.05
+    children = np.eye(FEATURE_COUNT, dtype=np.float32)[None, :4]
+    assert bootstrap_targets(np.array([0.05]), children, model).tolist() == [1.05]
 
 
 def test_criterion_07_depth_cap_complexity_drop_is_analytic():

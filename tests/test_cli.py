@@ -112,6 +112,20 @@ def test_bad_collection_input_fails_before_any_work(work, tmp_path, capsys,
     assert not list(tmp_path.glob("out.qtds*"))          # no container, no config
 
 
+@pytest.mark.parametrize("subcommand", ["build", "trajectories"])
+def test_negative_seed_fails_before_any_search(work, tmp_path, capsys, monkeypatch,
+                                               subcommand):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a search ran before the seed check")
+
+    monkeypatch.setattr(dataset, "exhaustive_search", must_not_run)
+    rc = main(["dataset", subcommand, "--frames", work["a64"], "--qps", "22",
+               "--seed", "-1", "--out", str(tmp_path / "out.qtds")])
+    assert rc == 3
+    assert "seed -1 is negative" in _one_error_line(capsys)
+    assert not list(tmp_path.glob("out.qtds*"))
+
+
 def test_jobs_is_accepted_and_ignored(work, tmp_path, capsys):
     """--jobs stays accepted for compatibility and changes no artifact."""
     frames = [work["a64"], work["b64"]]

@@ -236,13 +236,13 @@ def _oracle_cases():
 
 
 def test_lean_codec_path_byte_identical_to_reference():
-    # the oracle's mask marks every pixel reconstructed, so its
-    # availability flags are the in-frame rule of frame_io
+    # the oracle copies or fills each strip on its own by the in-frame
+    # rule, and its availability flags feed a float-mean DC
     cases = mismatches = 0
     flags, clipped, exponents, qps = set(), 0, set(), set()
     for i, (pix, rect) in enumerate(_oracle_cases()):
         patch = window_parts(causal_patch(pix, rect))
-        ref_patch = reference_causal_patch(pix, rect, np.ones(pix.shape, bool))
+        ref_patch = reference_causal_patch(pix, rect)
         for name in ("cu", "top", "left", "corner"):
             mismatches += patch[name].tobytes() != getattr(ref_patch, name).tobytes()
         flags.add((ref_patch.top_available, ref_patch.left_available))
@@ -296,7 +296,8 @@ def test_state_commit_and_neighbor_lookup():
     cost = RdCost.compute(rate=100.0, dist=50.0, lam=2.0)
     recon = np.full((32, 32), 7, np.uint8)
     state.commit(Rect(0, 0, 32, 32), 1, recon, cost)
-    assert state.mask[:32, :32].all() and not state.mask[32:, :].any()
+    assert (state.depth_map[:32, :32] == 1).all()
+    assert (state.depth_map[32:, :] == -1).all()
     assert np.array_equal(state.work[:32, :32], recon)
     jpp, depth = state.neighbor_at(31, 31)
     assert depth == 1
@@ -376,7 +377,7 @@ def test_visited_blocks_still_hold_source_pixels():
         for y in (0, 64):
             for x in (0, 64):
                 search(Rect(x, y, 64, 64), CodecConfig(), state, **{mode: check})
-        assert state.mask.all()
+        assert (state.depth_map >= 0).all()
     assert visits == 4 * 85 + 4 * 13             # 64, 4x32 and 8 unpruned 16s
 
 
@@ -534,7 +535,7 @@ def test_in_frame_strips_are_reconstructed_at_every_visit():
             prune = (lambda visit: rng.random() < 0.3) if pruned else None
             for rect in tile_ctus(frame, ctu):
                 search(rect, cfg, state, visitor=check, prune=prune)
-            assert state.mask[:h - h % ctu, :w - w % ctu].all()
+            assert (state.depth_map[:h - h % ctu, :w - w % ctu] >= 0).all()
     # two shapes, each 16 CTUs of 32 and 4 of 64; 1 + 4 + ... visits per CTU
     assert visits[False] == 2 * (16 * (5 + 21 + 85) + 4 * (5 + 21 + 85 + 341))
     assert 0 < visits[True] < visits[False]

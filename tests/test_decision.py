@@ -119,7 +119,7 @@ def test_huge_threshold_reproduces_exhaustive_search(tiny_model):
     assert [t.to_dict() for t in gated.trees] == [t.to_dict() for t in base.trees]
     assert [t.best_j for t in gated.trees] == [t.best_j for t in base.trees]
     assert np.array_equal(gated.state.work, base.state.work)
-    assert np.array_equal(gated.state.mask, base.state.mask)
+    assert np.array_equal(gated.state.depth_map, base.state.depth_map)
     assert gated.pixels == base.pixels
 
 

@@ -6,8 +6,8 @@ import pytest
 from qtpart import dqn
 from qtpart.dataset import DatasetError, Trajectory
 from qtpart.dqn import (ACTION_NS, ACTION_QT, EPS_END, EPS_START, DqnHyper,
-                        ReplayMemory, Transition, _bootstrap, _scaled_costs,
-                        bellman_target, epsilon_at, select_action, train_dqn)
+                        ReplayMemory, _scaled_costs, bootstrap_targets,
+                        epsilon_at, select_action, train_dqn)
 from qtpart.features import LAYOUT_HASH
 from qtpart.mlp import ModelError, init_model
 
@@ -42,43 +42,6 @@ def value_model(child_values, gap=0.5):
     m.weights[0] = w
     m.biases[0] = np.zeros(2)
     return m
-
-
-# ---------------------------------------------------------------- transitions
-
-def test_transition_ns_rejects_children():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="non-terminal split action"):
-        Transition(mk_state(rng), ACTION_NS, 1.0,
-                   next_states=rng.random((4, 115)))
-
-
-def test_transition_terminal_rejects_children():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="non-terminal split action"):
-        Transition(mk_state(rng), ACTION_QT, 1.0,
-                   next_states=rng.random((4, 115)), terminal=True)
-
-
-def test_transition_split_needs_four_children():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="exactly 4 child states"):
-        Transition(mk_state(rng), ACTION_QT, 1.0,
-                   next_states=rng.random((3, 115)))
-
-
-def test_transition_unknown_action():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="unknown action"):
-        Transition(mk_state(rng), 2, 1.0)
-
-
-def test_transition_casts_children_to_float32():
-    rng = np.random.default_rng(0)
-    t = Transition(mk_state(rng), ACTION_QT, 1.0,
-                   next_states=rng.random((4, 115)))  # float64 in
-    assert t.next_states.dtype == np.float32
-    assert t.next_states.shape == (4, 115)
 
 
 # --------------------------------------------------------------------- replay
@@ -196,66 +159,74 @@ def test_select_action_explores_at_full_epsilon():
 
 # ------------------------------------------------------------------- targets
 
-def test_target_no_split_returns_reward():
-    rng = np.random.default_rng(0)
-    t = Transition(mk_state(rng), ACTION_NS, 2.75, delta_qt=0.3)
-    m = init_model(hidden=(8,), out=2, seed=1)
-    assert bellman_target(t, m) == 2.75
+def fixed_traj():
+    """One trajectory whose costs scale by the median 512 to 2.4 (no-split)
+    and 2.1 (split) at 32x32, 0.5 and 1.0 per child, and a 0.1 charge."""
+    return Trajectory(state32=np.zeros(115, dtype=np.float32),
+                      ns_j_pp=1.2, qt_j_pp=1.05, delta_qt_pp=0.05,
+                      child_features=np.zeros((4, 115), dtype=np.float32),
+                      child_ns_j_pp=np.ones(4), child_qt_j_pp=np.full(4, 2.0))
 
 
-def test_target_terminal_split_returns_reward():
-    rng = np.random.default_rng(0)
-    t = Transition(mk_state(rng), ACTION_QT, 4.5, terminal=True)
-    m = init_model(hidden=(8,), out=2, seed=1)
-    assert bellman_target(t, m) == 4.5
+def first_step_td(monkeypatch, bias):
+    """Mean |TD error| of one greedy training step on ``fixed_traj`` under
+    a model that outputs ``bias`` for every descriptor; the batch holds
+    every entry the step pushed."""
+    def constant_model(hidden, out, seed):
+        m = init_model(hidden=hidden, out=out, seed=seed)
+        m.weights[0][:] = 0.0
+        m.biases[0][:] = bias
+        return m
+
+    monkeypatch.setattr(dqn, "init_model", constant_model)
+    monkeypatch.setattr(dqn, "EPS_START", 0.0)
+    monkeypatch.setattr(dqn, "EPS_END", 0.0)
+    hyper = DqnHyper(steps=1, batch=16, lr=1e-3, hidden=())
+    _, diag = train_dqn([fixed_traj()], hyper, seed=0)
+    return diag[0][1]
 
 
-def test_target_split_sums_child_minima_exactly():
-    children = np.eye(115, dtype=np.float32)[:4]
-    m = value_model([0.2, 0.3, 0.1, 0.4])
-    t = Transition(np.zeros(115, dtype=np.float32), ACTION_QT, 99.0,
-                   next_states=children, delta_qt=0.05)
-    # stored split reward is ignored; the bootstrap sum is exactly rounded
-    assert bellman_target(t, m) == 1.05
+def test_target_no_split_returns_reward(monkeypatch):
+    # q = (0, 0) ties to no-split, whose one entry trains on its cost 2.4
+    assert first_step_td(monkeypatch, (0.0, 0.0)) == pytest.approx(2.4)
+
+
+def test_target_terminal_split_returns_reward(monkeypatch):
+    # q = (1, 0) splits: the 32x32 split bootstraps to 0.1 + 4 * min(1, 0),
+    # and the eight child entries train on their costs, 0.5 and 1.0
+    want = (abs(0.0 - 0.1) + 4 * abs(1.0 - 0.5) + 4 * abs(0.0 - 1.0)) / 9
+    assert first_step_td(monkeypatch, (1.0, 0.0)) == pytest.approx(want)
 
 
 def test_target_split_child_minimum_per_child():
-    children = np.eye(115, dtype=np.float32)[:4]
+    children = np.eye(115, dtype=np.float32)[None, :4]
     m = value_model([1.0, 2.0, 3.0, 4.0], gap=-0.5)  # split side cheaper
-    t = Transition(np.zeros(115, dtype=np.float32), ACTION_QT, 0.0,
-                   next_states=children, delta_qt=1.0)
-    assert bellman_target(t, m) == pytest.approx(1.0 + (0.5 + 1.5 + 2.5 + 3.5))
+    got = bootstrap_targets(np.array([1.0]), children, m)
+    assert got.tolist() == [1.0 + (0.5 + 1.5 + 2.5 + 3.5)]
 
 
 def test_bootstrap_matches_scalar_path():
+    # k rows in one call equal k one-row calls, whatever the child order
     children = np.eye(115, dtype=np.float32)[:4]
     m = value_model([1.0, 2.0, 3.0, 4.0], gap=-0.5)   # split side cheaper
     rows = np.stack([children, children[::-1], children[[0, 0, 1, 1]]])
     delta = np.array([0.05, 1.0, 0.25])
-    got = _bootstrap(delta, rows, m)
-    want = [bellman_target(Transition(np.zeros(115, dtype=np.float32), ACTION_QT,
-                                      0.0, next_states=kids, delta_qt=d), m)
-            for d, kids in zip(delta, rows)]
+    got = bootstrap_targets(delta, rows, m)
+    alone = [bootstrap_targets(delta[k:k + 1], rows[k:k + 1], m)[0] for k in range(3)]
     assert got.dtype == np.float64
-    assert got.tolist() == want
-    assert want[:2] == [0.05 + 8.0, 1.0 + 8.0]   # order inside the sum is moot
-    assert want[2] == 0.25 + 4.0
+    assert got.tolist() == alone == [0.05 + 8.0, 1.0 + 8.0, 0.25 + 4.0]
 
 
 def test_bootstrap_sums_child_minima_exactly():
     m = value_model([0.2, 0.3, 0.1, 0.4])
-    got = _bootstrap(np.array([0.05]), np.eye(115, dtype=np.float32)[None, :4], m)
+    got = bootstrap_targets(np.array([0.05]), np.eye(115, dtype=np.float32)[None, :4], m)
     assert got.tolist() == [1.05]
 
 
 # -------------------------------------------------------------- cost scaling
 
 def test_scaled_costs_pooled_median():
-    t = Trajectory(state32=np.zeros(115, dtype=np.float32),
-                   ns_j_pp=1.2, qt_j_pp=1.05, delta_qt_pp=0.05,
-                   child_features=np.zeros((4, 115), dtype=np.float32),
-                   child_ns_j_pp=np.ones(4), child_qt_j_pp=np.full(4, 2.0))
-    costs, delta, c = _scaled_costs([t])
+    costs, delta, c = _scaled_costs([fixed_traj()])
     # pool: 1228.8, 1075.2, 4x256, 4x512 -> median 512 (delta stays out)
     assert c == 512.0
     assert costs.shape == (1, 5, 2)

@@ -80,6 +80,17 @@ def test_rawy_roundtrip(tmp_path):
         load_frame(p, fmt="rawy", width=64, height=33)
 
 
+@pytest.mark.parametrize("width, height", [(-2, -8), (0, 16), (16, 0), (-4, 4)])
+def test_rawy_refuses_non_positive_dimensions(tmp_path, width, height):
+    # (-2, -8) multiplies to the 16 bytes on disk, so only the sign check
+    # stands between it and numpy's reshape
+    p = tmp_path / "f.yuv"
+    p.write_bytes(bytes(16))
+    with pytest.raises(FrameFormatError,
+                       match=f"non-positive rawy dimensions {width}x{height}"):
+        load_frame(p, fmt="rawy", width=width, height=height)
+
+
 def test_unknown_format(tmp_path):
     p = tmp_path / "f.bin"
     p.write_bytes(bytes(64))
@@ -173,16 +184,16 @@ def test_patch_inside_the_frame_is_one_slice():
     assert win.flags.c_contiguous and not np.shares_memory(win, pix)
 
 
-@pytest.mark.parametrize("x, y", [(8, 0), (0, 8), (0, 0), (8, 8)],
-                         ids=["top-out", "left-out", "both-out", "both-in"])
+@pytest.mark.parametrize("x, y", [(8, 0), (0, 8), (0, 0), (8, 8), (8, 2), (2, 8)],
+                         ids=["top-out", "left-out", "both-out", "both-in",
+                              "top-partial", "left-partial"])
 def test_patch_equals_reference_strips(x, y):
-    # the reference copies each strip on its own, fill-then-scatter; with
-    # every pixel marked reconstructed and each strip wholly inside or
-    # wholly outside the frame, its flags are the in-frame rule
+    # the reference copies or fills each strip on its own; a strip that
+    # straddles the frame edge is fill as a whole, corner included
     pix = natural_frame(12, h=32, w=32).pixels
     rect = Rect(x, y, 8, 8)
     p = window_parts(causal_patch(pix, rect))
-    ref = reference_causal_patch(pix, rect, np.ones(pix.shape, bool))
+    ref = reference_causal_patch(pix, rect)
     assert (ref.top_available, ref.left_available) == (y >= 4, x >= 4)
     for name in ("cu", "top", "left", "corner"):
         assert p[name].tobytes() == getattr(ref, name).tobytes(), name

@@ -1,14 +1,19 @@
 """Static checks: every name a qtpart module imports is used in it, and
-a module imports only the qtpart modules below it in ``LAYERS``."""
+a module imports only the qtpart modules below it in ``LAYERS``; and the
+benchmark's tracer still finds every function it times."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 import qtpart
+import qtpart.cli  # noqa: F401  (loads every module the tracer patches)
 
 MODULES = sorted(Path(qtpart.__file__).parent.glob("*.py"))
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # lowest first; a module may import only the modules before it, so no
 # import cycle can form
@@ -79,3 +84,33 @@ def test_every_module_has_a_layer():
 def test_module_imports_only_lower_layers(path):
     below = LAYERS[:LAYERS.index(path.stem)] if path.stem in LAYERS else ()
     assert package_imports(path.read_text()) <= set(below)
+
+
+def _traced_wrappers() -> list[str]:
+    """Every qtpart module or class attribute that holds a tracer wrapper."""
+    holders = [m for n, m in sys.modules.items()
+               if m is not None and (n == "qtpart" or n.startswith("qtpart."))]
+    holders += [v for m in list(holders) for v in vars(m).values()
+                if isinstance(v, type) and v.__module__.startswith("qtpart.")]
+    return [f"{getattr(h, '__name__', h)}.{attr}" for h in holders
+            for attr, v in vars(h).items() if hasattr(v, "traced_layer")]
+
+
+def test_benchmark_tracer_binds_every_target():
+    # a traced function that is deleted or renamed fails here, with the
+    # tracer's own KeyError or RuntimeError, not in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    try:
+        t.install()
+        for name in tracer.TARGETS:
+            mod_name, *path = name.split(".")
+            obj = sys.modules[f"qtpart.{mod_name}"]
+            for part in path:
+                obj = getattr(obj, part)
+            assert obj.traced_layer == name
+    finally:
+        t.restore()
+    assert _traced_wrappers() == []
