@@ -28,7 +28,12 @@ from .metrics import (ABLATION_CONFIGS, EVAL_QPS, RdCurve, bd_rate,
 from .mlp import (DEFAULT_HIDDEN, VARIANT_SIZES, ModelError, TrainHyper,
                   load_model, save_model, train_regression)
 
-DEFAULT_QPS = ",".join(map(str, EVAL_QPS))
+
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
+DEFAULT_QPS = _csv(EVAL_QPS)
 JOBS_HELP = "accepted and ignored; collection runs serially"
 
 
@@ -67,10 +72,20 @@ def _psnr_value(p: float):
 
 def _codec_config(args) -> CodecConfig:
     return CodecConfig(ctu=args.ctu, max_depth=args.max_depth,
-                       qp=getattr(args, "qp", 32), split_bits=args.split_bits)
+                       qp=getattr(args, "qp", CodecConfig.qp))
+
+
+def _check_args(args) -> None:
+    """Refuse a negative seed or hidden width <= 0 before any input is read."""
+    if getattr(args, "seed", 0) < 0:
+        raise DatasetError(f"seed {args.seed} is negative")
+    for width in _ints(getattr(args, "hidden", "")):
+        if width <= 0:
+            raise DatasetError(f"hidden width {width} must be positive")
 
 
 def _add_frame_args(p, many: bool):
+    """The input frames and the CTU settings they are searched with."""
     if many:
         p.add_argument("--frames", nargs="+", required=True, help="input frame files")
     else:
@@ -78,12 +93,15 @@ def _add_frame_args(p, many: bool):
     p.add_argument("--format", default="pgm8", choices=("pgm8", "rawy"))
     p.add_argument("--width", type=int, default=None)
     p.add_argument("--height", type=int, default=None)
+    p.add_argument("--ctu", type=int, default=CodecConfig.ctu)
+    p.add_argument("--max-depth", type=int, default=CodecConfig.max_depth)
 
 
-def _add_codec_args(p):
-    p.add_argument("--ctu", type=int, default=64)
-    p.add_argument("--max-depth", type=int, default=3)
-    p.add_argument("--split-bits", type=float, default=2.0)
+def _add_regression_args(p):
+    p.add_argument("--epochs", type=int, default=TrainHyper.epochs)
+    p.add_argument("--batch", type=int, default=TrainHyper.batch)
+    p.add_argument("--lr", type=float, default=TrainHyper.lr)
+    p.add_argument("--seed", type=int, default=0)
 
 
 def cmd_features_describe(args) -> int:
@@ -100,10 +118,8 @@ def cmd_features_describe(args) -> int:
 def cmd_dataset_build(args) -> int:
     frames = _load_frames(args.frames, args.format, args.width, args.height)
     cfg = _codec_config(args)
-    records = collect_records(frames, _ints(args.qps), cfg, _ints(args.sizes),
-                              seed=args.seed)
-    if args.balance:
-        records = balance(records, seed=args.seed)
+    records = balance(collect_records(frames, _ints(args.qps), cfg, _ints(args.sizes),
+                                      seed=args.seed), seed=args.seed)
     save_records(records, args.out)
     _write_config(Path(args.out), args)
     print(f"wrote {len(records)} records to {args.out}")
@@ -113,9 +129,9 @@ def cmd_dataset_build(args) -> int:
 def cmd_dataset_trajectories(args) -> int:
     frames = _load_frames(args.frames, args.format, args.width, args.height)
     cfg = _codec_config(args)
-    trajs = collect_trajectories(frames, _ints(args.qps), cfg, seed=args.seed)
-    if args.balance:
-        trajs = balance_trajectories(trajs, seed=args.seed)
+    trajs = balance_trajectories(
+        collect_trajectories(frames, _ints(args.qps), cfg, seed=args.seed),
+        seed=args.seed)
     save_trajectories(trajs, args.out)
     _write_config(Path(args.out), args)
     print(f"wrote {len(trajs)} trajectories to {args.out}")
@@ -141,8 +157,7 @@ def cmd_train_reg(args) -> int:
 def cmd_train_dqn(args) -> int:
     trajs = load_trajectories(args.trajectories)
     hyper = DqnHyper(steps=args.steps, batch=args.batch, capacity=args.capacity,
-                     lr=args.lr, eps_anneal=args.eps_anneal,
-                     hidden=tuple(_ints(args.hidden)))
+                     lr=args.lr, hidden=tuple(_ints(args.hidden)))
     model, diag = train_dqn(trajs, hyper, seed=args.seed)
     save_model(model, args.out)
     _write_csv(Path(args.out).with_name(Path(args.out).name + ".diag.csv"),
@@ -170,7 +185,7 @@ def cmd_encode(args) -> int:
         "qp": args.qp,
         "threshold": args.threshold,
         "processed_pixels": res.pixels,
-        "total_rate_bits": res.rate_bits(cfg.split_bits),
+        "total_rate_bits": res.rate_bits(),
         "psnr_db": _psnr_value(psnr_of_mse(res.sse() / res.covered_area)),
     }
     Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -259,13 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
                                   ("trajectories", cmd_dataset_trajectories, False)):
         p = data_sub.add_parser(name)
         _add_frame_args(p, many=True)
-        _add_codec_args(p)
         p.add_argument("--qps", default=DEFAULT_QPS)
         if extra_sizes:
             p.add_argument("--sizes", default="32")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-        p.add_argument("--balance", action=argparse.BooleanOptionalAction, default=True)
         p.add_argument("--out", required=True)
         p.set_defaults(func=fn)
 
@@ -274,45 +287,39 @@ def build_parser() -> argparse.ArgumentParser:
     p = train_sub.add_parser("reg", help="cost regression")
     p.add_argument("--dataset", required=True)
     p.add_argument("--variant", default="N32", choices=tuple(VARIANT_SIZES))
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch", type=int, default=512)
-    p.add_argument("--lr", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
+    _add_regression_args(p)
     p.add_argument("--mask", default=None, help="feature groups to zero, e.g. NI,HOG")
-    p.add_argument("--hidden", default=",".join(str(h) for h in DEFAULT_HIDDEN))
+    p.add_argument("--hidden", default=_csv(DEFAULT_HIDDEN))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_reg)
 
     p = train_sub.add_parser("dqn", help="two-depth value learning")
     p.add_argument("--trajectories", required=True)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--batch", type=int, default=512)
-    p.add_argument("--lr", type=float, default=1e-5)
-    p.add_argument("--capacity", type=int, default=100_000)
-    p.add_argument("--eps-anneal", type=int, default=None)
+    p.add_argument("--steps", type=int, default=DqnHyper.steps)
+    p.add_argument("--batch", type=int, default=DqnHyper.batch)
+    p.add_argument("--lr", type=float, default=DqnHyper.lr)
+    p.add_argument("--capacity", type=int, default=DqnHyper.capacity)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--hidden", default=",".join(str(h) for h in DEFAULT_HIDDEN))
+    p.add_argument("--hidden", default=_csv(DEFAULT_HIDDEN))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train_dqn)
 
     p = sub.add_parser("encode", help="encode one frame")
     _add_frame_args(p, many=False)
-    _add_codec_args(p)
-    p.add_argument("--qp", type=int, default=32)
+    p.add_argument("--qp", type=int, default=CodecConfig.qp)
     p.add_argument("--model", default=None)
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--active-sizes", default="32")
+    p.add_argument("--active-sizes", default=_csv(ThresholdPolicy.active_sizes))
     p.add_argument("--tree", default=None, help="also dump the partition tree JSON")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("sweep", help="threshold sweep against the exhaustive anchor")
     _add_frame_args(p, many=True)
-    _add_codec_args(p)
     p.add_argument("--qps", default=DEFAULT_QPS)
     p.add_argument("--model", required=True)
     p.add_argument("--thresholds", required=True)
-    p.add_argument("--active-sizes", default="32")
+    p.add_argument("--active-sizes", default=_csv(ThresholdPolicy.active_sizes))
     p.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
@@ -325,14 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="feature ablation report")
     p.add_argument("--dataset", required=True)
     _add_frame_args(p, many=True)
-    _add_codec_args(p)
     p.add_argument("--thresholds", required=True)
     p.add_argument("--configs", default=None)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch", type=int, default=512)
-    p.add_argument("--lr", type=float, default=1e-5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--active-sizes", default="32")
+    _add_regression_args(p)
+    p.add_argument("--active-sizes", default=_csv(ThresholdPolicy.active_sizes))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ablate)
 
@@ -349,6 +352,7 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
+        _check_args(args)
         return args.func(args) or 0
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)

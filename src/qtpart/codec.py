@@ -9,7 +9,7 @@ The coding-tree search recursively compares coding a block outright (NS)
 against splitting it into four equal sub-blocks (QT), charging a
 lambda-scaled signalling cost per split:
 
-    qt_j = sum_children min(child ns_j, child qt_j) + lambda * split_bits
+    qt_j = sum_children min(child ns_j, child qt_j) + lambda * SPLIT_BITS
 
 Reconstructions are committed in causal order so every block sees its
 neighbours' chosen reconstructions, and a processed-pixel counter tallies
@@ -31,6 +31,7 @@ from .frame_io import CTU_SIZES, LumaFrame, Rect, reference_dc
 QP_MIN, QP_MAX = 0, 51
 TRANSFORM_SIZES = (4, 8, 16, 32, 64)
 MODE_OVERHEAD_BITS = 4.0
+SPLIT_BITS = 2.0                                 # signalling bits of one split
 PEAK = 255.0
 NS, QT = "NS", "QT"
 
@@ -95,7 +96,6 @@ class CodecConfig:
     ctu: int = 64
     max_depth: int = 3
     qp: int = 32
-    split_bits: float = 2.0
     lam: float = field(init=False, compare=False, repr=False)
     step: float = field(init=False, compare=False, repr=False)
     split_cost: float = field(init=False, compare=False, repr=False)
@@ -107,12 +107,10 @@ class CodecConfig:
             raise ValueError("max_depth must be in [1, 4]")
         if self.ctu >> self.max_depth < 4:
             raise ValueError("max_depth would split below 4x4 blocks")
-        if self.split_bits < 0:
-            raise ValueError("split_bits must be non-negative")
         lam = lambda_of_qp(self.qp)                 # refuses a qp out of range
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "step", qstep_of_qp(self.qp))
-        object.__setattr__(self, "split_cost", lam * self.split_bits)
+        object.__setattr__(self, "split_cost", lam * SPLIT_BITS)
 
     def at_qp(self, qp: int) -> "CodecConfig":
         return replace(self, qp=qp)
@@ -230,11 +228,11 @@ class PartitionNode:
         for c in self.children:
             yield from c.preorder()
 
-    def rate_bits(self, split_bits: float) -> float:
+    def rate_bits(self) -> float:
         """Total bits of the chosen partition, split signalling included."""
         if self.chosen == NS:
             return self.ns.rate
-        return split_bits + sum(c.rate_bits(split_bits) for c in self.children)
+        return SPLIT_BITS + sum(c.rate_bits() for c in self.children)
 
     def to_dict(self) -> dict:
         return {

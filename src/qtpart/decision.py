@@ -115,8 +115,8 @@ class FrameRunResult:
     def pixels(self) -> int:
         return self.state.pixels
 
-    def rate_bits(self, split_bits: float) -> float:
-        return float(sum(t.rate_bits(split_bits) for t in self.trees))
+    def rate_bits(self) -> float:
+        return float(sum(t.rate_bits() for t in self.trees))
 
     def sse(self) -> float:
         """Reconstruction error over the area covered by full CTUs.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class DqnHyper:
     batch: int = 512
     capacity: int = 100_000
     lr: float = 1e-5
-    eps_anneal: Optional[int] = None             # defaults to steps
     hidden: tuple = DEFAULT_HIDDEN
 
     def __post_init__(self):
@@ -77,14 +76,12 @@ class DqnHyper:
             raise ValueError("steps and batch must be positive")
         if not self.lr > 0:
             raise ValueError("lr must be positive")
-        if self.eps_anneal is not None and self.eps_anneal < 1:
-            raise ValueError("eps_anneal must be at least 1 step")
 
 
 def epsilon_at(step: int, hyper: DqnHyper) -> float:
-    """Linear schedule from EPS_START at step 0 to EPS_END at eps_anneal."""
-    anneal = hyper.eps_anneal or hyper.steps
-    frac = min(max(step, 0) / anneal, 1.0)
+    """Linear schedule from EPS_START at step 0 to EPS_END at step
+    ``hyper.steps``, so exploration anneals over the whole run."""
+    frac = min(max(step, 0) / hyper.steps, 1.0)
     return EPS_START + (EPS_END - EPS_START) * frac
 
 

@@ -130,7 +130,7 @@ def _run_settings(frames: Sequence[LumaFrame], cfg: CodecConfig,
             for acc, policy in zip(sums, policies):
                 res = encode_frame(frame, cfg_qp, policy, memo)
                 acc[0] += res.pixels
-                acc[1] += res.rate_bits(cfg_qp.split_bits)
+                acc[1] += res.rate_bits()
                 acc[2] += res.sse()
                 acc[3] += res.covered_area
         for out, (pixels, rate, sse, area) in zip(runs, sums):

@@ -142,14 +142,14 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, y: np.ndarray):
 
 @dataclass
 class AdamState:
-    lr: float = 1e-5
+    lr: float
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
     scratch: list = field(default_factory=list)   # per layer: ((t, u) of W, (t, u) of b)
 
 
-def adam_init(model: MlpModel, lr: float = 1e-5) -> AdamState:
+def adam_init(model: MlpModel, lr: float) -> AdamState:
     """Zero moments, plus two scratch buffers the size of the largest
     parameter that every parameter's update reuses as views."""
     zeros = lambda: [(np.zeros_like(w), np.zeros_like(b))

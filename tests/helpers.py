@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from qtpart import features
-from qtpart.codec import (MODE_OVERHEAD_BITS, NS, RdCost, SearchState, dct2d,
-                          encode_ns, lambda_of_qp, qstep_of_qp)
+from qtpart.codec import (MODE_OVERHEAD_BITS, NS, SPLIT_BITS, RdCost, SearchState,
+                          dct2d, encode_ns, lambda_of_qp, qstep_of_qp)
 from qtpart.dqn import ACTION_NS, ACTION_QT, epsilon_at, select_action
 from qtpart.frame_io import BORDER_FILL, REF_BORDER, LumaFrame, Rect, reference_dc
 from qtpart.mlp import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, adam_init, adam_step,
@@ -149,7 +149,7 @@ def enumerate_tree_costs(frame: LumaFrame, cfg) -> list[float]:
     """
     assert frame.width == 32 and frame.height == 32
     assert cfg.ctu == 32 and cfg.max_depth == 2
-    sc = lambda_of_qp(cfg.qp) * cfg.split_bits
+    sc = lambda_of_qp(cfg.qp) * SPLIT_BITS
     costs = []
 
     state = SearchState(frame)

@@ -1,5 +1,6 @@
 """End-to-end command-line coverage: artifacts, reports, exit codes."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -112,18 +113,48 @@ def test_bad_collection_input_fails_before_any_work(work, tmp_path, capsys,
     assert not list(tmp_path.glob("out.qtds*"))          # no container, no config
 
 
-@pytest.mark.parametrize("subcommand", ["build", "trajectories"])
+SEEDED = {                                       # command, then its inputs
+    "build": (["dataset", "build"], ["--frames", "a64", "--qps", "22"]),
+    "trajectories": (["dataset", "trajectories"], ["--frames", "a64", "--qps", "22"]),
+    "reg": (["train", "reg"], ["--dataset", "dataset"]),
+    "dqn": (["train", "dqn"], ["--trajectories", "trajs"]),
+    "ablate": (["ablate"], ["--dataset", "dataset", "--frames", "a64",
+                            "--thresholds", "1.0", "--configs", "none"]),
+}
+
+
+def _refused_before_reading(work, tmp_path, capsys, monkeypatch, subcommand,
+                            extra) -> str:
+    """Run a ``SEEDED`` command plus ``extra`` with every input loader
+    failing if called; check exit 3, one error line and no output, and
+    return that line."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an input was read before the argument check")
+
+    for name in ("load_frame", "load_records", "load_trajectories", "load_model"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    words, inputs = SEEDED[subcommand]
+    argv = words + [work.get(a, a) for a in inputs] + extra  # names -> paths
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 3
+    assert not list(tmp_path.glob("out*"))       # no artifact, no config
+    return _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("subcommand", list(SEEDED))
 def test_negative_seed_fails_before_any_search(work, tmp_path, capsys, monkeypatch,
                                                subcommand):
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("a search ran before the seed check")
+    assert "seed -1 is negative" in _refused_before_reading(
+        work, tmp_path, capsys, monkeypatch, subcommand, ["--seed", "-1"])
 
-    monkeypatch.setattr(dataset, "exhaustive_search", must_not_run)
-    rc = main(["dataset", subcommand, "--frames", work["a64"], "--qps", "22",
-               "--seed", "-1", "--out", str(tmp_path / "out.qtds")])
-    assert rc == 3
-    assert "seed -1 is negative" in _one_error_line(capsys)
-    assert not list(tmp_path.glob("out.qtds*"))
+
+@pytest.mark.parametrize("subcommand", ["reg", "dqn"])
+@pytest.mark.parametrize("hidden, width", [("0", 0), ("64,-8", -8)],
+                         ids=["zero", "negative"])
+def test_non_positive_hidden_width_fails_before_any_input(work, tmp_path, capsys,
+                                                          monkeypatch, subcommand,
+                                                          hidden, width):
+    assert f"hidden width {width} must be positive" in _refused_before_reading(
+        work, tmp_path, capsys, monkeypatch, subcommand, ["--hidden", hidden])
 
 
 def test_jobs_is_accepted_and_ignored(work, tmp_path, capsys):
@@ -197,8 +228,7 @@ DQN_ARGV = ["train", "dqn", "--steps", "40", "--batch", "16", "--hidden", "8",
             "--seed", "2"]
 
 
-@pytest.mark.parametrize("flags", [["--lr", "nan"], ["--lr=-1e-3"], ["--lr", "0"],
-                                   ["--eps-anneal", "-5"], ["--eps-anneal", "0"]])
+@pytest.mark.parametrize("flags", [["--lr", "nan"], ["--lr=-1e-3"], ["--lr", "0"]])
 def test_train_dqn_bad_hyper_is_data_error(work, tmp_path, capsys, flags):
     out = tmp_path / "q.qtnn"
     rc = main(DQN_ARGV + ["--trajectories", work["trajs"], *flags, "--out", str(out)])
@@ -580,6 +610,45 @@ def test_bdrate_nan_rate_is_data_error(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------- parser
+
+FRAME_OPTIONS = ["--format", "--width", "--height", "--ctu", "--max-depth"]
+OPTIONS = {
+    ("features", "describe"): ["--out"],
+    ("dataset", "build"): ["--frames", *FRAME_OPTIONS, "--qps", "--sizes", "--seed",
+                           "--jobs", "--out"],
+    ("dataset", "trajectories"): ["--frames", *FRAME_OPTIONS, "--qps", "--seed",
+                                  "--jobs", "--out"],
+    ("train", "reg"): ["--dataset", "--variant", "--epochs", "--batch", "--lr",
+                       "--seed", "--mask", "--hidden", "--out"],
+    ("train", "dqn"): ["--trajectories", "--steps", "--batch", "--lr", "--capacity",
+                       "--seed", "--hidden", "--out"],
+    ("encode",): ["--frame", *FRAME_OPTIONS, "--qp", "--model", "--threshold",
+                  "--active-sizes", "--tree", "--out"],
+    ("sweep",): ["--frames", *FRAME_OPTIONS, "--qps", "--model", "--thresholds",
+                 "--active-sizes", "--jobs", "--out"],
+    ("bdrate",): ["--anchor", "--test"],
+    ("ablate",): ["--dataset", "--frames", *FRAME_OPTIONS, "--thresholds",
+                  "--configs", "--epochs", "--batch", "--lr", "--seed",
+                  "--active-sizes", "--out"],
+}
+
+
+def test_option_inventory():
+    """Every option of every command, in order: a new knob edits this table."""
+    def leaves(parser, path=()):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield path, parser
+        for action in subs:
+            for name, child in action.choices.items():
+                yield from leaves(child, path + (name,))
+
+    found = {path: [s for a in p._actions if a.option_strings and a.dest != "help"
+                    for s in a.option_strings]
+             for path, p in leaves(cli.build_parser())}
+    assert found == OPTIONS
+    assert sum(map(len, found.values())) == 80
+
 
 def test_parser_is_built_once_and_parses_like_a_fresh_one(work):
     parser = cli.build_parser()

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from qtpart import codec, features
-from qtpart.codec import (MODE_OVERHEAD_BITS, NS, QP_MAX, QT, TRANSFORM_SIZES,
-                          CodecConfig, RdCost, SearchState, dct2d, encode_ns,
-                          exhaustive_search, lambda_of_qp, psnr_of_mse,
-                          qstep_of_qp, qt_cost_table, search, split_sizes)
+from qtpart.codec import (MODE_OVERHEAD_BITS, NS, QP_MAX, QT, SPLIT_BITS,
+                          TRANSFORM_SIZES, CodecConfig, RdCost, SearchState,
+                          dct2d, encode_ns, exhaustive_search, lambda_of_qp,
+                          psnr_of_mse, qstep_of_qp, qt_cost_table, search,
+                          split_sizes)
 from qtpart.features import build_vector, descriptor_key
 from qtpart.frame_io import LumaFrame, Rect, causal_patch, reference_dc, tile_ctus
 
@@ -97,7 +98,7 @@ def test_rdcost_compute():
 
 def test_codec_config_validation():
     cfg = CodecConfig()
-    assert (cfg.ctu, cfg.max_depth, cfg.qp, cfg.split_bits) == (64, 3, 32, 2.0)
+    assert (cfg.ctu, cfg.max_depth, cfg.qp) == (64, 3, 32)
     with pytest.raises(ValueError, match="ctu must be one of"):
         CodecConfig(ctu=48)
     with pytest.raises(ValueError, match="ctu must be one of"):
@@ -108,8 +109,6 @@ def test_codec_config_validation():
         CodecConfig(ctu=32, max_depth=4)
     with pytest.raises(ValueError, match="outside"):
         CodecConfig(qp=99)
-    with pytest.raises(ValueError, match="split_bits"):
-        CodecConfig(split_bits=-0.5)
 
 
 def test_split_sizes():
@@ -119,23 +118,23 @@ def test_split_sizes():
 
 
 def test_at_qp_keeps_other_fields():
-    cfg = CodecConfig(ctu=32, max_depth=2, qp=22, split_bits=3.0)
+    cfg = CodecConfig(ctu=32, max_depth=2, qp=22)
     other = cfg.at_qp(37)
     assert other.qp == 37
-    assert (other.ctu, other.max_depth, other.split_bits) == (32, 2, 3.0)
+    assert (other.ctu, other.max_depth) == (32, 2)
 
 
 def test_split_signal_cost():
-    cfg = CodecConfig(qp=27, split_bits=2.0)
-    assert cfg.split_cost == 18.24 * 2.0
+    assert SPLIT_BITS == 2.0
+    assert CodecConfig(qp=27).split_cost == 18.24 * 2.0
 
 
 def test_config_resolves_its_qp_once():
     for qp in range(QP_MAX + 1):
-        cfg = CodecConfig(qp=qp, split_bits=3.0)
+        cfg = CodecConfig(qp=qp)
         assert (cfg.lam, cfg.step, cfg.split_cost) == (
-            lambda_of_qp(qp), qstep_of_qp(qp), lambda_of_qp(qp) * 3.0)
-        other = CodecConfig(qp=(qp + 17) % (QP_MAX + 1), split_bits=3.0).at_qp(qp)
+            lambda_of_qp(qp), qstep_of_qp(qp), lambda_of_qp(qp) * SPLIT_BITS)
+        other = CodecConfig(qp=(qp + 17) % (QP_MAX + 1)).at_qp(qp)
         assert other == cfg
         assert (other.lam, other.step, other.split_cost) == (
             cfg.lam, cfg.step, cfg.split_cost)
@@ -451,9 +450,9 @@ def test_tree_dict_and_rate_bits_consistent():
     def manual_rate(d):
         if d["chosen"] == NS:
             return d["ns"]["rate"]
-        return cfg.split_bits + sum(manual_rate(c) for c in d["children"])
+        return SPLIT_BITS + sum(manual_rate(c) for c in d["children"])
 
-    assert tree.rate_bits(cfg.split_bits) == pytest.approx(
+    assert tree.rate_bits() == pytest.approx(
         manual_rate(tree.to_dict()), rel=1e-12)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from qtpart import dataset
 from qtpart.cli import main
-from qtpart.codec import NS, QT, CodecConfig, lambda_of_qp
+from qtpart.codec import NS, QT, SPLIT_BITS, CodecConfig, lambda_of_qp
 from qtpart.dataset import (COLLECT_SIZES, CuRecord, DatasetError,
                             Trajectory, balance, balance_trajectories,
                             collect_records,
@@ -253,7 +253,7 @@ def test_collect_trajectories_counts_and_invariant():
     cfg = CodecConfig()
     trajs = collect_trajectories([frame], (22, 32), cfg, seed=0)
     assert len(trajs) == 2 * 4                 # 4 blocks of size 32 per qp
-    sc = lambda_of_qp(22) * cfg.split_bits
+    sc = lambda_of_qp(22) * SPLIT_BITS
     assert any(abs(t.delta_qt_pp - sc / 1024.0) < 1e-12 for t in trajs)
 
 

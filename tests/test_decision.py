@@ -276,7 +276,7 @@ def test_encode_frame_with_remainders_matches_its_full_ctu_crop(ctu):
     assert [t.to_dict() for t in a.trees] == [t.to_dict() for t in b.trees]
     assert len(a.trees) == (128 // ctu) * (192 // ctu)
     assert a.pixels == b.pixels
-    assert a.rate_bits(cfg.split_bits) == b.rate_bits(cfg.split_bits)
+    assert a.rate_bits() == b.rate_bits()
     assert a.sse() == b.sse()
     assert a.covered == b.covered == Rect(0, 0, 192, 128)
     assert np.array_equal(a.state.work[:128, :192], b.state.work)
@@ -296,8 +296,7 @@ def test_frame_result_accounting():
     cfg = CodecConfig()
     res = encode_frame(frame, cfg)
     assert res.pixels == res.state.pixels
-    assert res.rate_bits(cfg.split_bits) == pytest.approx(
-        sum(t.rate_bits(cfg.split_bits) for t in res.trees))
+    assert res.rate_bits() == pytest.approx(sum(t.rate_bits() for t in res.trees))
     o = res.state.orig.astype(np.float64)
     w = res.state.work.astype(np.float64)
     assert res.sse() == float(np.sum((o - w) ** 2))

@@ -103,13 +103,6 @@ def test_hyper_rejects_nonpositive_lr(lr):
         DqnHyper(lr=lr)
 
 
-@pytest.mark.parametrize("anneal", [0, -5])
-def test_hyper_rejects_anneal_below_one_step(anneal):
-    # a negative horizon would push epsilon above 1
-    with pytest.raises(ValueError, match="eps_anneal"):
-        DqnHyper(eps_anneal=anneal)
-
-
 def test_epsilon_linear_anneal():
     assert (EPS_START, EPS_END) == (1.0, 0.05)
     h = DqnHyper(steps=100)
@@ -118,15 +111,6 @@ def test_epsilon_linear_anneal():
     assert epsilon_at(100, h) == pytest.approx(0.05)
     assert epsilon_at(10_000, h) == pytest.approx(0.05)   # clamped
     assert epsilon_at(-5, h) == 1.0
-
-
-def test_epsilon_separate_anneal_horizon():
-    h = DqnHyper(steps=100, eps_anneal=10)
-    assert epsilon_at(5, h) == pytest.approx(0.525)
-    assert epsilon_at(10, h) == pytest.approx(0.05)
-    assert epsilon_at(50, h) == pytest.approx(0.05)
-    # the shortest horizon, one step, is accepted
-    assert epsilon_at(7, DqnHyper(steps=100, eps_anneal=1)) == pytest.approx(EPS_END)
 
 
 # ------------------------------------------------------------- action choice
