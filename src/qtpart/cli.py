@@ -37,12 +37,21 @@ DEFAULT_QPS = _csv(EVAL_QPS)
 JOBS_HELP = "accepted and ignored; collection runs serially"
 
 
-def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v != ""]
+LISTS = {"qps": int, "sizes": int, "hidden": int,         # comma-list options
+         "active_sizes": int, "thresholds": float}
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v != ""]
+def _list(args, name: str) -> list:
+    """The elements of a comma-list option, which ``args`` keeps as its
+    string; a bad element is refused naming the option."""
+    kind, values = LISTS[name], []
+    for v in filter(None, getattr(args, name).split(",")):
+        try:
+            values.append(kind(v))
+        except ValueError:
+            raise ValueError(f"--{name.replace('_', '-')}: {v!r} is not "
+                             f"{'an integer' if kind is int else 'a number'}") from None
+    return values
 
 
 def _load_frames(paths, fmt, width, height):
@@ -76,10 +85,12 @@ def _codec_config(args) -> CodecConfig:
 
 
 def _check_args(args) -> None:
-    """Refuse a negative seed or hidden width <= 0 before any input is read."""
+    """Refuse a comma list with a bad element, a negative seed or a hidden
+    width <= 0 before any input is read."""
+    lists = {name: _list(args, name) for name in LISTS if hasattr(args, name)}
     if getattr(args, "seed", 0) < 0:
         raise DatasetError(f"seed {args.seed} is negative")
-    for width in _ints(getattr(args, "hidden", "")):
+    for width in lists.get("hidden", []):
         if width <= 0:
             raise DatasetError(f"hidden width {width} must be positive")
 
@@ -118,8 +129,9 @@ def cmd_features_describe(args) -> int:
 def cmd_dataset_build(args) -> int:
     frames = _load_frames(args.frames, args.format, args.width, args.height)
     cfg = _codec_config(args)
-    records = balance(collect_records(frames, _ints(args.qps), cfg, _ints(args.sizes),
-                                      seed=args.seed), seed=args.seed)
+    records = balance(collect_records(frames, _list(args, "qps"), cfg,
+                                      _list(args, "sizes"), seed=args.seed),
+                      seed=args.seed)
     save_records(records, args.out)
     _write_config(Path(args.out), args)
     print(f"wrote {len(records)} records to {args.out}")
@@ -130,7 +142,7 @@ def cmd_dataset_trajectories(args) -> int:
     frames = _load_frames(args.frames, args.format, args.width, args.height)
     cfg = _codec_config(args)
     trajs = balance_trajectories(
-        collect_trajectories(frames, _ints(args.qps), cfg, seed=args.seed),
+        collect_trajectories(frames, _list(args, "qps"), cfg, seed=args.seed),
         seed=args.seed)
     save_trajectories(trajs, args.out)
     _write_config(Path(args.out), args)
@@ -139,10 +151,10 @@ def cmd_dataset_trajectories(args) -> int:
 
 
 def cmd_train_reg(args) -> int:
-    records = load_records(args.dataset)
     hyper = TrainHyper(lr=args.lr, batch=args.batch, epochs=args.epochs)
+    records = load_records(args.dataset)
     mask = args.mask.split(",") if args.mask else ()
-    hidden = tuple(_ints(args.hidden))
+    hidden = tuple(_list(args, "hidden"))
     model, history = train_regression(records, args.variant, hyper=hyper,
                                       seed=args.seed, mask=mask, hidden=hidden)
     save_model(model, args.out)
@@ -155,9 +167,9 @@ def cmd_train_reg(args) -> int:
 
 
 def cmd_train_dqn(args) -> int:
-    trajs = load_trajectories(args.trajectories)
     hyper = DqnHyper(steps=args.steps, batch=args.batch, capacity=args.capacity,
-                     lr=args.lr, hidden=tuple(_ints(args.hidden)))
+                     lr=args.lr, hidden=tuple(_list(args, "hidden")))
+    trajs = load_trajectories(args.trajectories)
     model, diag = train_dqn(trajs, hyper, seed=args.seed)
     save_model(model, args.out)
     _write_csv(Path(args.out).with_name(Path(args.out).name + ".diag.csv"),
@@ -179,7 +191,7 @@ def cmd_encode(args) -> int:
     if args.model:
         policy = ThresholdPolicy(model=load_model(args.model),
                                  threshold=args.threshold,
-                                 active_sizes=tuple(_ints(args.active_sizes)))
+                                 active_sizes=tuple(_list(args, "active_sizes")))
     res = encode_frame(frame, cfg, policy)
     report = {
         "qp": args.qp,
@@ -198,12 +210,12 @@ def cmd_encode(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    require_eval_qps(_ints(args.qps))
+    require_eval_qps(_list(args, "qps"))
     frames = _load_frames(args.frames, args.format, args.width, args.height)
     cfg = _codec_config(args)
     model = load_model(args.model)
-    result = sweep(frames, cfg, model, tuple(_ints(args.active_sizes)),
-                   _floats(args.thresholds))
+    result = sweep(frames, cfg, model, tuple(_list(args, "active_sizes")),
+                   _list(args, "thresholds"))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "sweep.csv", list(result.rows[0]),
@@ -234,14 +246,14 @@ def cmd_bdrate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    hyper = TrainHyper(lr=args.lr, batch=args.batch, epochs=args.epochs)
     records = load_records(args.dataset)
     frames = _load_frames(args.frames, args.format, args.width, args.height)
     cfg = _codec_config(args)
-    hyper = TrainHyper(lr=args.lr, batch=args.batch, epochs=args.epochs)
     configs = args.configs.split(",") if args.configs else list(ABLATION_CONFIGS)
-    rows = run_ablation(records, frames, cfg, _floats(args.thresholds),
+    rows = run_ablation(records, frames, cfg, _list(args, "thresholds"),
                         configs=configs, hyper=hyper, seed=args.seed,
-                        active_sizes=tuple(_ints(args.active_sizes)))
+                        active_sizes=tuple(_list(args, "active_sizes")))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     bd_keys = ("bd_at_dc10", "bd_at_dc20")

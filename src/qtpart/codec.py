@@ -121,6 +121,26 @@ def split_sizes(cfg: CodecConfig) -> tuple[int, ...]:
     return tuple(cfg.ctu >> d for d in range(cfg.max_depth))
 
 
+def check_split_sizes(sizes, cfg: CodecConfig, proper: bool = False) -> tuple[int, ...]:
+    """The distinct ``sizes``, largest first, if there are any and each is
+    a side the search can split, below the CTU with ``proper``. Otherwise
+    one ValueError names the refused and the allowed sides."""
+    allowed = list(split_sizes(cfg)[int(proper):])
+    sizes = tuple(sorted({int(s) for s in sizes}, reverse=True))
+    refused = [s for s in sizes if s not in allowed]
+    if refused or not sizes:
+        below = f"below the {cfg.ctu}x{cfg.ctu} CTU " if proper else ""
+        raise ValueError(f"block sizes {refused} refused; allowed sides are {allowed}, "
+                         f"those {below}that the search can split")
+    return sizes
+
+
+def choose(ns_j: float, qt_j: Optional[float]) -> str:
+    """The cheaper of a block's no-split and split costs: QT only when a
+    split cost exists and is strictly lower, so no-split wins a tie."""
+    return NS if qt_j is None or ns_j <= qt_j else QT
+
+
 def encode_ns(block: np.ndarray, dc: float, cfg: CodecConfig) -> tuple[RdCost, np.ndarray]:
     """Code a block without splitting; returns its cost and reconstruction.
 
@@ -216,8 +236,11 @@ class PartitionNode:
     depth: int
     ns: RdCost
     qt_j: Optional[float]
-    chosen: str
     children: list["PartitionNode"] = field(default_factory=list)
+
+    @property
+    def chosen(self) -> str:
+        return choose(self.ns.j, self.qt_j)
 
     @property
     def best_j(self) -> float:
@@ -294,24 +317,17 @@ def _search_node(rect, depth, cfg, state, visitor, prune, parent) -> PartitionNo
         if can_split and prune is not None and prune(visit):
             can_split = False
 
-    if not can_split:
-        node = PartitionNode(rect, depth, ns_cost, None, NS)
-        state.commit(rect, depth, recon, ns_cost)
-        return node
-
-    half = rect.w // 2
-    kids = []
-    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):     # raster order
-        sub = Rect(rect.x + dx * half, rect.y + dy * half, half, half)
-        kids.append(_search_node(sub, depth + 1, cfg, state, visitor, prune, ns_cost))
-    qt_j = kids[0].best_j + kids[1].best_j + kids[2].best_j + kids[3].best_j \
-        + cfg.split_cost
-    if ns_cost.j <= qt_j:                                # tie favours no-split
-        node = PartitionNode(rect, depth, ns_cost, qt_j, NS, kids)
-        state.commit(rect, depth, recon, ns_cost)        # undo child commits
-    else:
-        node = PartitionNode(rect, depth, ns_cost, qt_j, QT, kids)
-    return node
+    qt_j, kids = None, []
+    if can_split:
+        half = rect.w // 2
+        for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):     # raster order
+            sub = Rect(rect.x + dx * half, rect.y + dy * half, half, half)
+            kids.append(_search_node(sub, depth + 1, cfg, state, visitor, prune, ns_cost))
+        qt_j = kids[0].best_j + kids[1].best_j + kids[2].best_j + kids[3].best_j \
+            + cfg.split_cost
+    if choose(ns_cost.j, qt_j) == NS:
+        state.commit(rect, depth, recon, ns_cost)        # undoes any child commits
+    return PartitionNode(rect, depth, ns_cost, qt_j, kids)
 
 
 def qt_cost_table(ns_levels: list[np.ndarray], delta_qt: float) -> float:

@@ -25,15 +25,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .codec import (NS, QT, CodecConfig, SearchState, exhaustive_search,
-                    split_sizes)
+from .codec import (NS, QT, CodecConfig, SearchState, check_split_sizes, choose,
+                    exhaustive_search)
 from .features import FEATURE_COUNT, LAYOUT_HASH, build_vector, descriptor_key
 from .frame_io import LumaFrame, tile_ctus
 
 MAGIC = b"QTDS"
 VERSION = 1
 KIND_RECORDS, KIND_TRAJECTORIES = 0, 1
-COLLECT_SIZES = (8, 16, 32)
 
 
 class DatasetError(ValueError):
@@ -58,12 +57,12 @@ class CuRecord:
 
     @property
     def optimal(self) -> str:
-        return NS if self.ns_j_pp <= self.qt_j_pp else QT
+        return choose(self.ns_j_pp, self.qt_j_pp)
 
     @property
     def label(self) -> int:
-        """1 when splitting is strictly cheaper, as stored in the container."""
-        return int(self.qt_j_pp < self.ns_j_pp)
+        """1 when splitting is optimal, as stored in the container."""
+        return int(self.optimal == QT)
 
 
 @dataclass
@@ -97,23 +96,7 @@ class Trajectory:
 
     @property
     def optimal(self) -> str:
-        return NS if self.ns_j_pp <= self.qt_j_pp else QT
-
-
-def _validate_sizes(cfg: CodecConfig, sizes: Sequence[int]) -> tuple[int, ...]:
-    sizes = tuple(sorted(set(int(s) for s in sizes), reverse=True))
-    if not sizes:
-        raise DatasetError("no block sizes requested")
-    for s in sizes:
-        if s not in COLLECT_SIZES:
-            raise DatasetError(f"unsupported block size {s}")
-        if s > cfg.ctu // 2:
-            raise DatasetError(f"size {s} is not a proper sub-block of a {cfg.ctu} CTU")
-        if s not in split_sizes(cfg):
-            depth = (cfg.ctu // s).bit_length() - 1
-            raise DatasetError(
-                f"size {s} blocks need max_depth > {depth} to have a split cost")
-    return sizes
+        return choose(self.ns_j_pp, self.qt_j_pp)
 
 
 def _walk_frame(frame: LumaFrame, cfg: CodecConfig):
@@ -161,14 +144,15 @@ def collect_records(frames: Sequence[LumaFrame], qps: Sequence[int],
                     cfg: CodecConfig, sizes: Sequence[int],
                     seed: int = 0) -> list[CuRecord]:
     """Exhaustively search every frame at every qp and emit one record per
-    encountered block of a requested size. Results are concatenated in
+    encountered block of a requested size, a side below the CTU that can
+    split (``codec.check_split_sizes``). Results are concatenated in
     (frame, qp) order, then shuffled with the given seed."""
-    sizes = _validate_sizes(cfg, sizes)
+    sizes = check_split_sizes(sizes, cfg, proper=True)
 
     def emit(nodes, vecs, cfg_qp):
         out = []
         for node in nodes:
-            if node.qt_j is None or node.rect.w not in sizes:
+            if node.rect.w not in sizes:            # each has a split cost
                 continue
             area = node.rect.area
             out.append(CuRecord(features=vecs[node.rect], cu_size=node.rect.w,
@@ -181,21 +165,15 @@ def collect_records(frames: Sequence[LumaFrame], qps: Sequence[int],
 
 def collect_trajectories(frames: Sequence[LumaFrame], qps: Sequence[int],
                          cfg: CodecConfig, seed: int = 0) -> list[Trajectory]:
-    """Emit one trajectory per encountered 32x32 block whose 16x16
-    children all have split costs."""
-    if cfg.ctu < 64 or 16 not in split_sizes(cfg):
-        depth32 = (cfg.ctu // 32).bit_length() - 1
-        raise DatasetError(
-            f"trajectories need 16x16 split costs: max_depth >= {depth32 + 2} "
-            f"with ctu {cfg.ctu}")
+    """Emit one trajectory per encountered 32x32 block; 32 and 16 must be
+    sides below the CTU that can split, so it and its children have split costs."""
+    check_split_sizes((32, 16), cfg, proper=True)
 
     def emit(nodes, vecs, cfg_qp):
         out = []
         delta_pp = cfg_qp.split_cost / 1024.0
         for node in nodes:
-            if node.rect.w != 32 or not node.children:
-                continue
-            if any(c.qt_j is None for c in node.children):
+            if node.rect.w != 32:
                 continue
             out.append(Trajectory(
                 state32=vecs[node.rect],

@@ -56,16 +56,6 @@ class ThresholdPolicy:
             raise ModelError(f"model must have 1 or 2 outputs, got {self.model.out_dim}")
 
 
-def check_active_sizes(active_sizes, cfg: CodecConfig) -> None:
-    """Refuse gate sizes the search never consults: the prune hook runs
-    only at blocks that can still split (``codec.split_sizes``)."""
-    splittable = set(codec.split_sizes(cfg))
-    unused = sorted(set(int(s) for s in active_sizes) - splittable)
-    if unused:
-        raise ValueError(f"active sizes {unused} are never consulted; the search "
-                         f"can split blocks of side {sorted(splittable)}")
-
-
 def decide(prediction: np.ndarray, policy: ThresholdPolicy) -> str:
     """Gate one prediction; inclusive at the threshold."""
     p = np.asarray(prediction, dtype=np.float64).ravel()
@@ -143,7 +133,7 @@ def encode_frame(frame: LumaFrame, cfg: CodecConfig,
     before any search. Gated encodes given the same ``memo`` share the
     descriptors they build; None gives this encode a fresh one."""
     if policy is not None:
-        check_active_sizes(policy.active_sizes, cfg)
+        codec.check_split_sizes(policy.active_sizes, cfg)   # the hook is asked only there
     rects = tile_ctus(frame, cfg.ctu)
     state = SearchState(frame)
     if policy is None:

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .codec import NS, choose
 from .dataset import DatasetError, Trajectory
 from .features import FEATURE_COUNT
 from .mlp import (DEFAULT_HIDDEN, MlpModel, ModelError, adam_init, adam_step,
@@ -74,6 +75,8 @@ class DqnHyper:
     def __post_init__(self):
         if self.steps <= 0 or self.batch <= 0:
             raise ValueError("steps and batch must be positive")
+        if self.capacity <= 0:
+            raise ValueError("capacity must be positive")
         if not self.lr > 0:
             raise ValueError("lr must be positive")
 
@@ -93,7 +96,7 @@ def select_action(model: MlpModel, state: np.ndarray, eps: float,
     if rng.random() < eps:
         return int(rng.integers(2))
     q = forward(model, state)
-    return ACTION_NS if q[ACTION_NS] <= q[ACTION_QT] else ACTION_QT
+    return ACTION_NS if choose(q[ACTION_NS], q[ACTION_QT]) == NS else ACTION_QT
 
 
 def bootstrap_targets(delta: np.ndarray, children: np.ndarray,

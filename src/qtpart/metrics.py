@@ -20,9 +20,9 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .codec import CodecConfig, psnr_of_mse
+from .codec import CodecConfig, check_split_sizes, psnr_of_mse
 from .dataset import CuRecord
-from .decision import ThresholdPolicy, check_active_sizes, encode_frame
+from .decision import ThresholdPolicy, encode_frame
 from .frame_io import LumaFrame, tile_ctus
 from .mlp import (DEFAULT_HIDDEN, REDUCED_HIDDEN, MlpModel, TrainHyper,
                   train_regression)
@@ -164,7 +164,7 @@ def _check_grid(frames: Sequence[LumaFrame], thresholds: Sequence[float],
         raise ValueError("threshold must be positive")
     if len(set(thresholds)) < len(thresholds):
         raise ValueError(f"repeated threshold in {list(thresholds)}")
-    check_active_sizes(active_sizes, cfg)
+    check_split_sizes(active_sizes, cfg)
 
 
 def _sweep_models(frames: Sequence[LumaFrame], cfg: CodecConfig,

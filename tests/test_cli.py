@@ -113,19 +113,22 @@ def test_bad_collection_input_fails_before_any_work(work, tmp_path, capsys,
     assert not list(tmp_path.glob("out.qtds*"))          # no container, no config
 
 
-SEEDED = {                                       # command, then its inputs
+COMMANDS = {                                     # command, then its inputs
     "build": (["dataset", "build"], ["--frames", "a64", "--qps", "22"]),
     "trajectories": (["dataset", "trajectories"], ["--frames", "a64", "--qps", "22"]),
     "reg": (["train", "reg"], ["--dataset", "dataset"]),
     "dqn": (["train", "dqn"], ["--trajectories", "trajs"]),
     "ablate": (["ablate"], ["--dataset", "dataset", "--frames", "a64",
                             "--thresholds", "1.0", "--configs", "none"]),
+    "encode": (["encode"], ["--frame", "a64", "--model", "reg", "--threshold", "1.0"]),
+    "sweep": (["sweep"], ["--frames", "a64", "--model", "reg", "--thresholds", "1.0"]),
 }
+SEEDED = ["build", "trajectories", "reg", "dqn", "ablate"]   # the ones with --seed
 
 
 def _refused_before_reading(work, tmp_path, capsys, monkeypatch, subcommand,
                             extra) -> str:
-    """Run a ``SEEDED`` command plus ``extra`` with every input loader
+    """Run a ``COMMANDS`` entry plus ``extra`` with every input loader
     failing if called; check exit 3, one error line and no output, and
     return that line."""
     def must_not_run(*args, **kwargs):
@@ -133,14 +136,14 @@ def _refused_before_reading(work, tmp_path, capsys, monkeypatch, subcommand,
 
     for name in ("load_frame", "load_records", "load_trajectories", "load_model"):
         monkeypatch.setattr(cli, name, must_not_run)
-    words, inputs = SEEDED[subcommand]
+    words, inputs = COMMANDS[subcommand]
     argv = words + [work.get(a, a) for a in inputs] + extra  # names -> paths
     assert main(argv + ["--out", str(tmp_path / "out")]) == 3
     assert not list(tmp_path.glob("out*"))       # no artifact, no config
     return _one_error_line(capsys)
 
 
-@pytest.mark.parametrize("subcommand", list(SEEDED))
+@pytest.mark.parametrize("subcommand", SEEDED)
 def test_negative_seed_fails_before_any_search(work, tmp_path, capsys, monkeypatch,
                                                subcommand):
     assert "seed -1 is negative" in _refused_before_reading(
@@ -155,6 +158,36 @@ def test_non_positive_hidden_width_fails_before_any_input(work, tmp_path, capsys
                                                           hidden, width):
     assert f"hidden width {width} must be positive" in _refused_before_reading(
         work, tmp_path, capsys, monkeypatch, subcommand, ["--hidden", hidden])
+
+
+@pytest.mark.parametrize("subcommand, extra, msg", [
+    ("dqn", ["--capacity", "0"], "capacity must be positive"),
+    ("dqn", ["--steps", "0"], "steps and batch must be positive"),
+    ("dqn", ["--lr", "0"], "lr must be positive"),
+    ("reg", ["--lr", "0"], "lr, batch and epochs must be positive"),
+    ("reg", ["--epochs", "0"], "lr, batch and epochs must be positive"),
+    ("ablate", ["--lr", "0"], "lr, batch and epochs must be positive"),
+    ("ablate", ["--epochs", "0"], "lr, batch and epochs must be positive"),
+], ids=["dqn-capacity", "dqn-steps", "dqn-lr", "reg-lr", "reg-epochs", "ablate-lr",
+        "ablate-epochs"])
+def test_bad_hyperparameter_fails_before_any_input(work, tmp_path, capsys, monkeypatch,
+                                                   subcommand, extra, msg):
+    assert msg in _refused_before_reading(work, tmp_path, capsys, monkeypatch,
+                                          subcommand, extra)
+
+
+@pytest.mark.parametrize("subcommand, extra, msg", [
+    ("build", ["--qps", "22,x"], "--qps: 'x' is not an integer"),
+    ("build", ["--sizes", "32,16.0"], "--sizes: '16.0' is not an integer"),
+    ("reg", ["--hidden", "64,x"], "--hidden: 'x' is not an integer"),
+    ("encode", ["--active-sizes", "32,x"], "--active-sizes: 'x' is not an integer"),
+    ("sweep", ["--thresholds", "1.0,x"], "--thresholds: 'x' is not a number"),
+], ids=["qps", "sizes", "hidden", "active-sizes", "thresholds"])
+def test_bad_comma_list_element_fails_before_any_input(work, tmp_path, capsys,
+                                                       monkeypatch, subcommand,
+                                                       extra, msg):
+    assert _refused_before_reading(work, tmp_path, capsys, monkeypatch,
+                                   subcommand, extra) == f"error: {msg}\n"
 
 
 def test_jobs_is_accepted_and_ignored(work, tmp_path, capsys):
@@ -314,7 +347,8 @@ def test_unconsulted_active_size_fails_before_any_search(work, tmp_path, capsys,
     argv = [work.get(a, a) for a in command]     # artifact names -> fixture paths
     rc = main(argv + ["--active-sizes", sizes, "--out", str(tmp_path / "out")])
     assert rc == 3
-    assert "never consulted" in capsys.readouterr().err
+    assert f"block sizes [{sizes}] refused; allowed sides are [64, 32, 16]" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [

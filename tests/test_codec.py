@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from qtpart import codec, features
+from qtpart import codec, dataset, features
 from qtpart.codec import (MODE_OVERHEAD_BITS, NS, QP_MAX, QT, SPLIT_BITS,
                           TRANSFORM_SIZES, CodecConfig, RdCost, SearchState,
-                          dct2d, encode_ns, exhaustive_search, lambda_of_qp,
+                          choose, dct2d, encode_ns, exhaustive_search, lambda_of_qp,
                           psnr_of_mse, qstep_of_qp, qt_cost_table, search,
                           split_sizes)
+from qtpart.decision import ThresholdPolicy, encode_frame
 from qtpart.features import build_vector, descriptor_key
 from qtpart.frame_io import LumaFrame, Rect, causal_patch, reference_dc, tile_ctus
+from qtpart.mlp import init_model
 
 from helpers import (bottom_up_qt_cost, chosen_leaves, dyadic_tables,
                      natural_frame, reference_causal_patch, reference_encode_ns,
@@ -115,6 +117,45 @@ def test_split_sizes():
     assert split_sizes(CodecConfig()) == (64, 32, 16)
     assert split_sizes(CodecConfig(ctu=32, max_depth=1)) == (32,)
     assert split_sizes(CodecConfig(max_depth=4)) == (64, 32, 16, 8)
+
+
+@pytest.mark.parametrize("ctu, max_depth", [(64, 1), (64, 2), (64, 3), (64, 4),
+                                            (32, 1), (32, 2), (32, 3)])
+def test_one_split_size_rule(monkeypatch, ctu, max_depth):
+    """Collection takes exactly the sides below the CTU that can split,
+    trajectories run exactly when 32 and 16 are among them, and the gate
+    takes exactly the sides that can split."""
+    def accepts(run) -> bool:
+        try:
+            run()
+        except ValueError as exc:
+            assert "refused; allowed sides are" in str(exc)
+            return False
+        return True
+
+    monkeypatch.setattr(dataset, "_walk_frame", lambda frame, cfg: ([], {}))
+    monkeypatch.setattr(codec, "search", lambda *args, **kwargs: None)
+    model = init_model(hidden=(), out=1, seed=0)
+    model.meta["layout_hash"] = features.LAYOUT_HASH
+    cfg = CodecConfig(ctu=ctu, max_depth=max_depth)
+    frame = LumaFrame(np.zeros((64, 64), np.uint8))
+    sides = range(4, 129)
+    proper = set(split_sizes(cfg)) - {ctu}
+    assert {s for s in sides
+            if accepts(lambda: dataset.collect_records([frame], (32,), cfg, (s,)))} \
+        == proper
+    assert accepts(lambda: dataset.collect_trajectories([frame], (32,), cfg)) \
+        == ({32, 16} <= proper)
+    gate = [ThresholdPolicy(model, 1.0, (s,)) for s in sides]
+    assert {p.active_sizes[0] for p in gate
+            if accepts(lambda: encode_frame(frame, cfg, p))} == set(split_sizes(cfg))
+
+
+def test_choose_gives_a_tie_to_no_split():
+    assert choose(1.0, 2.0) == NS
+    assert choose(1.0, 1.0) == NS
+    assert choose(1.0, None) == NS
+    assert choose(2.0, 1.0) == QT
 
 
 def test_at_qp_keeps_other_fields():

@@ -1,3 +1,4 @@
+import re
 import struct
 from collections import Counter
 
@@ -7,8 +8,7 @@ import pytest
 from qtpart import dataset
 from qtpart.cli import main
 from qtpart.codec import NS, QT, SPLIT_BITS, CodecConfig, lambda_of_qp
-from qtpart.dataset import (COLLECT_SIZES, CuRecord, DatasetError,
-                            Trajectory, balance, balance_trajectories,
+from qtpart.dataset import (CuRecord, DatasetError, Trajectory, balance, balance_trajectories,
                             collect_records,
                             collect_trajectories, load_records,
                             load_trajectories, normalize_targets,
@@ -225,20 +225,21 @@ def test_constant_frame_yields_all_no_split():
     assert recs and all(r.optimal == NS for r in recs)
 
 
-@pytest.mark.parametrize("sizes,msg", [
-    ((), "no block sizes"),
-    ((48,), "unsupported block size"),
-    ((8,), "max_depth > 3"),
+@pytest.mark.parametrize("sizes,refused", [
+    ((), []), ((48,), [48]), ((8,), [8]), ((8, 32, 48, 16), [48, 8]),
 ])
-def test_collect_rejects_bad_sizes(sizes, msg):
+def test_collect_rejects_bad_sizes(sizes, refused):
     frame = natural_frame(42, h=64, w=64)
-    with pytest.raises(DatasetError, match=msg):
+    with pytest.raises(ValueError, match=re.escape(
+            f"block sizes {refused} refused; allowed sides are [32, 16], "
+            "those below the 64x64 CTU that the search can split")):
         collect_records([frame], (32,), CodecConfig(), sizes=sizes)
 
 
 def test_collect_rejects_size_equal_to_ctu():
     frame = natural_frame(43, h=64, w=64)
-    with pytest.raises(DatasetError, match="proper sub-block"):
+    with pytest.raises(ValueError, match=re.escape(
+            "block sizes [32] refused; allowed sides are [16]")):
         collect_records([frame], (32,), CodecConfig(ctu=32, max_depth=2),
                         sizes=(32,))
 
@@ -259,9 +260,14 @@ def test_collect_trajectories_counts_and_invariant():
 
 def test_collect_trajectories_needs_child_split_costs():
     frame = natural_frame(45, h=64, w=64)
-    with pytest.raises(DatasetError, match="max_depth >= 3 with ctu 64"):
+    with pytest.raises(ValueError, match=re.escape(
+            "block sizes [32, 16] refused; allowed sides are []")):
         collect_trajectories([frame], (32,), CodecConfig(max_depth=1))
-    with pytest.raises(DatasetError, match="trajectories need"):
+    with pytest.raises(ValueError, match=re.escape(
+            "block sizes [16] refused; allowed sides are [32]")):
+        collect_trajectories([frame], (32,), CodecConfig(max_depth=2))
+    with pytest.raises(ValueError, match=re.escape(
+            "block sizes [32] refused; allowed sides are [16]")):
         collect_trajectories([frame], (32,),
                              CodecConfig(ctu=32, max_depth=2))
 
@@ -473,7 +479,3 @@ def test_load_rejects_label_that_contradicts_costs(tmp_path):
     p.write_bytes(good[:-1] + b"\x01")        # the NS record now claims QT
     with pytest.raises(DatasetError, match="label"):
         load_records(p)
-
-
-def test_collect_sizes_constant():
-    assert COLLECT_SIZES == (8, 16, 32)

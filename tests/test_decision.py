@@ -1,5 +1,7 @@
 """Threshold gate, pruned CTU search, and frame-level accounting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -251,7 +253,9 @@ def test_unconsulted_active_sizes_rejected_before_search(monkeypatch, ctu,
 
     monkeypatch.setattr(codec, "search", must_not_run)
     pol = ThresholdPolicy(ratio_model(1e6), threshold=1.0, active_sizes=sizes)
-    with pytest.raises(ValueError, match="never consulted"):
+    refused = sorted(set(sizes) - set(codec.split_sizes(CodecConfig(ctu, max_depth))),
+                     reverse=True)
+    with pytest.raises(ValueError, match=re.escape(f"block sizes {refused} refused")):
         encode_frame(natural_frame(8), CodecConfig(ctu=ctu, max_depth=max_depth),
                      policy=pol)
 

@@ -96,6 +96,12 @@ def test_hyper_rejects_nonpositive_steps():
         DqnHyper(steps=0)
 
 
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_hyper_rejects_nonpositive_capacity(capacity):
+    with pytest.raises(ValueError, match="capacity must be positive"):
+        DqnHyper(capacity=capacity)
+
+
 @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan")])
 def test_hyper_rejects_nonpositive_lr(lr):
     # NaN fails every comparison, so the check must be written "not lr > 0"
