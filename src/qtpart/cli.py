@@ -15,7 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from .codec import CodecConfig, psnr_of_mse
+from .codec import CodecConfig, check_split_sizes, psnr_of_mse
 from .dataset import (DatasetError, balance, balance_trajectories,
                       collect_records, collect_trajectories, load_records,
                       load_trajectories, save_records, save_trajectories)
@@ -85,14 +85,25 @@ def _codec_config(args) -> CodecConfig:
 
 
 def _check_args(args) -> None:
-    """Refuse a comma list with a bad element, a negative seed or a hidden
-    width <= 0 before any input is read."""
+    """Refuse a comma list with a bad element, a negative seed, a hidden
+    width <= 0, codec settings ``CodecConfig`` refuses and block sizes
+    the search cannot split (``check_split_sizes``) before any input is
+    read."""
     lists = {name: _list(args, name) for name in LISTS if hasattr(args, name)}
     if getattr(args, "seed", 0) < 0:
         raise DatasetError(f"seed {args.seed} is negative")
     for width in lists.get("hidden", []):
         if width <= 0:
             raise DatasetError(f"hidden width {width} must be positive")
+    if not hasattr(args, "ctu"):
+        return
+    cfg = _codec_config(args)
+    if "sizes" in lists:
+        check_split_sizes(lists["sizes"], cfg, proper=True)
+    if args.func is cmd_dataset_trajectories:
+        check_split_sizes((32, 16), cfg, proper=True)
+    if "active_sizes" in lists and getattr(args, "model", True):   # encode may gate nothing
+        check_split_sizes(lists["active_sizes"], cfg)
 
 
 def _add_frame_args(p, many: bool):

@@ -8,6 +8,11 @@ u8 kind, 16-byte descriptor layout hash, u32 count), then one array per
 field of the kind. ``_FIELDS`` is the one statement of those fields,
 their order and their dtypes.
 
+The searches of one frame at every qp share one texture memo
+(``features``): it holds the ``hog8`` and ``glcm5`` results of each
+distinct block and quadrant, 682 of them and about 270 kB per 64x64
+CTU, and is dropped when the frame is done.
+
 Loading refuses containers whose layout hash does not match the current
 descriptor build, any whose length does not match their count, any
 whose descriptor columns hold a value that is not finite, and any item
@@ -99,15 +104,16 @@ class Trajectory:
         return choose(self.ns_j_pp, self.qt_j_pp)
 
 
-def _walk_frame(frame: LumaFrame, cfg: CodecConfig):
+def _walk_frame(frame: LumaFrame, cfg: CodecConfig, memo: dict):
     """Search every full CTU of a frame at ``cfg``. Returns its nodes in
     preorder (the visit order) and each node's descriptor keyed by its
-    rect."""
+    rect. ``memo`` is the frame's texture memo (``features.build_vector``),
+    shared by its walks at every qp."""
     state = SearchState(frame)
     nodes, vecs = [], {}
 
     def visitor(visit):
-        vecs[visit.rect] = build_vector(descriptor_key(visit))
+        vecs[visit.rect] = build_vector(descriptor_key(visit), memo)
 
     for rect in tile_ctus(frame, cfg.ctu):
         nodes.extend(exhaustive_search(rect, cfg, state, visitor=visitor).preorder())
@@ -134,8 +140,9 @@ def _collect(frames: Sequence[LumaFrame], qps: Sequence[int], cfg: CodecConfig,
         tile_ctus(frame, cfg.ctu)
     items = []
     for frame in frames:
+        memo = {}                    # dropped when the frame is done
         for cfg_qp in configs:
-            items.extend(emit(*_walk_frame(frame, cfg_qp), cfg_qp))
+            items.extend(emit(*_walk_frame(frame, cfg_qp, memo), cfg_qp))
     order = np.random.default_rng(seed).permutation(len(items))
     return [items[i] for i in order]
 

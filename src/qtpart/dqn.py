@@ -36,11 +36,10 @@ EPS_START, EPS_END = 1.0, 0.05                   # exploration schedule ends
 
 
 class ReplayMemory:
-    """Bounded FIFO ring of replay codes, seeded uniform sampling."""
+    """Bounded FIFO ring of replay codes, seeded uniform sampling. Its
+    positive capacity comes from ``DqnHyper``, which checks it."""
 
     def __init__(self, capacity: int, seed=0):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
         self.capacity = capacity
         self._codes: list[int] = []
         self._next = 0

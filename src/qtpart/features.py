@@ -24,6 +24,16 @@ the block, the texture slots from one ``causal_patch`` window of the
 block. Equal keys therefore give byte-identical descriptors; the gate's
 memo is keyed by them (``decision``).
 
+Collection shares texture one level lower. ``hog8`` and ``glcm5`` take
+an optional memo of their results keyed by kernel, region shape and
+region bytes, and ``build_vector`` passes its memo for the block and its
+quadrants only. The search codes a block before it commits anything
+inside it, so those five regions are source pixels at every qp, and
+each quadrant is also a child block: a 64x64 CTU searched at four qps
+makes 1,700 such calls per kernel on 341 distinct regions. ``dataset``
+keeps one memo per frame; it holds those 682 results, about 270 kB per
+CTU. The gate passes none.
+
 Every slot belongs to one of five ablation groups, read off its name:
 NI, PI and BI from the ``ni_``/``pi_``/``bi_`` prefix, HOG or GLCM for
 the ``si_`` texture slots. An ablation mask is a list of group names in
@@ -53,6 +63,7 @@ GLCM_STAT_NAMES = ("entropy", "energy", "homogeneity", "correlation", "dissimila
 REGION_NAMES = ("cu", "q0", "q1", "q2", "q3", "top", "left", "lshape")
 
 _SI_BASE = 11
+_SOURCE_REGIONS = 5              # the block and its quadrants, first in REGION_NAMES
 _REGION_WIDTH = HOG_BINS + len(GLCM_STAT_NAMES)
 
 
@@ -81,6 +92,21 @@ def _check_region(region) -> None:
         raise ValueError("region must be a uint8 array")
     if region.ndim != 2 or region.shape[0] < 2 or region.shape[1] < 2:
         raise ValueError("region must be at least 2x2")
+
+
+def _memo_lookup(kernel, region, memo: dict | None) -> np.ndarray:
+    """``kernel(region)`` of a checked region. A ``memo`` is keyed by the
+    kernel, the region's shape and its bytes, so a hit is the result of
+    equal input whatever block it was cut from; it returns a copy, and
+    the caller cannot change what the memo holds."""
+    _check_region(region)
+    if memo is None:
+        return kernel(region)
+    key = (kernel, region.shape, region.tobytes())
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = kernel(region)
+    return out.copy()
 
 
 def _orientation_bins() -> np.ndarray:
@@ -120,8 +146,9 @@ def _gradient_taps(h: int, w: int) -> np.ndarray:
     return taps
 
 
-def hog8(region: np.ndarray) -> np.ndarray:
-    """8-bin unsigned orientation histogram of a 2-D uint8 region.
+def hog8(region: np.ndarray, memo: dict | None = None) -> np.ndarray:
+    """8-bin unsigned orientation histogram of a 2-D uint8 region; with a
+    ``memo``, looked up there first (``_memo_lookup``).
 
     Gradients use the central-difference kernel [-1, 0, 1] with replicated
     borders; orientations fold into [0, 180) and each pixel votes its
@@ -140,7 +167,10 @@ def hog8(region: np.ndarray) -> np.ndarray:
       magnitude is negligible only when every gradient is 0; such
       regions return zeros before ``hypot``.
     """
-    _check_region(region)
+    return _memo_lookup(_hog8, region, memo)
+
+
+def _hog8(region: np.ndarray) -> np.ndarray:
     taps = region.astype(np.int32).take(_gradient_taps(*region.shape))
     g = taps[0] - taps[1]
     if not np.count_nonzero(g):
@@ -161,10 +191,11 @@ _PAIR_CELL = _LEVEL_OF[:, None] * np.uint8(GLCM_LEVELS) + _LEVEL_OF
 _SINGLE_LEVEL_GLCM = (-0.0, 1.0, 1.0, 0.0, 0.0)
 
 
-def glcm5(region: np.ndarray) -> np.ndarray:
+def glcm5(region: np.ndarray, memo: dict | None = None) -> np.ndarray:
     """Five statistics of the 8-level symmetric horizontal co-occurrence
     matrix of a 2-D uint8 region: (entropy, energy, homogeneity,
-    correlation, dissimilarity).
+    correlation, dissimilarity); with a ``memo``, looked up there first
+    (``_memo_lookup``).
 
     Pixel values quantize to 8 gray levels; each horizontally adjacent
     pair is counted in both directions. Entropy is scaled by 1/6 (its
@@ -184,7 +215,10 @@ def glcm5(region: np.ndarray) -> np.ndarray:
       adds each row in the same pairwise order as summing the 8 x 8
       matrix alone.
     """
-    _check_region(region)
+    return _memo_lookup(_glcm5, region, memo)
+
+
+def _glcm5(region: np.ndarray) -> np.ndarray:
     cells = _PAIR_CELL[region[:, :-1], region[:, 1:]]
     n = cells.size
     c = np.bincount(cells.ravel(), minlength=GLCM_LEVELS * GLCM_LEVELS)
@@ -259,8 +293,10 @@ def _regions(key: DescriptorKey) -> list[np.ndarray]:
             top, left, np.concatenate([win[:b], left.T], axis=1)]
 
 
-def build_vector(key: DescriptorKey) -> np.ndarray:
-    """Assemble the 115-entry descriptor of a block from its key."""
+def build_vector(key: DescriptorKey, memo: dict | None = None) -> np.ndarray:
+    """Assemble the 115-entry descriptor of a block from its key. A
+    ``memo`` serves the texture of the block and its quadrants only: the
+    reference strips are reconstructions, new at every qp."""
     rect = key.rect
     v = np.zeros(FEATURE_COUNT, dtype=np.float64)
     for k, leaf in enumerate((key.top_leaf, key.left_leaf)):
@@ -276,8 +312,9 @@ def build_vector(key: DescriptorKey) -> np.ndarray:
     v[10] = key.ns_cost.j / rect.area
     for r, region in enumerate(_regions(key)):
         base = _SI_BASE + r * _REGION_WIDTH
-        v[base:base + HOG_BINS] = hog8(region)
-        ent, ene, hom, corr, dis = glcm5(region).tolist()
+        region_memo = memo if r < _SOURCE_REGIONS else None
+        v[base:base + HOG_BINS] = hog8(region, region_memo)
+        ent, ene, hom, corr, dis = glcm5(region, region_memo).tolist()
         v[base + HOG_BINS:base + _REGION_WIDTH] = (
             ent, ene, hom, (corr + 1.0) / 2.0, dis / (GLCM_LEVELS - 1.0))
     return v.astype(np.float32)

@@ -190,6 +190,36 @@ def test_bad_comma_list_element_fails_before_any_input(work, tmp_path, capsys,
                                    subcommand, extra) == f"error: {msg}\n"
 
 
+@pytest.mark.parametrize("subcommand, extra, msg", [
+    ("encode", ["--ctu", "48"], "ctu must be one of (32, 64)"),
+    ("build", ["--max-depth", "0"], "max_depth must be in [1, 4]"),
+    ("encode", ["--qp", "99"], "qp 99 outside [0, 51]"),
+    ("build", ["--sizes", "8"], "block sizes [8] refused; allowed sides are [32, 16]"),
+    ("build", ["--sizes", "64,32"], "block sizes [64] refused; allowed sides are [32, 16]"),
+    ("trajectories", ["--ctu", "32"], "block sizes [32] refused; allowed sides are [16, 8]"),
+    ("trajectories", ["--max-depth", "2"],
+     "block sizes [16] refused; allowed sides are [32]"),
+    ("encode", ["--active-sizes", "8"],
+     "block sizes [8] refused; allowed sides are [64, 32, 16]"),
+    ("sweep", ["--active-sizes", "32,8"],
+     "block sizes [8] refused; allowed sides are [64, 32, 16]"),
+    ("ablate", ["--max-depth", "1"], "block sizes [32] refused; allowed sides are [64]"),
+], ids=["ctu", "max-depth", "qp", "sizes", "sizes-ctu", "trajectories-ctu",
+        "trajectories-depth", "encode-active-sizes", "sweep-active-sizes",
+        "ablate-active-sizes"])
+def test_bad_codec_setting_or_block_size_fails_before_any_input(
+        work, tmp_path, capsys, monkeypatch, subcommand, extra, msg):
+    assert msg in _refused_before_reading(work, tmp_path, capsys, monkeypatch,
+                                          subcommand, extra)
+
+
+def test_encode_without_model_takes_active_sizes_it_never_gates(work, tmp_path):
+    # depth 1 splits only 64x64 blocks; the default active size 32 is no
+    # split size, but an exhaustive encode consults no gate
+    assert main(["encode", "--frame", work["a64"], "--max-depth", "1",
+                 "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_jobs_is_accepted_and_ignored(work, tmp_path, capsys):
     """--jobs stays accepted for compatibility and changes no artifact."""
     frames = [work["a64"], work["b64"]]

@@ -133,7 +133,7 @@ def test_one_split_size_rule(monkeypatch, ctu, max_depth):
             return False
         return True
 
-    monkeypatch.setattr(dataset, "_walk_frame", lambda frame, cfg: ([], {}))
+    monkeypatch.setattr(dataset, "_walk_frame", lambda frame, cfg, memo: ([], {}))
     monkeypatch.setattr(codec, "search", lambda *args, **kwargs: None)
     model = init_model(hidden=(), out=1, seed=0)
     model.meta["layout_hash"] = features.LAYOUT_HASH

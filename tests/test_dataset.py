@@ -5,7 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qtpart import dataset
+from qtpart import dataset, features
 from qtpart.cli import main
 from qtpart.codec import NS, QT, SPLIT_BITS, CodecConfig, lambda_of_qp
 from qtpart.dataset import (CuRecord, DatasetError, Trajectory, balance, balance_trajectories,
@@ -185,9 +185,55 @@ def test_collect_counts_per_size():
 def test_collect_walk_builds_one_patch_per_visit(monkeypatch):
     calls = count_patch_calls(monkeypatch)
     nodes, vecs = dataset._walk_frame(natural_frame(40, h=64, w=128),
-                                      CodecConfig(qp=27))
+                                      CodecConfig(qp=27), {})
     assert len(nodes) == len(vecs) == 2 * 85
     assert calls == [node.rect for node in nodes] == list(vecs)
+
+
+def test_collect_walks_compute_each_source_region_once(monkeypatch):
+    # the block and its quadrants are source pixels at every qp, and each
+    # quadrant is also a child block: four walks sharing the frame's memo
+    # compute each distinct one once, the reference strips every time
+    frame = natural_frame(40, h=64, w=128)
+    source = set()
+    for side in (64, 32, 16, 8):
+        for y in range(0, 64, side):
+            for x in range(0, 128, side):
+                block = frame.pixels[y:y + side, x:x + side]
+                h = side // 2
+                for region in (block, block[:h, :h], block[:h, h:], block[h:, :h],
+                               block[h:, h:]):
+                    source.add((region.shape, region.tobytes()))
+    assert len(source) == 2 * (85 + 64 * 4)     # no two regions alike
+    calls, computed = Counter(), Counter()
+
+    def counting(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        return run
+
+    def computing(name, fn):
+        def run(region):
+            computed[name, region.shape, region.tobytes()] += 1
+            return fn(region)
+        return run
+
+    monkeypatch.setattr(dataset, "build_vector",
+                        counting("build_vector", dataset.build_vector))
+    for name in ("hog8", "glcm5"):
+        monkeypatch.setattr(features, name, counting(name, getattr(features, name)))
+        monkeypatch.setattr(features, f"_{name}",
+                            computing(name, getattr(features, f"_{name}")))
+    memo = {}
+    for qp in QPS4:
+        dataset._walk_frame(frame, CodecConfig(qp=qp), memo)
+    visits = 4 * 2 * 85
+    assert calls == {"build_vector": visits, "hog8": 8 * visits, "glcm5": 8 * visits}
+    for name in ("hog8", "glcm5"):
+        mine = {k[1:]: n for k, n in computed.items() if k[0] == name}
+        assert {k: n for k, n in mine.items() if k in source} == dict.fromkeys(source, 1)
+        assert sum(mine.values()) == len(source) + 3 * visits
 
 
 def test_collect_from_frame_with_remainders_matches_its_full_ctu_crop(tmp_path):

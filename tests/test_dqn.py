@@ -46,11 +46,6 @@ def value_model(child_values, gap=0.5):
 
 # --------------------------------------------------------------------- replay
 
-def test_replay_capacity_positive():
-    with pytest.raises(ValueError, match="capacity must be positive"):
-        ReplayMemory(0)
-
-
 def test_replay_fifo_overwrites_oldest():
     mem = ReplayMemory(3, seed=0)
     for code in range(5):

@@ -209,8 +209,48 @@ def test_glcm_single_level_matches_full_path():
     np.zeros((4, 4), np.int8), np.zeros((4, 4), np.uint16),
     np.zeros((4, 4), bool), [[0, 1], [2, 3]]])
 def test_kernels_refuse_non_uint8_regions(kernel, region):
-    with pytest.raises(ValueError, match="uint8"):
-        kernel(region)
+    memo = {}
+    for given in (None, memo):                   # a memo changes no check
+        with pytest.raises(ValueError, match="uint8"):
+            kernel(region, given)
+    assert memo == {}
+
+
+def _natural_keys(qps=(22, 37)):
+    """Descriptor keys of every visit of a natural two-CTU frame at each qp."""
+    frame, keys = natural_frame(23, h=64, w=128), []
+    for qp in qps:
+        cfg, state = CodecConfig(qp=qp), SearchState(frame)
+        for rect in tile_ctus(frame, cfg.ctu):
+            exhaustive_search(rect, cfg, state,
+                              visitor=lambda v: keys.append(descriptor_key(v)))
+    return keys
+
+
+def test_memo_gives_the_bytes_of_a_fresh_computation():
+    keys, memo = _natural_keys(), {}
+    for key in keys:
+        for region in features._regions(key):
+            for kernel in (hog8, glcm5):
+                assert kernel(region, memo).tobytes() == kernel(region).tobytes()
+    assert 0 < len(memo) < 2 * 8 * len(keys)     # hits served some calls
+    vec_memo = {}
+    for key in keys:
+        assert build_vector(key, vec_memo).tobytes() == build_vector(key).tobytes()
+
+
+@pytest.mark.parametrize("kernel", [hog8, glcm5])
+def test_memo_hit_is_a_copy(kernel):
+    region = natural_frame(4, h=16, w=16).pixels
+    memo = {}
+    first = kernel(region, memo)
+    want = first.tobytes()
+    first[:] = 7.0
+    second = kernel(region, memo)
+    assert second.tobytes() == want
+    second[:] = 9.0
+    assert kernel(region, memo).tobytes() == want
+    assert len(memo) == 1
 
 
 # -- masks --------------------------------------------------------------------
