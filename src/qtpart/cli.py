@@ -18,12 +18,12 @@ from pathlib import Path
 from .codec import CodecConfig, check_split_sizes, psnr_of_mse
 from .dataset import (DatasetError, balance, balance_trajectories,
                       collect_records, collect_trajectories, load_records,
-                      load_trajectories, save_records, save_trajectories)
+                      load_trajectories, qp_configs, save_records, save_trajectories)
 from .decision import ThresholdPolicy, encode_frame
 from .dqn import DqnHyper, train_dqn
 from .features import LAYOUT_HASH, describe_layout
 from .frame_io import load_frame
-from .metrics import (ABLATION_CONFIGS, EVAL_QPS, RdCurve, bd_rate,
+from .metrics import (ABLATION_CONFIGS, EVAL_QPS, RdCurve, bd_rate, check_thresholds,
                       require_eval_qps, run_ablation, sweep)
 from .mlp import (DEFAULT_HIDDEN, VARIANT_SIZES, ModelError, TrainHyper,
                   load_model, save_model, train_regression)
@@ -86,18 +86,25 @@ def _codec_config(args) -> CodecConfig:
 
 def _check_args(args) -> None:
     """Refuse a comma list with a bad element, a negative seed, a hidden
-    width <= 0, codec settings ``CodecConfig`` refuses and block sizes
-    the search cannot split (``check_split_sizes``) before any input is
-    read."""
+    width <= 0, a threshold grid ``check_thresholds`` refuses, codec
+    settings ``CodecConfig`` refuses, qps the command cannot run and
+    block sizes the search cannot split (``check_split_sizes``) before
+    any input is read."""
     lists = {name: _list(args, name) for name in LISTS if hasattr(args, name)}
     if getattr(args, "seed", 0) < 0:
         raise DatasetError(f"seed {args.seed} is negative")
     for width in lists.get("hidden", []):
         if width <= 0:
             raise DatasetError(f"hidden width {width} must be positive")
+    if "thresholds" in lists:
+        check_thresholds(lists["thresholds"])
     if not hasattr(args, "ctu"):
         return
     cfg = _codec_config(args)
+    if args.func is cmd_sweep:
+        require_eval_qps(lists["qps"])
+    elif "qps" in lists:
+        qp_configs(lists["qps"], cfg)
     if "sizes" in lists:
         check_split_sizes(lists["sizes"], cfg, proper=True)
     if args.func is cmd_dataset_trajectories:
@@ -221,7 +228,6 @@ def cmd_encode(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    require_eval_qps(_list(args, "qps"))
     frames = _load_frames(args.frames, args.format, args.width, args.height)
     cfg = _codec_config(args)
     model = load_model(args.model)

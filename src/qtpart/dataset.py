@@ -8,10 +8,13 @@ u8 kind, 16-byte descriptor layout hash, u32 count), then one array per
 field of the kind. ``_FIELDS`` is the one statement of those fields,
 their order and their dtypes.
 
-The searches of one frame at every qp share one texture memo
-(``features``): it holds the ``hog8`` and ``glcm5`` results of each
-distinct block and quadrant, 682 of them and about 270 kB per 64x64
-CTU, and is dropped when the frame is done.
+A CTU's search records the descriptor key of each block it visits; the
+descriptors are built after it, from one texture memo of that search
+filled in stacked passes (``features.texture_memo``). The results of
+the blocks and their quadrants, source pixels at every qp, stay in a
+memo of the frame, about 150 kB per 64x64 CTU, shared by its searches
+at every qp and dropped when the frame is done; the strip results are
+dropped after each search.
 
 Loading refuses containers whose layout hash does not match the current
 descriptor build, any whose length does not match their count, any
@@ -32,7 +35,8 @@ import numpy as np
 
 from .codec import (NS, QT, CodecConfig, SearchState, check_split_sizes, choose,
                     exhaustive_search)
-from .features import FEATURE_COUNT, LAYOUT_HASH, build_vector, descriptor_key
+from .features import (FEATURE_COUNT, LAYOUT_HASH, build_vector, descriptor_key,
+                       texture_memo)
 from .frame_io import LumaFrame, tile_ctus
 
 MAGIC = b"QTDS"
@@ -107,17 +111,32 @@ class Trajectory:
 def _walk_frame(frame: LumaFrame, cfg: CodecConfig, memo: dict):
     """Search every full CTU of a frame at ``cfg``. Returns its nodes in
     preorder (the visit order) and each node's descriptor keyed by its
-    rect. ``memo`` is the frame's texture memo (``features.build_vector``),
-    shared by its walks at every qp."""
+    rect. A CTU's search records each visit's key; its descriptors are
+    built once it is done, from a texture memo of that search
+    (``features.texture_memo``), so keys and strip results are held for
+    one CTU at a time. ``memo`` is the frame's, which keeps the block and
+    quadrant results for its walks at every qp."""
     state = SearchState(frame)
     nodes, vecs = [], {}
-
-    def visitor(visit):
-        vecs[visit.rect] = build_vector(descriptor_key(visit), memo)
-
     for rect in tile_ctus(frame, cfg.ctu):
-        nodes.extend(exhaustive_search(rect, cfg, state, visitor=visitor).preorder())
+        keys = []
+        tree = exhaustive_search(rect, cfg, state,
+                                 visitor=lambda visit: keys.append(descriptor_key(visit)))
+        nodes.extend(tree.preorder())
+        ctu_memo = texture_memo(keys, memo)
+        vecs.update((key.rect, build_vector(key, ctu_memo)) for key in keys)
     return nodes, vecs
+
+
+def qp_configs(qps: Sequence[int], cfg: CodecConfig) -> list[CodecConfig]:
+    """``cfg`` at each of ``qps``; refuses an empty list, a qp out of range
+    and a repeated qp, which would duplicate every item."""
+    configs = [cfg.at_qp(qp) for qp in qps]          # refuses a qp out of range
+    if not configs:
+        raise DatasetError("empty qp list")
+    if len({c.qp for c in configs}) < len(configs):
+        raise DatasetError(f"repeated qp in {[c.qp for c in configs]}")
+    return configs
 
 
 def _collect(frames: Sequence[LumaFrame], qps: Sequence[int], cfg: CodecConfig,
@@ -129,11 +148,7 @@ def _collect(frames: Sequence[LumaFrame], qps: Sequence[int], cfg: CodecConfig,
     search."""
     if not frames:
         raise DatasetError("empty frame list")
-    configs = [cfg.at_qp(qp) for qp in qps]          # refuses a qp out of range
-    if not configs:
-        raise DatasetError("empty qp list")
-    if len({c.qp for c in configs}) < len(configs):
-        raise DatasetError(f"repeated qp in {[c.qp for c in configs]}")
+    configs = qp_configs(qps, cfg)
     if seed < 0:
         raise DatasetError(f"seed {seed} is negative")
     for frame in frames:

@@ -24,15 +24,21 @@ the block, the texture slots from one ``causal_patch`` window of the
 block. Equal keys therefore give byte-identical descriptors; the gate's
 memo is keyed by them (``decision``).
 
-Collection shares texture one level lower. ``hog8`` and ``glcm5`` take
-an optional memo of their results keyed by kernel, region shape and
-region bytes, and ``build_vector`` passes its memo for the block and its
-quadrants only. The search codes a block before it commits anything
-inside it, so those five regions are source pixels at every qp, and
-each quadrant is also a child block: a 64x64 CTU searched at four qps
-makes 1,700 such calls per kernel on 341 distinct regions. ``dataset``
-keeps one memo per frame; it holds those 682 results, about 270 kB per
-CTU. The gate passes none.
+Collection builds its descriptors after each CTU's search
+(``texture_memo``). The search only records each visit's key; then
+stacked passes compute ``hog8`` and ``glcm5`` of every new region of
+the search, one numpy stack per region shape (``_hog8_stack``,
+``_glcm5_stack``, byte for byte the single-region kernels), into a memo
+with one entry per region shape and bytes. ``build_vector(key, memo)``
+then assembles each descriptor, and each of its kernel calls is a hit.
+The search codes a block before it commits anything inside it, so the
+block and its quadrants are source pixels at every qp, and each
+quadrant is also a child block: a 64x64 CTU searched at four qps has
+341 distinct ones. ``dataset`` keeps their entries for the whole frame,
+about 150 kB per CTU; the strips are reconstructions that change with
+qp, and their entries are dropped after each search. The gate passes
+no memo and runs the single-region kernels, which are faster for one
+region.
 
 Every slot belongs to one of five ablation groups, read off its name:
 NI, PI and BI from the ``ni_``/``pi_``/``bi_`` prefix, HOG or GLCM for
@@ -46,6 +52,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +72,9 @@ REGION_NAMES = ("cu", "q0", "q1", "q2", "q3", "top", "left", "lshape")
 
 _SI_BASE = 11
 _SOURCE_REGIONS = 5              # the block and its quadrants, first in REGION_NAMES
+_PASS_PIXELS, _PASS_REGIONS = 4096, 64    # most one stacked texture pass takes
 _REGION_WIDTH = HOG_BINS + len(GLCM_STAT_NAMES)
+_HOG_PART, _GLCM_PART = slice(0, HOG_BINS), slice(HOG_BINS, _REGION_WIDTH)   # of a memo entry
 
 
 def _build_names() -> tuple[str, ...]:
@@ -94,19 +104,21 @@ def _check_region(region) -> None:
         raise ValueError("region must be at least 2x2")
 
 
-def _memo_lookup(kernel, region, memo: dict | None) -> np.ndarray:
-    """``kernel(region)`` of a checked region. A ``memo`` is keyed by the
-    kernel, the region's shape and its bytes, so a hit is the result of
-    equal input whatever block it was cut from; it returns a copy, and
-    the caller cannot change what the memo holds."""
+def _memo_lookup(part: slice, region, memo: dict | None) -> np.ndarray:
+    """``part`` of the 13 texture entries of a checked region: the 8
+    ``hog8`` bins, then the 5 ``glcm5`` statistics. A ``memo`` holds one
+    entry per region shape and bytes with all 13, so a hit is the result
+    of equal input whatever block it was cut from; a miss computes both
+    kernels. A hit returns a copy, and the caller cannot change what the
+    memo holds."""
     _check_region(region)
     if memo is None:
-        return kernel(region)
-    key = (kernel, region.shape, region.tobytes())
-    out = memo.get(key)
-    if out is None:
-        out = memo[key] = kernel(region)
-    return out.copy()
+        return _hog8(region) if part is _HOG_PART else _glcm5(region)
+    key = (region.shape, region.tobytes())
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = np.concatenate((_hog8(region), _glcm5(region)))
+    return entry[part].copy()
 
 
 def _orientation_bins() -> np.ndarray:
@@ -167,7 +179,7 @@ def hog8(region: np.ndarray, memo: dict | None = None) -> np.ndarray:
       magnitude is negligible only when every gradient is 0; such
       regions return zeros before ``hypot``.
     """
-    return _memo_lookup(_hog8, region, memo)
+    return _memo_lookup(_HOG_PART, region, memo)
 
 
 def _hog8(region: np.ndarray) -> np.ndarray:
@@ -181,12 +193,35 @@ def _hog8(region: np.ndarray) -> np.ndarray:
     return hist / np.add.reduce(hist)
 
 
+def _hog8_stack(stacks) -> np.ndarray:
+    """``_hog8`` of every region of a list of (k, h, w) uint8 stacks, in
+    order, shape (regions, 8), byte for byte. Gradients are taken per
+    stack; then region i votes into bins 8i..8i+7 of one bincount, so each
+    bin adds its region's magnitudes in the order ``_hog8`` adds them. A
+    region whose gradients are all 0 keeps its zero histogram."""
+    bins, mags, base = [], [], 0
+    for stack in stacks:
+        k, h, w = stack.shape
+        taps = stack.reshape(k, h * w).astype(np.int32).take(_gradient_taps(h, w), axis=1)
+        g = taps[:, 0] - taps[:, 1]
+        gx, gy = g[:, 0], g[:, 1]
+        bins.append((_BIN_OF_GRADIENT.take(gy * 511 + gx + _GRADIENT_CODE_OFFSET)
+                     + np.arange(base, base + HOG_BINS * k, HOG_BINS)[:, None]).ravel())
+        mags.append(np.hypot(gx, gy).ravel())
+        base += HOG_BINS * k
+    hist = np.bincount(np.concatenate(bins), weights=np.concatenate(mags),
+                       minlength=base).reshape(-1, HOG_BINS)
+    total = np.add.reduce(hist, axis=1)
+    return hist / np.where(total > 0.0, total, 1.0)[:, None]
+
+
 _LEVELS = np.arange(GLCM_LEVELS, dtype=np.float64)
 _LEVEL_DIST = np.abs(_LEVELS[:, None] - _LEVELS[None, :])
 _HOMOG_DEN = 1.0 + _LEVEL_DIST
 # co-occurrence cell of every sample pair: level(left) * 8 + level(right)
 _LEVEL_OF = (np.arange(256) >> 5).astype(np.uint8)
 _PAIR_CELL = _LEVEL_OF[:, None] * np.uint8(GLCM_LEVELS) + _LEVEL_OF
+_CELLS = GLCM_LEVELS * GLCM_LEVELS
 # what the full path yields when every pair falls in one diagonal cell
 _SINGLE_LEVEL_GLCM = (-0.0, 1.0, 1.0, 0.0, 0.0)
 
@@ -215,13 +250,13 @@ def glcm5(region: np.ndarray, memo: dict | None = None) -> np.ndarray:
       adds each row in the same pairwise order as summing the 8 x 8
       matrix alone.
     """
-    return _memo_lookup(_glcm5, region, memo)
+    return _memo_lookup(_GLCM_PART, region, memo)
 
 
 def _glcm5(region: np.ndarray) -> np.ndarray:
     cells = _PAIR_CELL[region[:, :-1], region[:, 1:]]
     n = cells.size
-    c = np.bincount(cells.ravel(), minlength=GLCM_LEVELS * GLCM_LEVELS)
+    c = np.bincount(cells.ravel(), minlength=_CELLS)
     k = int(c.argmax())
     if c[k] == n and k % (GLCM_LEVELS + 1) == 0:
         return np.array(_SINGLE_LEVEL_GLCM)
@@ -244,6 +279,62 @@ def _glcm5(region: np.ndarray) -> np.ndarray:
     energy, homog, dissim, cov = np.add.reduce(rows.reshape(4, -1), axis=1).tolist()
     corr = 0.0 if var <= 0.0 else min(1.0, max(-1.0, cov / var))
     return np.array([entropy, energy, homog, corr, dissim])
+
+
+def _glcm5_stack(stacks) -> np.ndarray:
+    """``_glcm5`` of every region of a list of (k, h, w) uint8 stacks, in
+    order, shape (regions, 5), byte for byte. Pairs are cut per stack;
+    then region i counts its pairs into cells 64i..64i+63 of one bincount,
+    and every other sum runs along a last axis of 8 or 64 entries, in the
+    order ``_glcm5`` sums them. Entropy sums each region's nonzero terms,
+    whose number varies; padding would change how numpy groups that sum,
+    so the regions with m terms are reduced as one (j, m) array."""
+    cells, pairs, base = [], [], 0
+    for stack in stacks:
+        k, h, w = stack.shape
+        cells.append((_PAIR_CELL[stack[:, :, :-1], stack[:, :, 1:]].reshape(k, -1)
+                      + np.arange(base, base + _CELLS * k, _CELLS)[:, None]).ravel())
+        pairs.append(np.full(k, h * (w - 1)))
+        base += _CELLS * k
+    n = np.concatenate(pairs)
+    k = n.size
+    c = np.bincount(np.concatenate(cells), minlength=base).reshape(k, GLCM_LEVELS, GLCM_LEVELS)
+    p = (c + c.transpose(0, 2, 1)) / (2.0 * n)[:, None, None]
+    out = np.empty((k, len(GLCM_STAT_NAMES)))
+
+    counts = np.count_nonzero(p.reshape(k, _CELLS), axis=1)
+    order = np.argsort(counts, kind="stable")
+    nzp = p[order]
+    nzp = nzp[nzp > 0.0]                        # grouped by their count of terms
+    terms = nzp * np.log2(nzp)
+    first = term = 0                            # of the next group, in order and terms
+    for m, j in enumerate(np.bincount(counts, minlength=_CELLS + 1).tolist()):
+        if j:
+            out[order[first:first + j], 0] = np.add.reduce(
+                terms[term:term + j * m].reshape(j, m), axis=1)
+            first, term = first + j, term + j * m
+    np.minimum(np.negative(out[:, 0]), 6.0, out=out[:, 0])
+    out[:, 0] /= 6.0
+
+    marg = np.add.reduce(p, axis=2)
+    mu = np.add.reduce(_LEVELS * marg, axis=1)
+    d = _LEVELS - mu[:, None]
+    var = np.add.reduce(d * d * marg, axis=1)
+    row = np.empty((k, GLCM_LEVELS, GLCM_LEVELS))
+
+    def total(ufunc, a, b):                 # per region, the sum of ufunc(a, b)
+        ufunc(a, b, out=row)
+        return np.add.reduce(row.reshape(k, _CELLS), axis=1)
+
+    out[:, 1] = total(np.multiply, p, p)                     # energy
+    out[:, 2] = total(np.divide, p, _HOMOG_DEN)              # homogeneity
+    out[:, 4] = total(np.multiply, p, _LEVEL_DIST)           # dissimilarity
+    cov = total(np.multiply, p * d[:, :, None], d[:, None, :])
+    corr = np.divide(cov, var, out=np.zeros(k), where=var > 0.0)
+    out[:, 3] = np.minimum(1.0, np.maximum(-1.0, corr))
+    out[(c.reshape(k, _CELLS)[:, ::GLCM_LEVELS + 1] == n[:, None]).any(axis=1)] = \
+        _SINGLE_LEVEL_GLCM
+    return out
 
 
 def mask_groups(names) -> list[str]:
@@ -294,9 +385,9 @@ def _regions(key: DescriptorKey) -> list[np.ndarray]:
 
 
 def build_vector(key: DescriptorKey, memo: dict | None = None) -> np.ndarray:
-    """Assemble the 115-entry descriptor of a block from its key. A
-    ``memo`` serves the texture of the block and its quadrants only: the
-    reference strips are reconstructions, new at every qp."""
+    """Assemble the 115-entry descriptor of a block from its key; with a
+    ``memo``, its eight texture regions are looked up there first
+    (``texture_memo`` fills one with every region of a search)."""
     rect = key.rect
     v = np.zeros(FEATURE_COUNT, dtype=np.float64)
     for k, leaf in enumerate((key.top_leaf, key.left_leaf)):
@@ -312,12 +403,55 @@ def build_vector(key: DescriptorKey, memo: dict | None = None) -> np.ndarray:
     v[10] = key.ns_cost.j / rect.area
     for r, region in enumerate(_regions(key)):
         base = _SI_BASE + r * _REGION_WIDTH
-        region_memo = memo if r < _SOURCE_REGIONS else None
-        v[base:base + HOG_BINS] = hog8(region, region_memo)
-        ent, ene, hom, corr, dis = glcm5(region, region_memo).tolist()
+        v[base:base + HOG_BINS] = hog8(region, memo)
+        ent, ene, hom, corr, dis = glcm5(region, memo).tolist()
         v[base + HOG_BINS:base + _REGION_WIDTH] = (
             ent, ene, hom, (corr + 1.0) / 2.0, dis / (GLCM_LEVELS - 1.0))
     return v.astype(np.float32)
+
+
+def texture_memo(keys, shared: dict) -> dict:
+    """A memo of every texture region of ``keys``, for ``build_vector``:
+    one entry per distinct region shape and bytes, as ``hog8`` and
+    ``glcm5`` fill it. What is new is computed in stacked passes of at
+    most ``_PASS_PIXELS`` pixels and ``_PASS_REGIONS`` regions each
+    (``_texture_pass``). Entries of the blocks and their quadrants are
+    taken from ``shared`` where it holds them and are added to it; strip
+    entries live in the returned memo only."""
+    memo, new, source = {}, {}, set()
+    for key in keys:
+        for r, region in enumerate(_regions(key)):
+            mkey = (region.shape, region.tobytes())
+            if r < _SOURCE_REGIONS:
+                source.add(mkey)
+            if mkey not in memo:
+                memo[mkey] = shared.get(mkey)
+                if memo[mkey] is None:
+                    new.setdefault(region.shape, []).append(mkey)
+    batch, pixels = [], 0
+    for shape, mkeys in new.items():
+        area = shape[0] * shape[1]
+        for mkey in mkeys:
+            if batch and (pixels + area > _PASS_PIXELS or len(batch) == _PASS_REGIONS):
+                _texture_pass(batch, memo)
+                batch, pixels = [], 0
+            batch.append(mkey)
+            pixels += area
+    if batch:
+        _texture_pass(batch, memo)
+    shared.update((mkey, memo[mkey]) for mkey in source)
+    return memo
+
+
+def _texture_pass(batch, memo: dict) -> None:
+    """Enter the memo entry of every region of ``batch``, a list of
+    (shape, region bytes) grouped by shape, from one ``_hog8_stack`` and
+    one ``_glcm5_stack`` over a stack per shape."""
+    stacks = [np.frombuffer(b"".join(blob for _, blob in group), dtype=np.uint8)
+              .reshape(-1, *shape) for shape, group in itertools.groupby(batch, itemgetter(0))]
+    entries = np.concatenate((_hog8_stack(stacks), _glcm5_stack(stacks)), axis=1)
+    for mkey, entry in zip(batch, entries):
+        memo[mkey] = entry.copy()                  # frees the pass's arrays
 
 
 def describe_layout() -> list[dict]:

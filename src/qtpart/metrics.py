@@ -158,13 +158,19 @@ def _check_grid(frames: Sequence[LumaFrame], thresholds: Sequence[float],
         raise ValueError("empty frame list")
     for frame in frames:
         tile_ctus(frame, cfg.ctu)
+    check_thresholds(thresholds)
+    check_split_sizes(active_sizes, cfg)
+
+
+def check_thresholds(thresholds: Sequence[float]) -> None:
+    """Refuse an empty threshold grid, a threshold that is not positive
+    (NaN included) and a repeated one."""
     if not thresholds:
         raise ValueError("empty threshold list")
     if not all(t > 0 for t in thresholds):
         raise ValueError("threshold must be positive")
     if len(set(thresholds)) < len(thresholds):
         raise ValueError(f"repeated threshold in {list(thresholds)}")
-    check_split_sizes(active_sizes, cfg)
 
 
 def _sweep_models(frames: Sequence[LumaFrame], cfg: CodecConfig,

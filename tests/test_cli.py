@@ -213,6 +213,21 @@ def test_bad_codec_setting_or_block_size_fails_before_any_input(
                                           subcommand, extra)
 
 
+@pytest.mark.parametrize("subcommand, extra, msg", [
+    ("build", ["--qps", "22,99"], "qp 99 outside [0, 51]"),
+    ("trajectories", ["--qps", "22,27,22"], "repeated qp in [22, 27, 22]"),
+    ("sweep", ["--thresholds", "1,nan"], "threshold must be positive"),
+    ("sweep", ["--qps", "22,27"], "curve needs exactly the qps (22, 27, 32, 37)"),
+    ("ablate", ["--thresholds", "1,1.0"], "repeated threshold in [1.0, 1.0]"),
+], ids=["build-qps", "trajectories-qps", "sweep-thresholds", "sweep-qps",
+        "ablate-thresholds"])
+def test_bad_qps_or_threshold_grid_fails_before_any_input(work, tmp_path, capsys,
+                                                         monkeypatch, subcommand,
+                                                         extra, msg):
+    assert _refused_before_reading(work, tmp_path, capsys, monkeypatch,
+                                   subcommand, extra) == f"error: {msg}\n"
+
+
 def test_encode_without_model_takes_active_sizes_it_never_gates(work, tmp_path):
     # depth 1 splits only 64x64 blocks; the default active size 32 is no
     # split size, but an exhaustive encode consults no gate

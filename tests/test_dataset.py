@@ -7,14 +7,15 @@ import pytest
 
 from qtpart import dataset, features
 from qtpart.cli import main
-from qtpart.codec import NS, QT, SPLIT_BITS, CodecConfig, lambda_of_qp
+from qtpart.codec import (NS, QT, SPLIT_BITS, CodecConfig, SearchState, exhaustive_search,
+                          lambda_of_qp)
 from qtpart.dataset import (CuRecord, DatasetError, Trajectory, balance, balance_trajectories,
                             collect_records,
                             collect_trajectories, load_records,
                             load_trajectories, normalize_targets,
                             save_records, save_trajectories)
-from qtpart.features import LAYOUT_HASH
-from qtpart.frame_io import LumaFrame
+from qtpart.features import LAYOUT_HASH, build_vector, descriptor_key
+from qtpart.frame_io import LumaFrame, tile_ctus
 
 from helpers import count_patch_calls, natural_frame
 
@@ -193,7 +194,9 @@ def test_collect_walk_builds_one_patch_per_visit(monkeypatch):
 def test_collect_walks_compute_each_source_region_once(monkeypatch):
     # the block and its quadrants are source pixels at every qp, and each
     # quadrant is also a child block: four walks sharing the frame's memo
-    # compute each distinct one once, the reference strips every time
+    # compute each distinct one once, in stacked passes, and each distinct
+    # strip once in the CTU search that cuts it; only block and quadrant
+    # entries outlive a search
     frame = natural_frame(40, h=64, w=128)
     source = set()
     for side in (64, 32, 16, 8):
@@ -205,7 +208,8 @@ def test_collect_walks_compute_each_source_region_once(monkeypatch):
                                block[h:, h:]):
                     source.add((region.shape, region.tobytes()))
     assert len(source) == 2 * (85 + 64 * 4)     # no two regions alike
-    calls, computed = Counter(), Counter()
+    calls, searches, sources_computed = Counter(), [], Counter()
+    computed = {"hog8": Counter(), "glcm5": Counter()}
 
     def counting(name, fn):
         def run(*args):
@@ -213,27 +217,96 @@ def test_collect_walks_compute_each_source_region_once(monkeypatch):
             return fn(*args)
         return run
 
-    def computing(name, fn):
-        def run(region):
-            computed[name, region.shape, region.tobytes()] += 1
-            return fn(region)
+    def stacking(name, fn):
+        def run(stacks):
+            for stack in stacks:
+                for region in stack:
+                    computed[name][region.shape, region.tobytes()] += 1
+            return fn(stacks)
         return run
 
+    def single_region_kernel(region):
+        raise AssertionError("collection ran a single-region kernel")
+
+    def texture_memo(keys, shared):
+        before = set(shared)
+        for counter in computed.values():
+            counter.clear()
+        memo = features.texture_memo(keys, shared)
+        regions = {(r.shape, r.tobytes()) for key in keys for r in features._regions(key)}
+        for counter in computed.values():
+            assert set(counter.values()) == {1}
+            assert set(counter) == regions - before
+        sources_computed.update(set(computed["hog8"]) & source)
+        assert set(shared) <= source                # no strip entry survives a search
+        searches.append(len(keys))
+        return memo
+
+    monkeypatch.setattr(dataset, "texture_memo", texture_memo)
     monkeypatch.setattr(dataset, "build_vector",
                         counting("build_vector", dataset.build_vector))
     for name in ("hog8", "glcm5"):
         monkeypatch.setattr(features, name, counting(name, getattr(features, name)))
-        monkeypatch.setattr(features, f"_{name}",
-                            computing(name, getattr(features, f"_{name}")))
+        monkeypatch.setattr(features, f"_{name}_stack",
+                            stacking(name, getattr(features, f"_{name}_stack")))
+        monkeypatch.setattr(features, f"_{name}", single_region_kernel)
     memo = {}
     for qp in QPS4:
         dataset._walk_frame(frame, CodecConfig(qp=qp), memo)
+    assert searches == [85] * (4 * 2)
+    assert sources_computed == dict.fromkeys(source, 1) and set(memo) == source
     visits = 4 * 2 * 85
     assert calls == {"build_vector": visits, "hog8": 8 * visits, "glcm5": 8 * visits}
-    for name in ("hog8", "glcm5"):
-        mine = {k[1:]: n for k, n in computed.items() if k[0] == name}
-        assert {k: n for k, n in mine.items() if k in source} == dict.fromkeys(source, 1)
-        assert sum(mine.values()) == len(source) + 3 * visits
+
+
+def _keys(frame, qp, cfg):
+    """Each visit's descriptor key, in visit order, from a plain exhaustive
+    search of ``frame`` at ``qp``."""
+    keys, state = [], SearchState(frame)
+    for rect in tile_ctus(frame, cfg.ctu):
+        exhaustive_search(rect, cfg.at_qp(qp), state,
+                          visitor=lambda v: keys.append(descriptor_key(v)))
+    return keys
+
+
+COLLECT_FRAMES = [natural_frame(41, h=64, w=128),
+                  LumaFrame(np.kron(natural_frame(42, h=16, w=16).pixels // 64 * 64,
+                                    np.ones((4, 4), np.uint8)))]   # flat 4x4 cells
+
+
+def test_walk_descriptors_are_the_vectors_of_their_keys():
+    memo = {}
+    for frame in COLLECT_FRAMES:
+        for qp in QPS4:
+            nodes, vecs = dataset._walk_frame(frame, CodecConfig(qp=qp), memo)
+            keys = _keys(frame, qp, CodecConfig())
+            assert [k.rect for k in keys] == [n.rect for n in nodes] == list(vecs)
+            for key in keys:
+                assert vecs[key.rect].tobytes() == build_vector(key).tobytes()
+
+
+def test_collected_records_and_trajectories_hold_the_vectors_of_their_keys():
+    cfg = CodecConfig()
+    records, trajectories = Counter(), Counter()
+    for frame in COLLECT_FRAMES:
+        for qp in QPS4:
+            keys = _keys(frame, qp, cfg)
+            for key in keys:
+                vec = build_vector(key).tobytes()
+                if key.rect.w in (32, 16):
+                    records[qp, key.rect.w, vec] += 1
+                if key.rect.w == 32:
+                    x, y = key.rect.x, key.rect.y       # its four 16x16 children
+                    children = [k for k in keys if k.rect.w == 16
+                                and 0 <= k.rect.x - x < 32 and 0 <= k.rect.y - y < 32]
+                    trajectories[vec, b"".join(build_vector(k).tobytes()
+                                               for k in children)] += 1
+    assert records == Counter(
+        (r.qp, r.cu_size, r.features.tobytes())
+        for r in collect_records(COLLECT_FRAMES, QPS4, cfg, sizes=(32, 16)))
+    assert trajectories == Counter(
+        (t.state32.tobytes(), t.child_features.tobytes())
+        for t in collect_trajectories(COLLECT_FRAMES, QPS4, cfg))
 
 
 def test_collect_from_frame_with_remainders_matches_its_full_ctu_crop(tmp_path):

@@ -233,7 +233,9 @@ def test_memo_gives_the_bytes_of_a_fresh_computation():
         for region in features._regions(key):
             for kernel in (hog8, glcm5):
                 assert kernel(region, memo).tobytes() == kernel(region).tobytes()
-    assert 0 < len(memo) < 2 * 8 * len(keys)     # hits served some calls
+    # one entry per distinct region, holding both kernels' results
+    assert len(memo) == len({(r.shape, r.tobytes()) for key in keys
+                             for r in features._regions(key)}) < 8 * len(keys)
     vec_memo = {}
     for key in keys:
         assert build_vector(key, vec_memo).tobytes() == build_vector(key).tobytes()
@@ -251,6 +253,97 @@ def test_memo_hit_is_a_copy(kernel):
     second[:] = 9.0
     assert kernel(region, memo).tobytes() == want
     assert len(memo) == 1
+
+
+def _search_regions(ctu: int, max_depth: int) -> list[np.ndarray]:
+    """The texture regions of every visit of a search of a natural frame
+    of one CTU."""
+    frame = natural_frame(ctu + 7, h=ctu, w=ctu)
+    cfg, state, regions = CodecConfig(ctu=ctu, max_depth=max_depth), SearchState(frame), []
+    exhaustive_search(Rect(0, 0, ctu, ctu), cfg, state,
+                      visitor=lambda v: regions.extend(features._regions(descriptor_key(v))))
+    return regions
+
+
+def _region_shapes(ctu: int, max_depth: int) -> set:
+    """Block, quadrant, top, left and L-strip shapes at every block side."""
+    sides = [ctu >> d for d in range(max_depth + 1)]
+    return {shape for n in sides
+            for shape in ((n, n), (n // 2, n // 2), (4, n), (n, 4), (4, 4 + 2 * n))}
+
+
+def _stacked(regions):
+    """``_hog8_stack`` and ``_glcm5_stack`` of ``regions``: one stack per
+    shape, in order of first appearance; returns the regions in stack order."""
+    by_shape = {}
+    for region in regions:
+        by_shape.setdefault(region.shape, []).append(region)
+    stacks = [np.stack(group) for group in by_shape.values()]
+    return ([r for group in by_shape.values() for r in group],
+            features._hog8_stack(stacks), features._glcm5_stack(stacks))
+
+
+@pytest.mark.parametrize("ctu, max_depth", [(64, 4), (32, 3)])
+def test_stacked_kernels_give_the_bytes_of_one_region_at_a_time(ctu, max_depth):
+    search = _search_regions(ctu, max_depth)
+    assert {r.shape for r in search} == _region_shapes(ctu, max_depth)
+    # content classes at every shape a search cuts, 2x2 quadrants included
+    rng, oracle = np.random.default_rng(ctu), []
+    for h, w in sorted(_region_shapes(ctu, max_depth)):
+        low = 32 * int(rng.integers(0, 8))
+        oracle += [rng.integers(0, 256, (h, w)).astype(np.uint8),
+                   np.full((h, w), rng.integers(0, 256), np.uint8),          # flat
+                   rng.integers(low, low + 32, (h, w)).astype(np.uint8),     # one level
+                   np.tile(np.array([[32, 64]], np.uint8), (h, w // 2))]     # two levels
+    regions = search + oracle + _oracle_regions()
+    order = np.random.default_rng(1).permutation(len(regions))
+    mixed = [regions[i] for i in order]           # flat and busy regions in one stack
+    regions, hog, glcm = _stacked(mixed)
+    assert any(not h.any() for h in hog)
+    assert any(g.tobytes() == _SINGLE_LEVEL for g in glcm)
+    assert any(r.shape == (2, 2) for r in regions)
+    for region, h, g in zip(regions, hog, glcm):
+        assert h.tobytes() == features._hog8(region).tobytes() \
+            == reference_hog8(region).tobytes()
+        assert g.tobytes() == features._glcm5(region).tobytes() \
+            == reference_glcm5(region).tobytes()
+
+
+def test_stacked_kernels_take_stacks_of_one():
+    region = natural_frame(8, h=16, w=16).pixels
+    stacks = [region[None], region[:8, :8][None], np.full((1, 4, 4), 9, np.uint8)]
+    hog, glcm = features._hog8_stack(stacks), features._glcm5_stack(stacks)
+    assert hog.shape == (3, HOG_BINS) and glcm.shape == (3, len(GLCM_STAT_NAMES))
+    for stack, h, g in zip(stacks, hog, glcm):
+        assert h.tobytes() == features._hog8(stack[0]).tobytes()
+        assert g.tobytes() == features._glcm5(stack[0]).tobytes()
+
+
+@pytest.mark.parametrize("pixels, regions", [(1, 64), (100, 3), (4096, 64)])
+def test_texture_memo_holds_each_region_once_and_shares_only_source_regions(
+        monkeypatch, pixels, regions):
+    # a pass below one region's pixels still takes that one region
+    monkeypatch.setattr(features, "_PASS_PIXELS", pixels)
+    monkeypatch.setattr(features, "_PASS_REGIONS", regions)
+    keys = _natural_keys(qps=(22,))
+    shared = {}
+    memo = features.texture_memo(keys, shared)
+    regions = {(r.shape, r.tobytes()): r for key in keys for r in features._regions(key)}
+    source = {(r.shape, r.tobytes()) for key in keys
+              for r in features._regions(key)[:features._SOURCE_REGIONS]}
+    assert set(memo) == set(regions) and set(shared) == source
+    for mkey, region in regions.items():
+        want = np.concatenate((reference_hog8(region), reference_glcm5(region)))
+        assert memo[mkey].tobytes() == want.tobytes()
+        assert memo[mkey] is shared.get(mkey, memo[mkey])
+    for key in keys:
+        assert build_vector(key, memo).tobytes() == build_vector(key).tobytes()
+    # a second walk takes the shared entries it meets and adds its own
+    keys, before = _natural_keys(qps=(37,)), dict(shared)
+    again = features.texture_memo(keys, shared)
+    assert all(again[mkey] is entry for mkey, entry in before.items() if mkey in again)
+    assert set(shared) == source | {(r.shape, r.tobytes()) for key in keys
+                                    for r in features._regions(key)[:features._SOURCE_REGIONS]}
 
 
 # -- masks --------------------------------------------------------------------
