@@ -37,8 +37,9 @@ quadrant is also a child block: a 64x64 CTU searched at four qps has
 341 distinct ones. ``dataset`` keeps their entries for the whole frame,
 about 150 kB per CTU; the strips are reconstructions that change with
 qp, and their entries are dropped after each search. The gate passes
-no memo and runs the single-region kernels, which are faster for one
-region.
+no memo and runs the single-region kernels: for its one block at a
+time, 16 single-region calls are faster than ``texture_memo`` of that
+one key and its reads.
 
 Every slot belongs to one of five ablation groups, read off its name:
 NI, PI and BI from the ``ni_``/``pi_``/``bi_`` prefix, HOG or GLCM for
@@ -72,7 +73,10 @@ REGION_NAMES = ("cu", "q0", "q1", "q2", "q3", "top", "left", "lshape")
 
 _SI_BASE = 11
 _SOURCE_REGIONS = 5              # the block and its quadrants, first in REGION_NAMES
-_PASS_PIXELS, _PASS_REGIONS = 4096, 64    # most one stacked texture pass takes
+# Most one stacked texture pass takes. Without a cap, one pass per CTU
+# search raises the tracemalloc peak of collecting the 128x128 benchmark
+# reference frame from 1.70 MB to 3.02 MB, for a 3% faster collection.
+_PASS_PIXELS, _PASS_REGIONS = 4096, 64
 _REGION_WIDTH = HOG_BINS + len(GLCM_STAT_NAMES)
 _HOG_PART, _GLCM_PART = slice(0, HOG_BINS), slice(HOG_BINS, _REGION_WIDTH)   # of a memo entry
 
@@ -106,19 +110,16 @@ def _check_region(region) -> None:
 
 def _memo_lookup(part: slice, region, memo: dict | None) -> np.ndarray:
     """``part`` of the 13 texture entries of a checked region: the 8
-    ``hog8`` bins, then the 5 ``glcm5`` statistics. A ``memo`` holds one
-    entry per region shape and bytes with all 13, so a hit is the result
-    of equal input whatever block it was cut from; a miss computes both
-    kernels. A hit returns a copy, and the caller cannot change what the
-    memo holds."""
+    ``hog8`` bins, then the 5 ``glcm5`` statistics. Without a ``memo`` the
+    single-region kernel computes it. A memo (``texture_memo``) holds one
+    entry per region shape and bytes with all 13, so an entry is the
+    result of equal input whatever block it was cut from; a region it
+    lacks raises ``KeyError``. The caller gets a copy and cannot change
+    what the memo holds."""
     _check_region(region)
     if memo is None:
         return _hog8(region) if part is _HOG_PART else _glcm5(region)
-    key = (region.shape, region.tobytes())
-    entry = memo.get(key)
-    if entry is None:
-        entry = memo[key] = np.concatenate((_hog8(region), _glcm5(region)))
-    return entry[part].copy()
+    return memo[region.shape, region.tobytes()][part].copy()
 
 
 def _orientation_bins() -> np.ndarray:
@@ -160,7 +161,7 @@ def _gradient_taps(h: int, w: int) -> np.ndarray:
 
 def hog8(region: np.ndarray, memo: dict | None = None) -> np.ndarray:
     """8-bin unsigned orientation histogram of a 2-D uint8 region; with a
-    ``memo``, looked up there first (``_memo_lookup``).
+    ``memo``, read from it (``_memo_lookup``).
 
     Gradients use the central-difference kernel [-1, 0, 1] with replicated
     borders; orientations fold into [0, 180) and each pixel votes its
@@ -229,7 +230,7 @@ _SINGLE_LEVEL_GLCM = (-0.0, 1.0, 1.0, 0.0, 0.0)
 def glcm5(region: np.ndarray, memo: dict | None = None) -> np.ndarray:
     """Five statistics of the 8-level symmetric horizontal co-occurrence
     matrix of a 2-D uint8 region: (entropy, energy, homogeneity,
-    correlation, dissimilarity); with a ``memo``, looked up there first
+    correlation, dissimilarity); with a ``memo``, read from it
     (``_memo_lookup``).
 
     Pixel values quantize to 8 gray levels; each horizontally adjacent
@@ -288,7 +289,14 @@ def _glcm5_stack(stacks) -> np.ndarray:
     and every other sum runs along a last axis of 8 or 64 entries, in the
     order ``_glcm5`` sums them. Entropy sums each region's nonzero terms,
     whose number varies; padding would change how numpy groups that sum,
-    so the regions with m terms are reduced as one (j, m) array."""
+    so the regions with m terms are reduced as one (j, m) array. A region
+    with one nonzero cell has one gray level: the cell is on the diagonal,
+    since the matrix is symmetric.
+
+    Grouping and the one-level test run on Python lists: ``np.argsort``
+    and a strided integer comparison would page in about 192 kB of
+    numpy's library that nothing else in the program runs, which then
+    counts in the peak RSS of every later command."""
     cells, pairs, base = [], [], 0
     for stack in stacks:
         k, h, w = stack.shape
@@ -302,17 +310,17 @@ def _glcm5_stack(stacks) -> np.ndarray:
     p = (c + c.transpose(0, 2, 1)) / (2.0 * n)[:, None, None]
     out = np.empty((k, len(GLCM_STAT_NAMES)))
 
-    counts = np.count_nonzero(p.reshape(k, _CELLS), axis=1)
-    order = np.argsort(counts, kind="stable")
+    counts = np.count_nonzero(p.reshape(k, _CELLS), axis=1).tolist()
+    order = sorted(range(k), key=counts.__getitem__)    # stable: by count of terms
     nzp = p[order]
-    nzp = nzp[nzp > 0.0]                        # grouped by their count of terms
+    nzp = nzp[nzp > 0.0]
     terms = nzp * np.log2(nzp)
-    first = term = 0                            # of the next group, in order and terms
-    for m, j in enumerate(np.bincount(counts, minlength=_CELLS + 1).tolist()):
-        if j:
-            out[order[first:first + j], 0] = np.add.reduce(
-                terms[term:term + j * m].reshape(j, m), axis=1)
-            first, term = first + j, term + j * m
+    term = 0
+    for m, group in itertools.groupby(order, counts.__getitem__):
+        rows = list(group)
+        j = len(rows)
+        out[rows, 0] = np.add.reduce(terms[term:term + j * m].reshape(j, m), axis=1)
+        term += j * m
     np.minimum(np.negative(out[:, 0]), 6.0, out=out[:, 0])
     out[:, 0] /= 6.0
 
@@ -332,8 +340,7 @@ def _glcm5_stack(stacks) -> np.ndarray:
     cov = total(np.multiply, p * d[:, :, None], d[:, None, :])
     corr = np.divide(cov, var, out=np.zeros(k), where=var > 0.0)
     out[:, 3] = np.minimum(1.0, np.maximum(-1.0, corr))
-    out[(c.reshape(k, _CELLS)[:, ::GLCM_LEVELS + 1] == n[:, None]).any(axis=1)] = \
-        _SINGLE_LEVEL_GLCM
+    out[[i for i, m in enumerate(counts) if m == 1]] = _SINGLE_LEVEL_GLCM
     return out
 
 
@@ -386,8 +393,8 @@ def _regions(key: DescriptorKey) -> list[np.ndarray]:
 
 def build_vector(key: DescriptorKey, memo: dict | None = None) -> np.ndarray:
     """Assemble the 115-entry descriptor of a block from its key; with a
-    ``memo``, its eight texture regions are looked up there first
-    (``texture_memo`` fills one with every region of a search)."""
+    ``memo`` (``texture_memo`` of keys that include it), its eight texture
+    regions are read from there."""
     rect = key.rect
     v = np.zeros(FEATURE_COUNT, dtype=np.float64)
     for k, leaf in enumerate((key.top_leaf, key.left_leaf)):
@@ -413,7 +420,7 @@ def build_vector(key: DescriptorKey, memo: dict | None = None) -> np.ndarray:
 def texture_memo(keys, shared: dict) -> dict:
     """A memo of every texture region of ``keys``, for ``build_vector``:
     one entry per distinct region shape and bytes, as ``hog8`` and
-    ``glcm5`` fill it. What is new is computed in stacked passes of at
+    ``glcm5`` read it. What is new is computed in stacked passes of at
     most ``_PASS_PIXELS`` pixels and ``_PASS_REGIONS`` regions each
     (``_texture_pass``). Entries of the blocks and their quadrants are
     taken from ``shared`` where it holds them and are added to it; strip

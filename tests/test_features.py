@@ -228,31 +228,39 @@ def _natural_keys(qps=(22, 37)):
 
 
 def test_memo_gives_the_bytes_of_a_fresh_computation():
-    keys, memo = _natural_keys(), {}
+    keys = _natural_keys()
+    memo = features.texture_memo(keys, {})
     for key in keys:
         for region in features._regions(key):
             for kernel in (hog8, glcm5):
                 assert kernel(region, memo).tobytes() == kernel(region).tobytes()
+        assert build_vector(key, memo).tobytes() == build_vector(key).tobytes()
     # one entry per distinct region, holding both kernels' results
     assert len(memo) == len({(r.shape, r.tobytes()) for key in keys
                              for r in features._regions(key)}) < 8 * len(keys)
-    vec_memo = {}
-    for key in keys:
-        assert build_vector(key, vec_memo).tobytes() == build_vector(key).tobytes()
+    # a region the memo lacks is not computed into it
+    flat = np.full((8, 8), 3, np.uint8)
+    for kernel in (hog8, glcm5):
+        with pytest.raises(KeyError):
+            kernel(flat, {})
+    with pytest.raises(KeyError):
+        build_vector(keys[0], {})
 
 
 @pytest.mark.parametrize("kernel", [hog8, glcm5])
 def test_memo_hit_is_a_copy(kernel):
-    region = natural_frame(4, h=16, w=16).pixels
-    memo = {}
+    key = _natural_keys(qps=(22,))[0]
+    memo = features.texture_memo([key], {})
+    region = features._regions(key)[0]
+    entries = {mkey: entry.tobytes() for mkey, entry in memo.items()}
     first = kernel(region, memo)
     want = first.tobytes()
     first[:] = 7.0
     second = kernel(region, memo)
-    assert second.tobytes() == want
+    assert second.tobytes() == want == kernel(region).tobytes()
     second[:] = 9.0
     assert kernel(region, memo).tobytes() == want
-    assert len(memo) == 1
+    assert {mkey: entry.tobytes() for mkey, entry in memo.items()} == entries
 
 
 def _search_regions(ctu: int, max_depth: int) -> list[np.ndarray]:
