@@ -86,7 +86,7 @@ def _codec_config(args) -> CodecConfig:
 
 def _check_args(args) -> None:
     """Refuse a comma list with a bad element, a negative seed, a hidden
-    width <= 0, a threshold grid ``check_thresholds`` refuses, codec
+    width <= 0, a threshold or grid ``check_thresholds`` refuses, codec
     settings ``CodecConfig`` refuses, qps the command cannot run and
     block sizes the search cannot split (``check_split_sizes``) before
     any input is read."""
@@ -98,6 +98,8 @@ def _check_args(args) -> None:
             raise DatasetError(f"hidden width {width} must be positive")
     if "thresholds" in lists:
         check_thresholds(lists["thresholds"])
+    if getattr(args, "threshold", None) is not None:
+        check_thresholds([args.threshold])
     if not hasattr(args, "ctu"):
         return
     cfg = _codec_config(args)

@@ -13,9 +13,10 @@ lambda-scaled signalling cost per split:
 
 Reconstructions are committed in causal order so every block sees its
 neighbours' chosen reconstructions, and a processed-pixel counter tallies
-the area of every NS encode performed. The search only codes: callbacks
-get each visit's ``VisitInfo`` and read whatever else they need from its
-search state (``features.descriptor_key`` does).
+the area of every NS encode performed. The search only codes: one hook
+gets each visit's ``VisitInfo`` and reads whatever else it needs from
+its search state (``features.descriptor_key`` does); its true result at
+a block that can split forces NS there.
 """
 
 from __future__ import annotations
@@ -124,9 +125,10 @@ def split_sizes(cfg: CodecConfig) -> tuple[int, ...]:
 def check_split_sizes(sizes, cfg: CodecConfig, proper: bool = False) -> tuple[int, ...]:
     """The distinct ``sizes``, largest first, if there are any and each is
     a side the search can split, below the CTU with ``proper``. Otherwise
-    one ValueError names the refused and the allowed sides."""
+    one ValueError names the refused and the allowed sides. Sizes are
+    compared as given, as the gate and the collectors test membership."""
     allowed = list(split_sizes(cfg)[int(proper):])
-    sizes = tuple(sorted({int(s) for s in sizes}, reverse=True))
+    sizes = tuple(sorted(set(sizes), reverse=True))
     refused = [s for s in sizes if s not in allowed]
     if refused or not sizes:
         below = f"below the {cfg.ctu}x{cfg.ctu} CTU " if proper else ""
@@ -215,12 +217,12 @@ class SearchState:
 
 
 class VisitInfo(NamedTuple):
-    """What the search hands its callbacks right after a block's NS encode.
+    """What the search hands its hook right after a block's NS encode.
 
     ``parent`` is the parent's NS cost, None at the CTU root.
-    Read ``state`` only inside the callback: callbacks run before any
-    recursion or commit, and afterwards ``state`` holds reconstructions
-    the block did not see when it was coded.
+    Read ``state`` only inside the hook: it runs before any recursion or
+    commit, and afterwards ``state`` holds reconstructions the block did
+    not see when it was coded.
     """
 
     rect: Rect
@@ -268,21 +270,19 @@ class PartitionNode:
         }
 
 
-PruneHook = Callable[[VisitInfo], bool]
-Visitor = Callable[[VisitInfo], None]
+VisitHook = Callable[[VisitInfo], Optional[bool]]
 
 
 def search(rect: Rect, cfg: CodecConfig, state: SearchState,
-           visitor: Visitor | None = None,
-           prune: PruneHook | None = None) -> PartitionNode:
+           hook: VisitHook | None = None) -> PartitionNode:
     """Rate-distortion search of one CTU, optional split pruning.
 
-    ``visitor`` is called once per visited block, right after its NS
-    encode and before any recursion. ``prune`` is consulted at every
-    block that could structurally split; returning True forces NS there
-    without exploring the subtree. Each CTU comes once, after its left and
-    upper neighbours (raster order), so every in-frame reference strip is
-    reconstructed (``frame_io``); any other CTU is refused before encoding.
+    ``hook`` is called once per visited block, right after its NS encode
+    and before any recursion; a true result at a block that could split
+    forces NS there without exploring the subtree. Each CTU comes once,
+    after its left and upper neighbours (raster order), so every in-frame
+    reference strip is reconstructed (``frame_io``); any other CTU is
+    refused before encoding.
     """
     if rect.w != rect.h or rect.w != cfg.ctu or rect.w & (rect.w - 1):
         raise ValueError(f"search rect must be a full {cfg.ctu}x{cfg.ctu} CTU, got {rect}")
@@ -293,36 +293,29 @@ def search(rect: Rect, cfg: CodecConfig, state: SearchState,
         raise ValueError(f"CTU {rect} was already searched")
     if (rect.x and seen[rect.y, rect.x - 1] < 0) or (rect.y and seen[rect.y - 1, rect.x] < 0):
         raise ValueError(f"CTU {rect} searched before its left or upper neighbour")
-    return _search_node(rect, 0, cfg, state, visitor, prune, None)
+    return _search_node(rect, 0, cfg, state, hook, None)
 
 
 def exhaustive_search(rect: Rect, cfg: CodecConfig, state: SearchState,
-                      visitor: Visitor | None = None) -> PartitionNode:
-    """Full NS-vs-QT search with no pruning."""
-    return search(rect, cfg, state, visitor=visitor, prune=None)
+                      visitor: VisitHook | None = None) -> PartitionNode:
+    """Full NS-vs-QT search; ``visitor`` sees every block and returns None."""
+    return search(rect, cfg, state, visitor)
 
 
-def _search_node(rect, depth, cfg, state, visitor, prune, parent) -> PartitionNode:
+def _search_node(rect, depth, cfg, state, hook, parent) -> PartitionNode:
     # the block's own pixels are still source pixels: only the block and
     # its descendants commit inside it, and they come after this encode
     block = state.work[rect.y:rect.y + rect.h, rect.x:rect.x + rect.w]
     ns_cost, recon = encode_ns(block, reference_dc(state.work, rect), cfg)
     state.pixels += rect.area
-
-    can_split = depth < cfg.max_depth
-    if visitor is not None or (can_split and prune is not None):
-        visit = VisitInfo(rect, cfg.qp, ns_cost, parent, state)
-        if visitor is not None:
-            visitor(visit)
-        if can_split and prune is not None and prune(visit):
-            can_split = False
+    pruned = hook is not None and hook(VisitInfo(rect, cfg.qp, ns_cost, parent, state))
 
     qt_j, kids = None, []
-    if can_split:
+    if depth < cfg.max_depth and not pruned:
         half = rect.w // 2
         for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):     # raster order
             sub = Rect(rect.x + dx * half, rect.y + dy * half, half, half)
-            kids.append(_search_node(sub, depth + 1, cfg, state, visitor, prune, ns_cost))
+            kids.append(_search_node(sub, depth + 1, cfg, state, hook, ns_cost))
         qt_j = kids[0].best_j + kids[1].best_j + kids[2].best_j + kids[3].best_j \
             + cfg.split_cost
     if choose(ns_cost.j, qt_j) == NS:

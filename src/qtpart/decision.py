@@ -8,15 +8,16 @@ own coding is never skipped, only the descent below it. A frame is
 encoded CTU by CTU over the full CTUs that ``frame_io.tile_ctus``
 returns; its remainders are neither coded nor counted.
 
-The gate computes each consultation's ``features.descriptor_key``, the
-descriptor's whole input, looks it up in a memo and builds the
-descriptor from the key only on a miss. One pass never repeats a key, so
-an encode gets a fresh memo per frame. Every model reads the raw,
-read-only entries as they are, so one memo per (frame, qp) serves every
-gated pass of every threshold and model of a sweep or ablation
-(``metrics``), building each distinct descriptor once. It holds at most
-models x thresholds x consultations entries, each exactly (N+4)^2 key
-bytes plus a 460 B descriptor.
+The gate is ``ThresholdPolicy.prune``, the one hook ``codec.search``
+asks at every block it visits. At an active size it computes the
+visit's ``features.descriptor_key``, the descriptor's whole input, looks
+it up in a memo and builds the descriptor from the key only on a miss.
+One pass never repeats a key, so an encode gets a fresh memo per frame.
+Every model reads the raw, read-only entries as they are, so one memo
+per (frame, qp) serves every gated pass of every threshold and model of
+a sweep or ablation (``metrics``), building each distinct descriptor
+once. It holds at most models x thresholds x consultations entries, each
+exactly (N+4)^2 key bytes plus a 460 B descriptor.
 """
 
 from __future__ import annotations
@@ -44,9 +45,6 @@ class ThresholdPolicy:
     def __post_init__(self):
         if not self.threshold > 0:
             raise ValueError("threshold must be positive")
-        self.active_sizes = tuple(sorted(set(int(s) for s in self.active_sizes)))
-        if not self.active_sizes:
-            raise ValueError("no active block sizes")
         if self.model.meta.get("layout_hash") != LAYOUT_HASH:
             raise ModelError("model was trained against a different feature layout")
         if self.model.in_dim != FEATURE_COUNT:
@@ -54,6 +52,20 @@ class ThresholdPolicy:
                              f"is not the descriptor size {FEATURE_COUNT}")
         if self.model.out_dim not in (1, 2):
             raise ModelError(f"model must have 1 or 2 outputs, got {self.model.out_dim}")
+
+    def prune(self, visit: VisitInfo, memo: dict) -> bool:
+        """The verdict at one visit: True (PruneQT) forces no-split there.
+        Inactive sizes are never pruned. ``memo`` maps a
+        ``descriptor_key`` to its read-only descriptor; the model and the
+        verdict run at every active visit, hit or miss."""
+        if visit.rect.w not in self.active_sizes:
+            return False
+        key = descriptor_key(visit)
+        vec = memo.get(key)
+        if vec is None:
+            vec = memo[key] = build_vector(key)
+            vec.flags.writeable = False
+        return decide(forward(self.model, vec), self) == PRUNE_QT
 
 
 def decide(prediction: np.ndarray, policy: ThresholdPolicy) -> str:
@@ -74,25 +86,8 @@ def decide(prediction: np.ndarray, policy: ThresholdPolicy) -> str:
 
 def pruned_search(rect: Rect, cfg: CodecConfig, state: SearchState,
                   policy: ThresholdPolicy, memo: dict) -> PartitionNode:
-    """Quadtree search that consults the policy at active-size blocks.
-
-    Identical to the exhaustive search except that a PruneQT verdict
-    forces no-split without exploring the subtree; inactive sizes always
-    recurse normally. ``memo`` maps a ``descriptor_key`` to its read-only
-    descriptor. The model and the verdict run at every consultation, hit
-    or miss.
-    """
-    def hook(visit: VisitInfo) -> bool:
-        if visit.rect.w not in policy.active_sizes:
-            return False
-        key = descriptor_key(visit)
-        vec = memo.get(key)
-        if vec is None:
-            vec = memo[key] = build_vector(key)
-            vec.flags.writeable = False
-        return decide(forward(policy.model, vec), policy) == PRUNE_QT
-
-    return codec.search(rect, cfg, state, prune=hook)
+    """Quadtree search of one CTU with ``policy.prune`` as its hook."""
+    return codec.search(rect, cfg, state, lambda visit: policy.prune(visit, memo))
 
 
 @dataclass
@@ -133,7 +128,9 @@ def encode_frame(frame: LumaFrame, cfg: CodecConfig,
     before any search. Gated encodes given the same ``memo`` share the
     descriptors they build; None gives this encode a fresh one."""
     if policy is not None:
-        codec.check_split_sizes(policy.active_sizes, cfg)   # the hook is asked only there
+        # the hook is asked at every block; this refuses an active size at
+        # which a verdict could not take effect: empty or unsplittable
+        codec.check_split_sizes(policy.active_sizes, cfg)
     rects = tile_ctus(frame, cfg.ctu)
     state = SearchState(frame)
     if policy is None:

@@ -45,9 +45,6 @@ class ReplayMemory:
         self._next = 0
         self._rng = np.random.default_rng(seed)
 
-    def __len__(self) -> int:
-        return len(self._codes)
-
     def push(self, code: int) -> None:
         if len(self._codes) < self.capacity:
             self._codes.append(code)

@@ -19,7 +19,7 @@ dissimilarity divided by its maximum level distance.
 
 A descriptor is a pure function of its ``DescriptorKey``, which
 ``descriptor_key`` reads off a ``codec.VisitInfo`` inside the search
-callback: the NI slots come from the committed leaves above and left of
+hook: the NI slots come from the committed leaves above and left of
 the block, the texture slots from one ``causal_patch`` window of the
 block. Equal keys therefore give byte-identical descriptors; the gate's
 memo is keyed by them (``decision``).
@@ -75,7 +75,8 @@ _SI_BASE = 11
 _SOURCE_REGIONS = 5              # the block and its quadrants, first in REGION_NAMES
 # Most one stacked texture pass takes. Without a cap, one pass per CTU
 # search raises the tracemalloc peak of collecting the 128x128 benchmark
-# reference frame from 1.70 MB to 3.02 MB, for a 3% faster collection.
+# reference frame from 1.65 MB to 3.00 MB, for a 3% faster collection;
+# tests/test_dataset.py bounds that peak.
 _PASS_PIXELS, _PASS_REGIONS = 4096, 64
 _REGION_WIDTH = HOG_BINS + len(GLCM_STAT_NAMES)
 _HOG_PART, _GLCM_PART = slice(0, HOG_BINS), slice(HOG_BINS, _REGION_WIDTH)   # of a memo entry
@@ -373,7 +374,7 @@ class DescriptorKey(NamedTuple):
 
 
 def descriptor_key(visit: VisitInfo) -> DescriptorKey:
-    """The key of a visit's descriptor; call it inside the search callback."""
+    """The key of a visit's descriptor; call it inside the search hook."""
     rect, state = visit.rect, visit.state
     return DescriptorKey(rect, visit.qp, visit.ns_cost, visit.parent,
                          state.neighbor_at(rect.x, rect.y - 1),

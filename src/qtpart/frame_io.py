@@ -64,9 +64,6 @@ class LumaFrame:
     def height(self) -> int:
         return self._pix.shape[0]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LumaFrame) and np.array_equal(self._pix, other._pix)
-
 
 def load_frame(path: str | Path, fmt: str = "pgm8",
                width: int | None = None, height: int | None = None) -> LumaFrame:

@@ -64,9 +64,7 @@ class RdCurve:
             raise ValueError("PSNR must be finite (lossless points not allowed)")
         if any(a <= b for a, b in zip(rates[:-1], rates[1:])):
             raise ValueError("rate must strictly decrease as qp increases")
-        order = np.argsort(rates)
-        return cls(rates=tuple(rates[i] for i in order),
-                   psnrs=tuple(psnrs[i] for i in order))
+        return cls(rates=tuple(reversed(rates)), psnrs=tuple(reversed(psnrs)))
 
 
 @dataclass(frozen=True)

@@ -219,8 +219,9 @@ def test_bad_codec_setting_or_block_size_fails_before_any_input(
     ("sweep", ["--thresholds", "1,nan"], "threshold must be positive"),
     ("sweep", ["--qps", "22,27"], "curve needs exactly the qps (22, 27, 32, 37)"),
     ("ablate", ["--thresholds", "1,1.0"], "repeated threshold in [1.0, 1.0]"),
+    ("encode", ["--threshold", "nan"], "threshold must be positive"),
 ], ids=["build-qps", "trajectories-qps", "sweep-thresholds", "sweep-qps",
-        "ablate-thresholds"])
+        "ablate-thresholds", "encode-threshold"])
 def test_bad_qps_or_threshold_grid_fails_before_any_input(work, tmp_path, capsys,
                                                          monkeypatch, subcommand,
                                                          extra, msg):

@@ -403,7 +403,7 @@ def test_visited_blocks_still_hold_source_pixels():
     # not, must find there the source pixels, never a reconstruction
     f = natural_frame(15)
     visits = 0
-    for mode in ("visitor", "prune"):
+    for pruning in (False, True):
         state = SearchState(f)
 
         def check(visit):
@@ -412,13 +412,34 @@ def test_visited_blocks_still_hold_source_pixels():
             assert np.array_equal(state.work[r.y:r.y + r.h, r.x:r.x + r.w],
                                   state.orig[r.y:r.y + r.h, r.x:r.x + r.w])
             visits += 1
-            return r.x % 64 == 32               # prune some blocks
+            return pruning and r.x % 64 == 32   # prune some blocks
 
         for y in (0, 64):
             for x in (0, 64):
-                search(Rect(x, y, 64, 64), CodecConfig(), state, **{mode: check})
+                search(Rect(x, y, 64, 64), CodecConfig(), state, check)
         assert (state.depth_map >= 0).all()
-    assert visits == 4 * 85 + 4 * 13             # 64, 4x32 and 8 unpruned 16s
+    assert visits == 4 * 85 + 4 * 45             # 64, 4x32, 8 unpruned 16s, 32 8s
+
+
+def test_hook_sees_every_block_of_a_ctu():
+    f = natural_frame(18, h=64, w=64)
+    visits = []
+    tree = search(Rect(0, 0, 64, 64), CodecConfig(max_depth=3), SearchState(f),
+                  visits.append)
+    assert [v.rect for v in visits] == [n.rect for n in tree.preorder()]
+    assert len(visits) == 1 + 4 + 16 + 64
+
+
+def test_hook_true_at_a_leaf_changes_no_tree():
+    # a leaf cannot split, so a prune verdict there has nothing to force
+    f = natural_frame(19, h=64, w=64)
+    cfg = CodecConfig(max_depth=3)
+    base_state, state = SearchState(f), SearchState(f)
+    base = exhaustive_search(Rect(0, 0, 64, 64), cfg, base_state)
+    tree = search(Rect(0, 0, 64, 64), cfg, state, lambda visit: visit.rect.w == 8)
+    assert tree.to_dict() == base.to_dict()
+    assert np.array_equal(state.work, base_state.work)
+    assert state.pixels == base_state.pixels
 
 
 # -- full search ----------------------------------------------------------
@@ -559,7 +580,7 @@ def test_in_frame_strips_are_reconstructed_at_every_visit():
         for pruned in (False, True):
             state = SearchState(frame)
 
-            def check(visit):
+            def hook(visit):
                 r = visit.rect
                 for y0, y1, x0, x1 in ((r.y - 4, r.y, r.x, r.x + r.w),
                                        (r.y, r.y + r.h, r.x - 4, r.x),
@@ -571,10 +592,10 @@ def test_in_frame_strips_are_reconstructed_at_every_visit():
                         assert part.shape == (y1 - y0, x1 - x0)
                         assert (part >= 0).all(), (r, y0, x0)
                 visits[pruned] += 1
+                return pruned and rng.random() < 0.3
 
-            prune = (lambda visit: rng.random() < 0.3) if pruned else None
             for rect in tile_ctus(frame, ctu):
-                search(rect, cfg, state, visitor=check, prune=prune)
+                search(rect, cfg, state, hook)
             assert (state.depth_map[:h - h % ctu, :w - w % ctu] >= 0).all()
     # two shapes, each 16 CTUs of 32 and 4 of 64; 1 + 4 + ... visits per CTU
     assert visits[False] == 2 * (16 * (5 + 21 + 85) + 4 * (5 + 21 + 85 + 341))

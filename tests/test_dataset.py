@@ -1,6 +1,9 @@
 import re
 import struct
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,6 +392,37 @@ def test_collect_trajectories_needs_child_split_costs():
             "block sizes [32] refused; allowed sides are [16]")):
         collect_trajectories([frame], (32,),
                              CodecConfig(ctu=32, max_depth=2))
+
+
+@pytest.mark.parametrize("collect", [
+    lambda frame, qps: collect_records([frame], qps, CodecConfig(), (32,)),
+    lambda frame, qps: collect_trajectories([frame], qps, CodecConfig()),
+], ids=["records", "trajectories"])
+def test_collect_memory_peak_is_bounded(monkeypatch, collect):
+    # The tracemalloc peak of collecting the benchmark's 128x128 reference
+    # frame at its four qps, after a warm-up call, is 1.65 MB (records) and
+    # 1.76 MB (trajectories) under the texture pass cap of features
+    # (_PASS_PIXELS, _PASS_REGIONS), and 3.00 MB with the cap lifted. The
+    # bound leaves 25% over the larger capped peak and lies 0.8 MB below
+    # the uncapped one.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import frames
+        import pipeline
+    finally:
+        for name in ("frames", "pipeline"):
+            sys.modules.pop(name, None)
+    h, w, zone = pipeline.FRAME_SIZES["ref_train"]
+    seed = [pipeline.REFERENCE_SEED, list(pipeline.FRAME_SIZES).index("ref_train")]
+    frame = LumaFrame(frames.mosaic(seed, h, w, zone))
+    collect(frame, pipeline.QPS)
+    tracemalloc.start()
+    try:
+        collect(frame, pipeline.QPS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2e6
 
 
 # -- balancing --------------------------------------------------------------

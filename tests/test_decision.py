@@ -67,17 +67,6 @@ def test_policy_threshold_must_be_positive():
             ThresholdPolicy(ratio_model(1.0), threshold=threshold)
 
 
-def test_policy_needs_active_sizes():
-    with pytest.raises(ValueError, match="no active block sizes"):
-        ThresholdPolicy(ratio_model(1.0), threshold=1.0, active_sizes=())
-
-
-def test_policy_normalizes_sizes():
-    pol = ThresholdPolicy(ratio_model(1.0), threshold=1.0,
-                          active_sizes=(32, 16, 32))
-    assert pol.active_sizes == (16, 32)
-
-
 def test_loaded_mask_lives_in_the_first_layer(tmp_path):
     # the policy keeps no mask of its own: the loaded model's masked rows
     # are zero, its meta mask is provenance, and an unknown group is refused
@@ -244,7 +233,7 @@ def test_gated_search_builds_one_patch_per_active_visit(monkeypatch, ratio):
 
 @pytest.mark.parametrize("ctu, max_depth, sizes", [
     (64, 3, (8,)), (64, 3, (7,)), (64, 3, (32, 8)), (64, 1, (32,)),
-    (32, 2, (64,)),
+    (32, 2, (64,)), (64, 3, ()), (64, 3, ("32",)),
 ])
 def test_unconsulted_active_sizes_rejected_before_search(monkeypatch, ctu,
                                                          max_depth, sizes):
