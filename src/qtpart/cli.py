@@ -19,12 +19,12 @@ from .codec import CodecConfig, check_split_sizes, psnr_of_mse
 from .dataset import (DatasetError, balance, balance_trajectories,
                       collect_records, collect_trajectories, load_records,
                       load_trajectories, qp_configs, save_records, save_trajectories)
-from .decision import ThresholdPolicy, encode_frame
+from .decision import ThresholdPolicy, check_thresholds, encode_frame
 from .dqn import DqnHyper, train_dqn
 from .features import LAYOUT_HASH, describe_layout
 from .frame_io import load_frame
-from .metrics import (ABLATION_CONFIGS, EVAL_QPS, RdCurve, bd_rate, check_thresholds,
-                      require_eval_qps, run_ablation, sweep)
+from .metrics import (ABLATION_CONFIGS, EVAL_QPS, RdCurve, bd_rate, require_eval_qps,
+                      run_ablation, sweep)
 from .mlp import (DEFAULT_HIDDEN, VARIANT_SIZES, ModelError, TrainHyper,
                   load_model, save_model, train_regression)
 

@@ -13,7 +13,8 @@ lambda-scaled signalling cost per split:
 
 Reconstructions are committed in causal order so every block sees its
 neighbours' chosen reconstructions, and a processed-pixel counter tallies
-the area of every NS encode performed. The search only codes: one hook
+the area of every NS encode performed. The returned tree's chosen leaves
+give the CTU's rate and squared error. The search only codes: one hook
 gets each visit's ``VisitInfo`` and reads whatever else it needs from
 its search state (``features.descriptor_key`` does); its true result at
 a block that can split forces NS there.
@@ -126,15 +127,17 @@ def check_split_sizes(sizes, cfg: CodecConfig, proper: bool = False) -> tuple[in
     """The distinct ``sizes``, largest first, if there are any and each is
     a side the search can split, below the CTU with ``proper``. Otherwise
     one ValueError names the refused and the allowed sides. Sizes are
-    compared as given, as the gate and the collectors test membership."""
+    compared as given, as the gate and the collectors test membership;
+    refused ints are named largest first, anything else after them."""
     allowed = list(split_sizes(cfg)[int(proper):])
-    sizes = tuple(sorted(set(sizes), reverse=True))
-    refused = [s for s in sizes if s not in allowed]
-    if refused or not sizes:
+    distinct = dict.fromkeys(sizes)
+    refused = sorted((s for s in distinct if s not in allowed),
+                     key=lambda s: -s if isinstance(s, int) else math.inf)
+    if refused or not distinct:
         below = f"below the {cfg.ctu}x{cfg.ctu} CTU " if proper else ""
         raise ValueError(f"block sizes {refused} refused; allowed sides are {allowed}, "
                          f"those {below}that the search can split")
-    return sizes
+    return tuple(sorted(distinct, reverse=True))
 
 
 def choose(ns_j: float, qt_j: Optional[float]) -> str:
@@ -183,22 +186,20 @@ def encode_ns(block: np.ndarray, dc: float, cfg: CodecConfig) -> tuple[RdCost, n
 class SearchState:
     """Mutable per-run encoder state shared by all CTUs of one frame.
 
-    ``orig`` is the frame's own read-only pixel array. ``work`` starts as
-    a copy of it and is progressively overwritten with committed
-    reconstructions, which ``search``'s CTU order makes the in-frame
-    references. ``depth_map`` and ``jpp_map`` record the depth (-1 until
-    committed) and per-pixel cost of the committed leaf covering each
-    pixel, for neighbour summaries; ``depth_map >= 0`` marks the committed
+    ``work`` starts as a copy of the frame's pixels and is progressively
+    overwritten with committed reconstructions, which ``search``'s CTU
+    order makes the in-frame references. ``depth_map`` and ``jpp_map``
+    record the depth (-1 until committed) and per-pixel cost of the
+    committed leaf covering each pixel, for neighbour summaries; ``depth_map >= 0`` marks the committed
     pixels. Reference availability does not read it: a strip is available
     when it lies inside the frame (``frame_io.causal_patch``). ``pixels``
     counts the area of every NS encode performed.
     """
 
     def __init__(self, frame: LumaFrame):
-        self.orig = frame.pixels
-        self.work = self.orig.copy()
-        self.depth_map = np.full(self.orig.shape, -1, dtype=np.int8)
-        self.jpp_map = np.zeros(self.orig.shape, dtype=np.float64)
+        self.work = frame.pixels.copy()
+        self.depth_map = np.full(self.work.shape, -1, dtype=np.int8)
+        self.jpp_map = np.zeros(self.work.shape, dtype=np.float64)
         self.pixels = 0
 
     def neighbor_at(self, x: int, y: int) -> Optional[tuple[float, int]]:
@@ -258,6 +259,14 @@ class PartitionNode:
         if self.chosen == NS:
             return self.ns.rate
         return SPLIT_BITS + sum(c.rate_bits() for c in self.children)
+
+    def sse(self) -> float:
+        """Squared error of the chosen leaves' committed reconstructions:
+        their NS distortions, whole numbers whose sums stay far below
+        2**53, so they add exactly in any order."""
+        if self.chosen == NS:
+            return self.ns.dist
+        return sum(c.sse() for c in self.children)
 
     def to_dict(self) -> dict:
         return {

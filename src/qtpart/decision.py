@@ -6,12 +6,15 @@ two-output model predicts both scaled costs and the gate compares their
 ratio. Rule: prune the split branch when ratio >= threshold. The block's
 own coding is never skipped, only the descent below it. A frame is
 encoded CTU by CTU over the full CTUs that ``frame_io.tile_ctus``
-returns; its remainders are neither coded nor counted.
+returns; its remainders are neither coded nor counted. Its rate and
+squared error are read off the chosen leaves of the trees it returns.
 
 The gate is ``ThresholdPolicy.prune``, the one hook ``codec.search``
-asks at every block it visits. At an active size it computes the
-visit's ``features.descriptor_key``, the descriptor's whole input, looks
-it up in a memo and builds the descriptor from the key only on a miss.
+asks at every block it visits; ``pruned_search`` refuses, before it
+encodes anything, active sizes at which no verdict could take effect.
+At an active size the gate computes the visit's
+``features.descriptor_key``, the descriptor's whole input, looks it up
+in a memo and builds the descriptor from the key only on a miss.
 One pass never repeats a key, so an encode gets a fresh memo per frame.
 Every model reads the raw, read-only entries as they are, so one memo
 per (frame, qp) serves every gated pass of every threshold and model of
@@ -23,6 +26,7 @@ exactly (N+4)^2 key bytes plus a 460 B descriptor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -43,8 +47,7 @@ class ThresholdPolicy:
     active_sizes: tuple = (32,)
 
     def __post_init__(self):
-        if not self.threshold > 0:
-            raise ValueError("threshold must be positive")
+        check_thresholds([self.threshold])
         if self.model.meta.get("layout_hash") != LAYOUT_HASH:
             raise ModelError("model was trained against a different feature layout")
         if self.model.in_dim != FEATURE_COUNT:
@@ -68,6 +71,17 @@ class ThresholdPolicy:
         return decide(forward(self.model, vec), self) == PRUNE_QT
 
 
+def check_thresholds(thresholds: Sequence[float]) -> None:
+    """Refuse an empty threshold grid, a threshold that is not positive
+    (NaN included) and a repeated one."""
+    if not thresholds:
+        raise ValueError("empty threshold list")
+    if not all(t > 0 for t in thresholds):
+        raise ValueError("threshold must be positive")
+    if len(set(thresholds)) < len(thresholds):
+        raise ValueError(f"repeated threshold in {list(thresholds)}")
+
+
 def decide(prediction: np.ndarray, policy: ThresholdPolicy) -> str:
     """Gate one prediction; inclusive at the threshold."""
     p = np.asarray(prediction, dtype=np.float64).ravel()
@@ -86,7 +100,9 @@ def decide(prediction: np.ndarray, policy: ThresholdPolicy) -> str:
 
 def pruned_search(rect: Rect, cfg: CodecConfig, state: SearchState,
                   policy: ThresholdPolicy, memo: dict) -> PartitionNode:
-    """Quadtree search of one CTU with ``policy.prune`` as its hook."""
+    """Quadtree search of one CTU with ``policy.prune`` as its hook, after
+    refusing active sizes where no verdict could act: none, or unsplittable."""
+    codec.check_split_sizes(policy.active_sizes, cfg)
     return codec.search(rect, cfg, state, lambda visit: policy.prune(visit, memo))
 
 
@@ -94,7 +110,6 @@ def pruned_search(rect: Rect, cfg: CodecConfig, state: SearchState,
 class FrameRunResult:
     trees: list
     state: SearchState
-    covered: Rect                 # the top-left area the full CTUs tile
 
     @property
     def pixels(self) -> int:
@@ -104,20 +119,13 @@ class FrameRunResult:
         return float(sum(t.rate_bits() for t in self.trees))
 
     def sse(self) -> float:
-        """Reconstruction error over the area covered by full CTUs.
-
-        The residuals fit int16 and their squares are summed in int64,
-        exactly; the total stays far below 2**53, so it converts to float
-        exactly too.
-        """
-        r = self.covered
-        d = np.subtract(self.state.orig[:r.h, :r.w], self.state.work[:r.h, :r.w],
-                        dtype=np.int16)
-        return float(np.einsum("ij,ij->", d, d, dtype=np.int64))
+        """Squared reconstruction error over the full CTUs, summed from
+        the chosen leaves' distortions (``PartitionNode.sse``), exactly."""
+        return float(sum(t.sse() for t in self.trees))
 
     @property
     def covered_area(self) -> int:
-        return self.covered.area
+        return sum(t.rect.area for t in self.trees)
 
 
 def encode_frame(frame: LumaFrame, cfg: CodecConfig,
@@ -127,10 +135,6 @@ def encode_frame(frame: LumaFrame, cfg: CodecConfig,
     under one shared state. A frame that holds no full CTU is refused
     before any search. Gated encodes given the same ``memo`` share the
     descriptors they build; None gives this encode a fresh one."""
-    if policy is not None:
-        # the hook is asked at every block; this refuses an active size at
-        # which a verdict could not take effect: empty or unsplittable
-        codec.check_split_sizes(policy.active_sizes, cfg)
     rects = tile_ctus(frame, cfg.ctu)
     state = SearchState(frame)
     if policy is None:
@@ -138,6 +142,4 @@ def encode_frame(frame: LumaFrame, cfg: CodecConfig,
     else:
         memo = {} if memo is None else memo
         trees = [pruned_search(rect, cfg, state, policy, memo) for rect in rects]
-    last = rects[-1]
-    return FrameRunResult(trees=trees, state=state,
-                          covered=Rect(0, 0, last.x + last.w, last.y + last.h))
+    return FrameRunResult(trees=trees, state=state)

@@ -291,11 +291,10 @@ def _glcm5_stack(stacks) -> np.ndarray:
     order ``_glcm5`` sums them. Entropy sums each region's nonzero terms,
     whose number varies; padding would change how numpy groups that sum,
     so the regions with m terms are reduced as one (j, m) array. A region
-    with one nonzero cell has one gray level: the cell is on the diagonal,
-    since the matrix is symmetric.
+    of one gray level needs no shortcut here: its one diagonal cell of 1
+    gives the bytes of ``_SINGLE_LEVEL_GLCM`` on this path.
 
-    Grouping and the one-level test run on Python lists: ``np.argsort``
-    and a strided integer comparison would page in about 192 kB of
+    Grouping runs on Python lists: ``np.argsort`` would page in part of
     numpy's library that nothing else in the program runs, which then
     counts in the peak RSS of every later command."""
     cells, pairs, base = [], [], 0
@@ -341,7 +340,6 @@ def _glcm5_stack(stacks) -> np.ndarray:
     cov = total(np.multiply, p * d[:, :, None], d[:, None, :])
     corr = np.divide(cov, var, out=np.zeros(k), where=var > 0.0)
     out[:, 3] = np.minimum(1.0, np.maximum(-1.0, corr))
-    out[[i for i, m in enumerate(counts) if m == 1]] = _SINGLE_LEVEL_GLCM
     return out
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .codec import CodecConfig, check_split_sizes, psnr_of_mse
 from .dataset import CuRecord
-from .decision import ThresholdPolicy, encode_frame
+from .decision import ThresholdPolicy, check_thresholds, encode_frame
 from .frame_io import LumaFrame, tile_ctus
 from .mlp import (DEFAULT_HIDDEN, REDUCED_HIDDEN, MlpModel, TrainHyper,
                   train_regression)
@@ -158,17 +158,6 @@ def _check_grid(frames: Sequence[LumaFrame], thresholds: Sequence[float],
         tile_ctus(frame, cfg.ctu)
     check_thresholds(thresholds)
     check_split_sizes(active_sizes, cfg)
-
-
-def check_thresholds(thresholds: Sequence[float]) -> None:
-    """Refuse an empty threshold grid, a threshold that is not positive
-    (NaN included) and a repeated one."""
-    if not thresholds:
-        raise ValueError("empty threshold list")
-    if not all(t > 0 for t in thresholds):
-        raise ValueError("threshold must be positive")
-    if len(set(thresholds)) < len(thresholds):
-        raise ValueError(f"repeated threshold in {list(thresholds)}")
 
 
 def _sweep_models(frames: Sequence[LumaFrame], cfg: CodecConfig,

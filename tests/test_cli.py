@@ -3,6 +3,7 @@
 import argparse
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -728,6 +729,18 @@ def test_option_inventory():
              for path, p in leaves(cli.build_parser())}
     assert found == OPTIONS
     assert sum(map(len, found.values())) == 80
+
+
+def test_artifact_pipeline_steps_pass_the_cli_checks(tmp_path):
+    """Every step of ``tools/artifact_hashes.py``, the pipeline that
+    byte-identity claims are checked with, parses and passes
+    ``_check_args``. None of its files exists, so none may be read."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "artifact_hashes.py"
+    spec = importlib.util.spec_from_file_location("artifact_hashes", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for _, argv in tool.steps(tmp_path / "out"):
+        cli._check_args(cli.build_parser().parse_args(argv))
 
 
 def test_parser_is_built_once_and_parses_like_a_fresh_one(work):

@@ -1,4 +1,4 @@
-"""Threshold gate, pruned CTU search, and frame-level accounting."""
+"""Threshold gate, pruned CTU search, and frame figures read off the trees."""
 
 import re
 
@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from qtpart import codec
-from qtpart.codec import CodecConfig
+from qtpart.codec import CodecConfig, SearchState
 from qtpart.decision import (EXPLORE, PRUNE_QT, ThresholdPolicy, decide,
-                             encode_frame)
+                             encode_frame, pruned_search)
 from qtpart.features import (FEATURE_COUNT, FEATURE_NAMES, LAYOUT_HASH,
                              mask_indices)
 from qtpart.frame_io import LumaFrame, Rect
@@ -233,20 +233,24 @@ def test_gated_search_builds_one_patch_per_active_visit(monkeypatch, ratio):
 
 @pytest.mark.parametrize("ctu, max_depth, sizes", [
     (64, 3, (8,)), (64, 3, (7,)), (64, 3, (32, 8)), (64, 1, (32,)),
-    (32, 2, (64,)), (64, 3, ()), (64, 3, ("32",)),
+    (32, 2, (64,)), (64, 3, ()), (64, 3, ("32",)), (64, 3, (32, "16")),
 ])
 def test_unconsulted_active_sizes_rejected_before_search(monkeypatch, ctu,
                                                          max_depth, sizes):
+    # the frame loop and a direct call of the public search both refuse
     def must_not_run(*args, **kwargs):
         raise AssertionError("a search ran before the active-size check")
 
     monkeypatch.setattr(codec, "search", must_not_run)
     pol = ThresholdPolicy(ratio_model(1e6), threshold=1.0, active_sizes=sizes)
-    refused = sorted(set(sizes) - set(codec.split_sizes(CodecConfig(ctu, max_depth))),
-                     reverse=True)
-    with pytest.raises(ValueError, match=re.escape(f"block sizes {refused} refused")):
-        encode_frame(natural_frame(8), CodecConfig(ctu=ctu, max_depth=max_depth),
-                     policy=pol)
+    cfg = CodecConfig(ctu=ctu, max_depth=max_depth)
+    refused = sorted(set(sizes) - set(codec.split_sizes(cfg)), reverse=True)
+    frame = natural_frame(8)
+    for run in (lambda: encode_frame(frame, cfg, policy=pol),
+                lambda: pruned_search(Rect(0, 0, ctu, ctu), cfg, SearchState(frame),
+                                      pol, {})):
+        with pytest.raises(ValueError, match=re.escape(f"block sizes {refused} refused")):
+            run()
 
 
 # -------------------------------------------------------------- frame results
@@ -255,7 +259,6 @@ def test_encode_frame_skips_cropped_tiles():
     frame = natural_frame(9, 128, 200)         # 8px remainder column
     cfg = CodecConfig()
     res = encode_frame(frame, cfg)
-    assert res.covered == Rect(0, 0, 192, 128)
     assert res.covered_area == 6 * CTU_AREA
     assert len(res.trees) == 6
 
@@ -271,7 +274,7 @@ def test_encode_frame_with_remainders_matches_its_full_ctu_crop(ctu):
     assert a.pixels == b.pixels
     assert a.rate_bits() == b.rate_bits()
     assert a.sse() == b.sse()
-    assert a.covered == b.covered == Rect(0, 0, 192, 128)
+    assert a.covered_area == b.covered_area == 128 * 192
     assert np.array_equal(a.state.work[:128, :192], b.state.work)
 
 
@@ -284,23 +287,29 @@ def test_encode_frame_requires_one_full_ctu(monkeypatch):
         encode_frame(natural_frame(0, 32, 32), CodecConfig())
 
 
-def test_frame_result_accounting():
+@pytest.mark.parametrize("ctu", [32, 64])
+@pytest.mark.parametrize("gated", [False, True])
+def test_frame_result_accounting(ctu, gated):
+    # the trees' leaf distortions are the frame's squared error, exactly
     frame = natural_frame(10, 128, 128)
-    cfg = CodecConfig()
-    res = encode_frame(frame, cfg)
+    cfg = CodecConfig(ctu=ctu)
+    pol = ThresholdPolicy(ratio_model(1e6), threshold=1.0,
+                          active_sizes=(ctu // 2,)) if gated else None
+    res = encode_frame(frame, cfg, pol)
     assert res.pixels == res.state.pixels
     assert res.rate_bits() == pytest.approx(sum(t.rate_bits() for t in res.trees))
-    o = res.state.orig.astype(np.float64)
+    o = frame.pixels.astype(np.float64)
     w = res.state.work.astype(np.float64)
     assert res.sse() == float(np.sum((o - w) ** 2))
+    assert res.covered_area == 128 * 128
 
 
 def test_frame_result_sse_covers_full_tiles_only():
     frame = natural_frame(11, 128, 200)
     res = encode_frame(frame, CodecConfig())
-    o = res.state.orig.astype(np.float64)
+    o = frame.pixels.astype(np.float64)
     w = res.state.work.astype(np.float64)
     manual = float(np.sum((o[:, :192] - w[:, :192]) ** 2))
     assert res.sse() == manual
     # the cropped strip is never touched
-    assert np.array_equal(res.state.work[:, 192:], res.state.orig[:, 192:])
+    assert np.array_equal(res.state.work[:, 192:], frame.pixels[:, 192:])
